@@ -19,15 +19,17 @@ from .graphs import Graph
 def canonical_form(g: Graph) -> bytes:
     """Permutation-invariant key, injective on isomorphism classes."""
     if g._canon is None:
-        g._canon = _canon_bytes(g.n, g._adj)
+        g._canon = _canon(g.n, g._adj)[0]
     return g._canon
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled representative of g's isomorphism class."""
-    order = _canon_order(g.n, g._adj)
-    perm = {v + 1: i + 1 for i, v in enumerate(order)}
-    return g.relabel(perm)
+    key, order = _canon(g.n, g._adj)
+    rep = g.relabel({v + 1: i + 1 for i, v in enumerate(order)})
+    # Isomorphic graphs share a key, so both can skip the recomputation.
+    g._canon = rep._canon = key
+    return rep
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -61,37 +63,21 @@ def _induce(adj: tuple[int, ...], keep: list[int]) -> tuple[int, tuple[int, ...]
     return len(keep), tuple(out)
 
 
-def _canon_bytes(n: int, adj: tuple[int, ...]) -> bytes:
-    if n == 0:
-        return bytes([0])
-    if n == 1:
-        return bytes([1])
+def _canon(n: int, adj: tuple[int, ...]) -> tuple[bytes, list[int]]:
+    """Canonical key, and the vertices in canonical position order
+    (universal, core, isolated)."""
+    if n <= 1:
+        return bytes([n]), list(range(n))
     iso, univ = _split_extremes(n, adj)
     if iso or univ:
         drop = set(iso) | set(univ)
         keep = [v for v in range(n) if v not in drop]
-        sub_n, sub_adj = _induce(adj, keep)
-        return bytes([n, len(iso), len(univ)]) + _canon_bytes(sub_n, sub_adj)
-    key, _ = _core_min_labeling(n, adj)
+        key, inner = _canon(*_induce(adj, keep))
+        head = bytes([n, len(iso), len(univ)])
+        return head + key, univ + [keep[i] for i in inner] + iso
+    key, order = _core_min_labeling(n, adj)
     nbytes = (n * (n - 1) // 2 + 7) // 8
-    return bytes([n, 255]) + key.to_bytes(nbytes, "big")
-
-
-def _canon_order(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Vertices in canonical position order (universal, core, isolated)."""
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    iso, univ = _split_extremes(n, adj)
-    if iso or univ:
-        drop = set(iso) | set(univ)
-        keep = [v for v in range(n) if v not in drop]
-        sub_n, sub_adj = _induce(adj, keep)
-        inner = _canon_order(sub_n, sub_adj)
-        return univ + [keep[i] for i in inner] + iso
-    _, order = _core_min_labeling(n, adj)
-    return order
+    return bytes([n, 255]) + key.to_bytes(nbytes, "big"), order
 
 
 def _refine(n: int, adj: tuple[int, ...], cells: list[tuple[int, ...]]):

@@ -12,7 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from .canonical import canonical_graph
 from .errors import TorlinkError
 from .graph6 import decode_graph6, encode_graph6, read_graph6_file
 from .graphs import Graph
@@ -47,11 +46,6 @@ from .torus import (
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def load_graph6_file(path) -> list[Graph]:
-    """Graphs from a one-per-line graph6 file, with line-numbered errors."""
-    return read_graph6_file(path)
-
-
 def load_embedding_file(path) -> TorusDiagram:
     """A validated torus diagram from a 4-line embedding file."""
     path = Path(path)
@@ -75,7 +69,7 @@ def _obstruction_db(args) -> ObstructionDB:
 
 def _input_graphs(spec: str) -> list[Graph]:
     if Path(spec).exists():
-        return load_graph6_file(spec)
+        return read_graph6_file(spec)
     return [decode_graph6(spec)]
 
 
@@ -205,7 +199,7 @@ def _cmd_mtn_census(args, out) -> int:
 
 
 def _cmd_certify(args, out) -> int:
-    graphs = load_graph6_file(args.mtn)
+    graphs = read_graph6_file(args.mtn)
     emb_dir = Path(args.embeddings)
     paths = sorted(emb_dir.glob("*.emb"))
     diagrams = [load_embedding_file(p) for p in paths]

@@ -3,18 +3,18 @@
 Minor testing is a backtracking reduction search: while the host is larger
 than the pattern, branch on single vertex deletions and edge contractions,
 pruning by order and size and deduplicating states by canonical form; once
-orders agree the question reduces to a spanning-subgraph embedding. Results
-are memoized globally by (host, pattern) canonical form, which turns the
-repeated queries made by the census and search pipelines into a shared DAG
-traversal.
+orders agree the question reduces to a spanning-subgraph embedding. One
+engine answers every minor query: it tests a whole pattern collection at
+once and memoizes results by host canonical form in a memo the caller owns.
+A caller that keeps its memo for a fixed collection, as the nIL and
+toroidality oracles do, turns repeated queries into a shared DAG traversal;
+``has_minor`` uses a fresh memo per call.
 """
 
 from __future__ import annotations
 
 from .canonical import canonical_form
 from .graphs import Graph
-
-_minor_memo: dict[tuple[bytes, bytes], bool] = {}
 
 
 def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
@@ -82,33 +82,7 @@ def has_minor(g: Graph, h: Graph) -> bool:
 
     Containment is up to isomorphism. Exact; practical for orders <= 12.
     """
-    if h.n == 0:
-        return True
-    if h.size == 0:
-        return g.n >= h.n
-    return _has_minor(g, h, canonical_form(h))
-
-
-def _has_minor(g: Graph, h: Graph, h_key: bytes) -> bool:
-    if g.n < h.n or g.size < h.size:
-        return False
-    if is_subgraph_iso(h, g):
-        # Covers the equal-order case: a spanning embedding is all that
-        # deletions alone can reach.
-        return True
-    if g.n == h.n:
-        return False
-    memo_key = (canonical_form(g), h_key)
-    cached = _minor_memo.get(memo_key)
-    if cached is not None:
-        return cached
-    result = False
-    for child in _reductions(g, h.size):
-        if _has_minor(child, h, h_key):
-            result = True
-            break
-    _minor_memo[memo_key] = result
-    return result
+    return contains_any_minor(g, (h,), {})
 
 
 def _reductions(g: Graph, min_size: int):

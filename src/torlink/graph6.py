@@ -74,7 +74,3 @@ def read_graph6_file(path) -> list[Graph]:
         except ParseError as exc:
             raise ParseError(f"{path.name}: line {lineno}: {exc}") from exc
     return graphs
-
-
-def write_graph6_file(path, graphs) -> None:
-    Path(path).write_text("".join(encode_graph6(g) + "\n" for g in graphs))

@@ -9,7 +9,7 @@ package supports (n <= 12).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 MAX_ORDER = 12
 
@@ -301,10 +301,3 @@ def cycle_vertex_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << (v - 1)
     return mask
-
-
-def all_graphs_of_order(n: int) -> Iterator[Graph]:
-    """Every labeled graph on n vertices (2^C(n,2) of them); test-scale only."""
-    pairs = list(combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(pairs)):
-        yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])

@@ -21,12 +21,8 @@ from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
 from .graphs import Graph, complete_graph
 
-# Every Petersen-family member has 15 edges, so smaller graphs are nIL.
-FAMILY_SIZE = 15
 # No toroidal obstruction has fewer than 8 vertices.
 SMALLEST_OBSTRUCTION_ORDER = 8
-
-OBSTRUCTION_FILE_PATTERN = "obstructions_order{order}.g6"
 
 
 def delta_y(g: Graph, triangle: tuple[int, int, int]) -> Graph:
@@ -187,8 +183,6 @@ class ObstructionDB:
             )
 
     def contains_obstruction_minor(self, g: Graph) -> bool:
-        if not any(p.n <= g.n for p in self._patterns):
-            return False
         return contains_any_minor(g, self._patterns, self._memo)
 
 

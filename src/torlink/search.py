@@ -32,13 +32,14 @@ DEFAULT_SIZE_FLOOR = 19
 class SearchContext:
     """Partitioned order-9 maximal-nIL graphs plus the obstruction data
     backing toroidality queries. ``size_floor`` is the edge-count guard of
-    the search (candidates must have strictly more edges)."""
+    the search (candidates must have strictly more edges). ``cache`` maps
+    canonical forms to search results for the context's lifetime."""
 
     toroidal_maxnil: tuple[Graph, ...]
     nontoroidal_maxnil: tuple[Graph, ...]
     db: ObstructionDB
     size_floor: int = DEFAULT_SIZE_FLOOR
-    cache: dict = field(default_factory=dict, repr=False)
+    cache: dict[bytes, frozenset[Graph]] = field(default_factory=dict, repr=False)
 
 
 def classify_maxnil(maxnil_order9, db: ObstructionDB) -> SearchContext:

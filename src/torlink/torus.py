@@ -140,8 +140,10 @@ def cycle_crossing_sums(
     """Componentwise sum of crossing entries along the cycle traversal."""
     if not is_cycle_of(d.graph, tuple(cycle)):
         raise ValueError(f"{cycle!r} is not a cycle of the diagram's graph")
-    if m is None:
-        m = crossing_matrix(d)
+    return _crossing_sums(crossing_matrix(d) if m is None else m, cycle)
+
+
+def _crossing_sums(m: CrossingMatrix, cycle: tuple[int, ...]) -> tuple[int, int]:
     p = q = 0
     k = len(cycle)
     for i in range(k):
@@ -156,14 +158,24 @@ def cycle_slope(d: TorusDiagram, cycle: tuple[int, ...]) -> SlopeClass:
     return SlopeClass.from_sums(*cycle_crossing_sums(d, cycle))
 
 
-def _candidate_cycles(d: TorusDiagram, min_len: int | None, max_len: int | None):
+def _essential_cycles(
+    d: TorusDiagram, min_len: int | None, max_len: int | None
+) -> list[tuple[tuple[int, ...], SlopeClass]]:
+    """Cycles of length min_len..max_len (default 3..n-3) with a nonzero
+    slope, each with its slope class, in enumeration order."""
     n = d.graph.n
     lo = 3 if min_len is None else min_len
     hi = n - 3 if max_len is None else max_len
     hi = min(hi, n)
     if hi < lo:
         return []
-    return enumerate_cycles(d.graph, lo, hi)
+    m = crossing_matrix(d)
+    essential = []
+    for cyc in enumerate_cycles(d.graph, lo, hi):
+        p, q = _crossing_sums(m, cyc)
+        if p or q:
+            essential.append((cyc, SlopeClass.from_sums(p, q)))
+    return essential
 
 
 def find_links(
@@ -176,12 +188,10 @@ def find_links(
     reduced slope; every vertex-disjoint pair within a group is a link.
     Output is sorted by the cycle representatives.
     """
-    m = crossing_matrix(d)
     by_slope: dict[SlopeClass, list[tuple[int, ...]]] = {}
-    for cyc in _candidate_cycles(d, min_len, max_len):
-        p, q = cycle_crossing_sums(d, cyc, m)
-        if p != 0 and q != 0:
-            by_slope.setdefault(SlopeClass.from_sums(p, q), []).append(cyc)
+    for cyc, slope in _essential_cycles(d, min_len, max_len):
+        if slope.is_linking:
+            by_slope.setdefault(slope, []).append(cyc)
     witnesses = []
     for slope, cycles in by_slope.items():
         masks = [cycle_vertex_mask(c) for c in cycles]
@@ -208,12 +218,7 @@ def embedding_warnings(
     one slope class; a disjoint essential pair with different slopes means
     the crossing lists do not describe a real embedding.
     """
-    m = crossing_matrix(d)
-    essential: list[tuple[tuple[int, ...], SlopeClass]] = []
-    for cyc in _candidate_cycles(d, min_len, max_len):
-        p, q = cycle_crossing_sums(d, cyc, m)
-        if (p, q) != (0, 0):
-            essential.append((cyc, SlopeClass.from_sums(p, q)))
+    essential = _essential_cycles(d, min_len, max_len)
     warnings = []
     for i in range(len(essential)):
         ci, si = essential[i]

@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive: permutations for isomorphism,
 injections for subgraph containment, unmemoized recursion (with networkx
-doing the bottom matching) for minors. Only usable at tiny orders.
+doing the bottom matching) for minors, all pairs of permutation-found
+cycles for torus link scans. Only usable at tiny orders.
 """
 
 from itertools import combinations, permutations
+from math import gcd
 
 import networkx as nx
 
@@ -90,6 +92,61 @@ def canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
     rotated = seq[i:] + seq[:i]
     reverse = (rotated[0],) + tuple(reversed(rotated[1:]))
     return min(rotated, reverse)
+
+
+def all_graphs_of_order(n: int):
+    """Every labeled graph on n vertices (2^C(n,2) of them)."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def brute_crossing_sums(d, cycle: tuple[int, ...]) -> tuple[int, int]:
+    """Signed boundary crossings along the traversal, read off the raw lists."""
+    p = q = 0
+    k = len(cycle)
+    for i in range(k):
+        step = (cycle[i], cycle[(i + 1) % k])
+        back = step[::-1]
+        p += (step in d.up_list) - (back in d.up_list)
+        q += (step in d.right_list) - (back in d.right_list)
+    return p, q
+
+
+def brute_slope_text(p: int, q: int) -> str:
+    """Reduced slope of a nonzero sum pair: q > 0, or p > 0 when q == 0."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return f"{p}/{q}"
+
+
+def brute_link_scan(d):
+    """Links and clashes among cycles of length 3..n-3, over all pairs.
+
+    Links are vertex-disjoint pairs whose crossing sums are parallel with
+    both components nonzero, as sorted (cycle_a, cycle_b, slope) triples.
+    Clashes are vertex-disjoint pairs of nonzero sums that are not
+    parallel, as (cycle_a, cycle_b, slope_a, slope_b) in the (length,
+    tuple) order of their cycles.
+    """
+    n = d.graph.n
+    cycles = sorted(brute_cycles(d.graph, 3, n - 3), key=lambda c: (len(c), c))
+    sums = {c: brute_crossing_sums(d, c) for c in cycles}
+    links, clashes = [], []
+    for i, a in enumerate(cycles):
+        for b in cycles[i + 1 :]:
+            (pa, qa), (pb, qb) = sums[a], sums[b]
+            if set(a) & set(b) or (pa, qa) == (0, 0) or (pb, qb) == (0, 0):
+                continue
+            if pa * qb != pb * qa:
+                clashes.append(
+                    (a, b, brute_slope_text(pa, qa), brute_slope_text(pb, qb))
+                )
+            elif pa and qa:
+                links.append((min(a, b), max(a, b), brute_slope_text(pa, qa)))
+    return sorted(links), clashes
 
 
 def random_graph(rng, n: int, p: float) -> Graph:

@@ -14,10 +14,9 @@ from torlink import (
     path_graph,
     petersen_graph,
 )
-from torlink.graphs import all_graphs_of_order
 from torlink.oracles import order8_obstructions
 
-from bruteforce import brute_isomorphic, random_graph
+from bruteforce import all_graphs_of_order, brute_isomorphic, random_graph
 
 
 def shuffled(g: Graph, rng) -> Graph:
@@ -113,6 +112,7 @@ def test_canonical_graph_is_isomorphic_representative():
         rep = canonical_graph(g)
         assert is_isomorphic(rep, g)
         assert canonical_graph(shuffled(g, rng)) == rep
+        assert canonical_form(rep) == canonical_form(Graph(rep.n, rep.edges))
 
 
 def test_dense_and_sparse_extremes():

@@ -11,10 +11,15 @@ from torlink import (
     petersen_graph,
 )
 from torlink.canonical import canonical_form
-from torlink.graphs import all_graphs_of_order
+from torlink.containment import contains_any_minor
 from torlink.oracles import order8_obstructions
 
-from bruteforce import brute_minor, brute_subgraph_iso, random_graph
+from bruteforce import (
+    all_graphs_of_order,
+    brute_minor,
+    brute_subgraph_iso,
+    random_graph,
+)
 
 
 def test_k3_in_k4():
@@ -70,6 +75,54 @@ def test_has_minor_matches_bruteforce():
         h = random_graph(rng, rng.randint(2, 4), rng.uniform(0.3, 0.9))
         g = random_graph(rng, rng.randint(h.n, 6), rng.uniform(0.3, 0.8))
         assert has_minor(g, h) == brute_minor(g, h)
+
+
+def random_patterns(rng) -> tuple[Graph, ...]:
+    return tuple(
+        random_graph(rng, rng.randint(2, 5), rng.uniform(0.3, 1.0))
+        for _ in range(rng.randint(1, 3))
+    )
+
+
+def random_host(rng, patterns) -> Graph:
+    """A random graph, or a pattern with subdivided edges: a minor of it
+    that only contractions can recover."""
+    if rng.random() < 0.5:
+        return random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.7))
+    g = rng.choice(patterns)
+    edges = list(g.edges)
+    n = g.n
+    while n < 7 and edges and rng.random() < 0.8:
+        u, v = edges.pop(rng.randrange(len(edges)))
+        n += 1
+        edges += [(u, n), (n, v)]
+    return Graph(n, edges)
+
+
+def test_contains_any_minor_matches_bruteforce():
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(60):
+        patterns = random_patterns(rng)
+        g = random_host(rng, patterns)
+        expected = any(brute_minor(g, p) for p in patterns)
+        assert contains_any_minor(g, patterns, {}) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_contains_any_minor_shared_memo_matches_bruteforce():
+    rng = random.Random(47)
+    verdicts = set()
+    for _ in range(4):
+        patterns = random_patterns(rng)
+        memo: dict[bytes, bool] = {}
+        for _ in range(15):
+            g = random_host(rng, patterns)
+            expected = any(brute_minor(g, p) for p in patterns)
+            assert contains_any_minor(g, patterns, memo) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_subgraph_implies_minor_exhaustive_order_le5():

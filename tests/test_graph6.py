@@ -6,9 +6,8 @@ import pytest
 from torlink import Graph, complete_graph, decode_graph6, encode_graph6
 from torlink.errors import ParseError
 from torlink.graph6 import read_graph6_file
-from torlink.graphs import all_graphs_of_order
 
-from bruteforce import random_graph, to_nx
+from bruteforce import all_graphs_of_order, random_graph, to_nx
 
 
 def test_round_trip_exhaustive_order_le5():

@@ -12,9 +12,15 @@ from torlink import (
     is_isomorphic,
     path_graph,
 )
-from torlink.graphs import all_graphs_of_order, is_cycle_of
+from torlink.graphs import is_cycle_of
 
-from bruteforce import brute_cycles, canonical_cycle, random_graph, well_formed
+from bruteforce import (
+    all_graphs_of_order,
+    brute_cycles,
+    canonical_cycle,
+    random_graph,
+    well_formed,
+)
 
 
 def test_construction_rejects_bad_edges():

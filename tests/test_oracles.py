@@ -22,10 +22,9 @@ from torlink import (
 )
 from torlink.canonical import canonical_form
 from torlink.errors import DataValidationError, UnsupportedOrderError
-from torlink.graphs import all_graphs_of_order
 from torlink.oracles import delta_y, order8_obstructions, y_delta
 
-from bruteforce import random_graph
+from bruteforce import all_graphs_of_order, random_graph
 
 
 def k6_minus_e() -> Graph:

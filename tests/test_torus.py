@@ -23,7 +23,7 @@ from torlink import (
 )
 from torlink.errors import ParseError
 
-from bruteforce import random_graph
+from bruteforce import brute_link_scan, random_graph
 
 FIXTURE = Path(__file__).parent.parent / "src" / "torlink" / "data" / "k6_minus_e.emb"
 
@@ -281,6 +281,26 @@ def test_no_warnings_on_genuine_embeddings():
     assert embedding_warnings(k6_minus_e_diagram()) == []
     assert embedding_warnings(k6_diagram()) == []
     assert embedding_warnings(k7_diagram()) == []
+
+
+def test_link_scans_match_bruteforce_random():
+    rng = random.Random(113)
+    seen_links = seen_clashes = 0
+    for _ in range(24):
+        d = random_diagram(rng, rng.randint(6, 8))
+        links, clashes = brute_link_scan(d)
+        found = [(w.cycle_a, w.cycle_b, str(w.slope)) for w in find_links(d)]
+        assert found == links
+        expected = [
+            f"disjoint essential cycles [{' '.join(map(str, a))}] and "
+            f"[{' '.join(map(str, b))}] have slopes {sa} and {sb}; "
+            "not a valid embedding"
+            for a, b, sa, sb in clashes
+        ]
+        assert embedding_warnings(d) == expected
+        seen_links += len(links)
+        seen_clashes += len(clashes)
+    assert seen_links and seen_clashes
 
 
 # -- linking number -----------------------------------------------------------
