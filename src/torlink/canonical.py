@@ -1,12 +1,27 @@
 """Canonical forms and isomorphism for small graphs.
 
 The canonical form is an opaque byte string that is identical for two
-graphs exactly when they are isomorphic. It is computed by iterative
-color refinement followed by a backtracking search over the remaining
-cell choices, keeping the lexicographically smallest adjacency bitstring.
-Isolated and universal vertices are stripped first (they are mutually
-interchangeable), which keeps the search shallow on very dense or very
-sparse graphs.
+graphs exactly when they are isomorphic. Isolated and universal vertices
+are stripped first (they are mutually interchangeable), which keeps the
+search shallow on very dense or very sparse graphs. The rest is an
+individualization-refinement search: refine the vertex partition to an
+equitable one, individualize each vertex of the first smallest
+non-singleton cell in turn, refine again, and so on down to discrete
+partitions. Each discrete partition is a labeling; the key is the
+lexicographically smallest adjacency bitstring over all of them.
+
+The search is depth-first and prunes with automorphisms (McKay and
+Piperno, Practical graph isomorphism II, 2014, section 3). Two leaves
+with the same adjacency bitstring give an automorphism of the graph.
+At a node reached by individualizing the vertices of ``path``, a child
+vertex is skipped when an automorphism fixing every vertex of ``path``
+maps an already explored sibling onto it; the orbits come from a
+union-find over the automorphisms found so far. Refinement and the
+choice of target cell are label-equivariant, so the skipped subtree is
+the image of an explored one under that automorphism and holds the same
+set of bitstrings. The minimum, and with it every key, is therefore the
+same as from visiting every leaf; ``tests/bruteforce.py`` keeps that
+exhaustive walk as the reference.
 
 Adequate for n <= 12; not a general-purpose canonizer.
 """
@@ -82,8 +97,14 @@ def _canon(n: int, adj: tuple[int, ...]) -> tuple[bytes, list[int]]:
 
 def _refine(n: int, adj: tuple[int, ...], cells: list[tuple[int, ...]]):
     """Equitable refinement; new subcells ordered by signature."""
+    bit_count = int.bit_count
     while True:
-        masks = [_mask(c) for c in cells]
+        masks = []
+        for c in cells:
+            m = 0
+            for v in c:
+                m |= 1 << v
+            masks.append(m)
         new_cells: list[tuple[int, ...]] = []
         changed = False
         for cell in cells:
@@ -93,7 +114,7 @@ def _refine(n: int, adj: tuple[int, ...], cells: list[tuple[int, ...]]):
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
                 row = adj[v]
-                sig = tuple((row & m).bit_count() for m in masks)
+                sig = tuple([bit_count(row & m) for m in masks])
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
@@ -106,21 +127,29 @@ def _refine(n: int, adj: tuple[int, ...], cells: list[tuple[int, ...]]):
         cells = new_cells
 
 
-def _mask(cell: tuple[int, ...]) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
+def _leaf_key(n: int, adj: tuple[int, ...], order: list[int]) -> int:
+    key = 0
+    for i in range(n):
+        row = adj[order[i]]
+        for j in range(i + 1, n):
+            key = key << 1 | (row >> order[j] & 1)
+    return key
 
 
 def _core_min_labeling(n: int, adj: tuple[int, ...]):
     """Smallest adjacency key over refined labelings, with its vertex order."""
+    root = _refine(n, adj, [tuple(range(n))])
+    if len(root) == n:
+        order = [c[0] for c in root]
+        return _leaf_key(n, adj, order), order
     best_key = None
-    best_order = None
-    start = _refine(n, adj, [tuple(range(n))])
-    stack = [start]
-    while stack:
-        cells = stack.pop()
+    best_order: list[int] = []
+    # Automorphisms found as pairs of leaves with equal keys, each stored
+    # as a list mapping v to its image.
+    autos: list[list[int]] = []
+
+    def search(cells: list[tuple[int, ...]], path: list[int]) -> None:
+        nonlocal best_key, best_order
         target = -1
         target_len = n + 1
         for i, c in enumerate(cells):
@@ -129,18 +158,47 @@ def _core_min_labeling(n: int, adj: tuple[int, ...]):
                 target_len = len(c)
         if target < 0:
             order = [c[0] for c in cells]
-            key = 0
-            for i in range(n):
-                row = adj[order[i]]
-                for j in range(i + 1, n):
-                    key = key << 1 | (row >> order[j] & 1)
+            key = _leaf_key(n, adj, order)
             if best_key is None or key < best_key:
                 best_key = key
                 best_order = order
-            continue
+            elif key == best_key:
+                gamma = [0] * n
+                for b, o in zip(best_order, order):
+                    gamma[b] = o
+                autos.append(gamma)
+            return
         cell = cells[target]
+        # Orbits of the automorphisms found so far that fix path pointwise,
+        # as a union-find forest built once the first automorphism arrives.
+        parent: list[int] = []
+        used = 0
+        explored: list[int] = []
         for v in cell:
+            if used < len(autos):
+                if not parent:
+                    parent = list(range(n))
+                for gamma in autos[used:]:
+                    if all(gamma[p] == p for p in path):
+                        for w, x in enumerate(gamma):
+                            a, b = _find(parent, w), _find(parent, x)
+                            if a != b:
+                                parent[a] = b
+                used = len(autos)
+            if parent:
+                root_v = _find(parent, v)
+                if any(_find(parent, u) == root_v for u in explored):
+                    continue
+            explored.append(v)
             rest = tuple(w for w in cell if w != v)
             split = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            stack.append(_refine(n, adj, split))
+            search(_refine(n, adj, split), path + [v])
+
+    search(root, [])
     return best_key, best_order
+
+
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v

@@ -68,7 +68,7 @@ def _obstruction_db(args) -> ObstructionDB:
 
 
 def _input_graphs(spec: str) -> list[Graph]:
-    if Path(spec).exists():
+    if Path(spec).is_file():
         return read_graph6_file(spec)
     return [decode_graph6(spec)]
 

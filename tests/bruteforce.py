@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 Everything here is deliberately naive: permutations for isomorphism,
-injections for subgraph containment, unmemoized recursion (with networkx
+every leaf of the refinement tree for canonical keys, injections for
+subgraph containment, unmemoized recursion (with networkx
 doing the bottom matching) for minors, all pairs of permutation-found
 cycles for torus link scans. Only usable at tiny orders.
 """
@@ -45,6 +46,64 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def brute_canonical_key(g: Graph) -> bytes:
+    """canonical_form's bytes from a walk over every leaf of the
+    individualization-refinement tree, with no pruning."""
+    return _brute_canon(g.n, g._adj)
+
+
+def _brute_canon(n: int, adj: tuple[int, ...]) -> bytes:
+    if n <= 1:
+        return bytes([n])
+    iso = [v for v in range(n) if adj[v] == 0]
+    univ = [v for v in range(n) if adj[v].bit_count() == n - 1]
+    if iso or univ:
+        keep = [v for v in range(n) if v not in iso and v not in univ]
+        pos = {v: i for i, v in enumerate(keep)}
+        inner = tuple(
+            sum(1 << pos[w] for w in keep if adj[v] >> w & 1) for v in keep
+        )
+        return bytes([n, len(iso), len(univ)]) + _brute_canon(len(keep), inner)
+    best = None
+    stack = [_brute_refine(adj, [tuple(range(n))])]
+    while stack:
+        cells = stack.pop()
+        open_cells = [i for i, c in enumerate(cells) if len(c) > 1]
+        if not open_cells:
+            order = [c[0] for c in cells]
+            key = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    key = key << 1 | (adj[order[i]] >> order[j] & 1)
+            if best is None or key < best:
+                best = key
+            continue
+        target = min(open_cells, key=lambda i: len(cells[i]))
+        cell = cells[target]
+        for v in cell:
+            rest = tuple(w for w in cell if w != v)
+            split = cells[:target] + [(v,), rest] + cells[target + 1 :]
+            stack.append(_brute_refine(adj, split))
+    nbytes = (n * (n - 1) // 2 + 7) // 8
+    return bytes([n, 255]) + best.to_bytes(nbytes, "big")
+
+
+def _brute_refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]):
+    """Equitable refinement; new subcells ordered by signature."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        new_cells = []
+        for cell in cells:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            new_cells.extend(tuple(groups[sig]) for sig in sorted(groups))
+        if len(new_cells) == len(cells):
+            return new_cells
+        cells = new_cells
 
 
 def brute_subgraph_iso(pattern: Graph, host: Graph) -> bool:
@@ -152,3 +211,15 @@ def brute_link_scan(d):
 def random_graph(rng, n: int, p: float) -> Graph:
     edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
     return Graph(n, edges)
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    """K_{parts[0], parts[1], ...}: every edge between different parts."""
+    start = [sum(parts[:i]) for i in range(len(parts))]
+    edges = [
+        (start[i] + a, start[j] + b)
+        for i, j in combinations(range(len(parts)), 2)
+        for a in range(1, parts[i] + 1)
+        for b in range(1, parts[j] + 1)
+    ]
+    return Graph(sum(parts), edges)

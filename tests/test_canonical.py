@@ -2,11 +2,14 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlink import (
     Graph,
     canonical_form,
     canonical_graph,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -15,8 +18,15 @@ from torlink import (
     petersen_graph,
 )
 from torlink.oracles import order8_obstructions
+from torlink.search import isomorphism_classes
 
-from bruteforce import all_graphs_of_order, brute_isomorphic, random_graph
+from bruteforce import (
+    all_graphs_of_order,
+    brute_canonical_key,
+    brute_isomorphic,
+    complete_multipartite,
+    random_graph,
+)
 
 
 def shuffled(g: Graph, rng) -> Graph:
@@ -145,3 +155,90 @@ def test_all_pairs_order4_exhaustive():
             graphs.append(g)
     for g, h in combinations(graphs, 2):
         assert not brute_isomorphic(g, h)
+
+
+def cube_graph() -> Graph:
+    """The 3-cube: vertices 1..8, adjacent when labels-1 differ in one bit."""
+    return Graph(
+        8, [(u + 1, (u ^ b) + 1) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    )
+
+
+SYMMETRIC = {
+    "K4,4": complete_bipartite(4, 4),
+    "K3,3,3": complete_multipartite(3, 3, 3),
+    "K2,2,2,2,2": complete_multipartite(2, 2, 2, 2, 2),
+    "petersen": petersen_graph(),
+    "cube": cube_graph(),
+    "C10": cycle_graph(10),
+    "2K3,3": disjoint_union(complete_bipartite(3, 3), complete_bipartite(3, 3)),
+    # Labeled graphs with nontrivial automorphisms on which pruning with a
+    # permutation read off two leaves of unequal keys (not an automorphism)
+    # misses the minimum.
+    "trap9": Graph(9, [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 7), (2, 9),
+                       (3, 7), (3, 9), (4, 5), (4, 6), (4, 8), (5, 6), (5, 7),
+                       (5, 9), (6, 8), (7, 8), (8, 9)]),
+    "trap10": Graph(10, [(1, 4), (1, 5), (1, 6), (1, 7), (1, 9), (1, 10), (2, 3),
+                         (2, 4), (2, 6), (2, 8), (2, 9), (2, 10), (3, 4), (3, 5),
+                         (3, 6), (3, 7), (3, 8), (4, 7), (4, 8), (4, 9), (5, 6),
+                         (5, 7), (5, 9), (5, 10), (6, 8), (6, 10), (7, 8), (7, 10),
+                         (8, 9), (9, 10)]),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_canonical_form_matches_exhaustive_walk_on_all_classes(n):
+    for g in isomorphism_classes(n):
+        assert canonical_form(g) == brute_canonical_key(g)
+
+
+def test_canonical_form_matches_exhaustive_walk_on_random_graphs():
+    rng = random.Random(29)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(8, 10), rng.uniform(0.1, 0.9))
+        assert canonical_form(g) == brute_canonical_key(g)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_canonical_form_matches_exhaustive_walk_on_symmetric_graphs(name):
+    g = SYMMETRIC[name]
+    assert canonical_form(g) == brute_canonical_key(g)
+
+
+@st.composite
+def _random_graphs(draw, max_n: int) -> Graph:
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, on in zip(pairs, bits) if on])
+
+
+def _symmetric_families(max_n: int):
+    parts = st.lists(st.integers(1, max_n), min_size=1, max_size=max_n).filter(
+        lambda p: sum(p) <= max_n
+    )
+    return st.one_of(
+        parts.map(lambda p: complete_multipartite(*p)),
+        st.integers(3, max_n).map(cycle_graph),
+        _random_graphs(min(max_n, 10)),
+    )
+
+
+@st.composite
+def _graph_and_relabeling(draw):
+    g = draw(
+        st.one_of(
+            _symmetric_families(12),
+            _symmetric_families(6).map(lambda h: disjoint_union(h, h)),
+        )
+    )
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    return g, g.relabel({i + 1: p for i, p in enumerate(perm)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_graph_and_relabeling())
+def test_canonical_form_and_graph_survive_relabeling(pair):
+    g, h = pair
+    assert canonical_form(h) == canonical_form(g)
+    assert canonical_graph(h) == canonical_graph(g)

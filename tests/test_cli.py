@@ -1,10 +1,19 @@
 import io
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from torlink import complete_graph, encode_graph6, petersen_family
 from torlink.cli import run
 
+from bruteforce import complete_multipartite
 from test_torus import FIXTURE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 K6_MINUS_E_G6 = encode_graph6(complete_graph(6).delete_edge((1, 2)))
 TWO_TRIANGLES_LINKED = (
@@ -64,6 +73,34 @@ def test_check_requires_predicate():
 def test_check_bad_graph6_is_usage_error():
     status, _ = invoke(["check", "--nil", "!!"])
     assert status == 2
+
+
+def test_check_empty_string_is_graph6_not_a_path(capsys):
+    # '' resolves to the working directory, which is not a graph6 file.
+    status, _ = invoke(["check", "--nil", ""])
+    assert status == 2
+    assert capsys.readouterr().err == "error: empty graph6 string\n"
+
+
+@pytest.mark.parametrize(
+    "g6",
+    ["K??F~z{~Fw^_", encode_graph6(complete_multipartite(4, 4, 4))],
+    ids=["K6,6", "K4,4,4"],
+)
+def test_check_nil_on_symmetric_graph_is_fast(g6):
+    # A canonizer without automorphism pruning takes 26-30 s on K6,6.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "torlink.cli", "check", "--nil", g6],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "nIL: false\n")
+    assert elapsed < 5.0
 
 
 def test_petersen_stdout_and_file(tmp_path):
