@@ -37,10 +37,10 @@ from .torus import (
     TorusDiagram,
     cycle_crossing_sums,
     cycle_slope,
-    embedding_warnings,
     find_links,
     parse_embedding,
     torus_link_linking_number,
+    verify_embedding,
 )
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -161,9 +161,9 @@ def _cmd_find_links(args, out) -> int:
 
 def _cmd_verify_embedding(args, out) -> int:
     diagram = load_embedding_file(args.embedding)
-    for warning in embedding_warnings(diagram):
+    warnings, witnesses = verify_embedding(diagram)
+    for warning in warnings:
         out.write(f"warning: {warning}\n")
-    witnesses = find_links(diagram)
     out.write(f"linkless: {str(not witnesses).lower()}\n")
     _write_links(witnesses, out)
     return PASS if not witnesses else FAIL

@@ -188,20 +188,7 @@ def find_links(
     reduced slope; every vertex-disjoint pair within a group is a link.
     Output is sorted by the cycle representatives.
     """
-    by_slope: dict[SlopeClass, list[tuple[int, ...]]] = {}
-    for cyc, slope in _essential_cycles(d, min_len, max_len):
-        if slope.is_linking:
-            by_slope.setdefault(slope, []).append(cyc)
-    witnesses = []
-    for slope, cycles in by_slope.items():
-        masks = [cycle_vertex_mask(c) for c in cycles]
-        for i in range(len(cycles)):
-            for j in range(i + 1, len(cycles)):
-                if masks[i] & masks[j] == 0:
-                    a, b = sorted((cycles[i], cycles[j]))
-                    witnesses.append(LinkWitness(a, b, slope))
-    witnesses.sort(key=lambda w: (w.cycle_a, w.cycle_b))
-    return witnesses
+    return _links(d.graph.n, _essential_cycles(d, min_len, max_len))
 
 
 def is_linkless(d: TorusDiagram) -> bool:
@@ -218,20 +205,72 @@ def embedding_warnings(
     one slope class; a disjoint essential pair with different slopes means
     the crossing lists do not describe a real embedding.
     """
-    essential = _essential_cycles(d, min_len, max_len)
+    return _warnings(d.graph.n, _essential_cycles(d, min_len, max_len))
+
+
+def verify_embedding(d: TorusDiagram) -> tuple[list[str], list[LinkWitness]]:
+    """(embedding_warnings(d), find_links(d)) from one scan of the cycles."""
+    essential = _essential_cycles(d, None, None)
+    return _warnings(d.graph.n, essential), _links(d.graph.n, essential)
+
+
+def _links(
+    n: int, essential: list[tuple[tuple[int, ...], SlopeClass]]
+) -> list[LinkWitness]:
+    by_slope: dict[SlopeClass, list[tuple[int, ...]]] = {}
+    for cyc, slope in essential:
+        if slope.is_linking:
+            by_slope.setdefault(slope, []).append(cyc)
+    witnesses = []
+    for slope, cycles in by_slope.items():
+        masks = [cycle_vertex_mask(c) for c in cycles]
+        for i, j in _disjoint_pairs(masks, (1 << n) - 1):
+            a, b = sorted((cycles[i], cycles[j]))
+            witnesses.append(LinkWitness(a, b, slope))
+    witnesses.sort(key=lambda w: (w.cycle_a, w.cycle_b))
+    return witnesses
+
+
+def _warnings(
+    n: int, essential: list[tuple[tuple[int, ...], SlopeClass]]
+) -> list[str]:
+    masks = [cycle_vertex_mask(c) for c, _ in essential]
     warnings = []
-    for i in range(len(essential)):
-        ci, si = essential[i]
-        mi = cycle_vertex_mask(ci)
-        for j in range(i + 1, len(essential)):
-            cj, sj = essential[j]
-            if si != sj and mi & cycle_vertex_mask(cj) == 0:
-                warnings.append(
-                    "disjoint essential cycles "
-                    f"{_cycle_text(ci)} and {_cycle_text(cj)} have slopes "
-                    f"{si} and {sj}; not a valid embedding"
-                )
+    for i, j in _disjoint_pairs(masks, (1 << n) - 1):
+        (ci, si), (cj, sj) = essential[i], essential[j]
+        if si != sj:
+            warnings.append(
+                "disjoint essential cycles "
+                f"{_cycle_text(ci)} and {_cycle_text(cj)} have slopes "
+                f"{si} and {sj}; not a valid embedding"
+            )
     return warnings
+
+
+def _disjoint_pairs(masks: list[int], full: int):
+    """Every (i, j) with i < j and masks[i] & masks[j] == 0, ordered by i
+    and then j, where full covers every mask.
+
+    Indices are bucketed by mask, and each i looks up every nonempty
+    submask of full & ~masks[i]. For cycles of at least 3 of at most 12
+    vertices that is at most 2^9 lookups per cycle, so the cost follows the
+    number of cycles and of disjoint pairs rather than of all pairs.
+    """
+    by_mask: dict[int, list[int]] = {}
+    for j, m in enumerate(masks):
+        by_mask.setdefault(m, []).append(j)
+    for i, m in enumerate(masks):
+        free = full & ~m
+        later = []
+        sub = free
+        while sub:
+            bucket = by_mask.get(sub)
+            if bucket:
+                later += [j for j in bucket if j > i]
+            sub = (sub - 1) & free
+        later.sort()
+        for j in later:
+            yield i, j
 
 
 def torus_link_linking_number(m: int, n: int) -> Fraction:
@@ -269,11 +308,10 @@ def parse_embedding(text: str) -> TorusDiagram:
     right = [
         _parse_pair(tok, "->", 4) for tok in _parse_keyword_line(lines[3], "right", 4)
     ]
-    try:
-        graph = Graph(n, edges)
-        return TorusDiagram(graph, up, right)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    _at_line(1, Graph, n)
+    graph = _at_line(2, Graph, n, edges)
+    _at_line(3, TorusDiagram, graph, up, ())
+    return _at_line(4, TorusDiagram, graph, up, right)
 
 
 def format_embedding(d: TorusDiagram) -> str:
@@ -301,6 +339,14 @@ def _parse_pair(token: str, sep: str, lineno: int) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(f"bad pair {token!r}", line=lineno) from None
+
+
+def _at_line(lineno: int, make, *args):
+    """make(*args), reporting its ValueError as a ParseError at lineno."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=lineno) from None
 
 
 def _cycle_text(cycle: tuple[int, ...]) -> str:

@@ -181,8 +181,9 @@ def brute_slope_text(p: int, q: int) -> str:
     return f"{p}/{q}"
 
 
-def brute_link_scan(d):
-    """Links and clashes among cycles of length 3..n-3, over all pairs.
+def brute_link_scan(d, min_len: int = 3, max_len: int | None = None):
+    """Links and clashes among cycles of length min_len..max_len (default
+    n-3), over all pairs.
 
     Links are vertex-disjoint pairs whose crossing sums are parallel with
     both components nonzero, as sorted (cycle_a, cycle_b, slope) triples.
@@ -190,14 +191,14 @@ def brute_link_scan(d):
     parallel, as (cycle_a, cycle_b, slope_a, slope_b) in the (length,
     tuple) order of their cycles.
     """
-    n = d.graph.n
-    cycles = sorted(brute_cycles(d.graph, 3, n - 3), key=lambda c: (len(c), c))
-    sums = {c: brute_crossing_sums(d, c) for c in cycles}
+    hi = d.graph.n - 3 if max_len is None else max_len
+    cycles = sorted(brute_cycles(d.graph, min_len, hi), key=lambda c: (len(c), c))
+    essential = [(c, set(c), brute_crossing_sums(d, c)) for c in cycles]
+    essential = [e for e in essential if e[2] != (0, 0)]
     links, clashes = [], []
-    for i, a in enumerate(cycles):
-        for b in cycles[i + 1 :]:
-            (pa, qa), (pb, qb) = sums[a], sums[b]
-            if set(a) & set(b) or (pa, qa) == (0, 0) or (pb, qb) == (0, 0):
+    for i, (a, set_a, (pa, qa)) in enumerate(essential):
+        for b, set_b, (pb, qb) in essential[i + 1 :]:
+            if not set_a.isdisjoint(set_b):
                 continue
             if pa * qb != pb * qa:
                 clashes.append(

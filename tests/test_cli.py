@@ -7,11 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from torlink import complete_graph, encode_graph6, petersen_family
+from torlink import (
+    complete_graph,
+    encode_graph6,
+    find_links,
+    format_embedding,
+    petersen_family,
+)
 from torlink.cli import run
 
 from bruteforce import complete_multipartite
-from test_torus import FIXTURE
+from test_torus import FIXTURE, grid_diagram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -89,18 +95,23 @@ def test_check_empty_string_is_graph6_not_a_path(capsys):
 )
 def test_check_nil_on_symmetric_graph_is_fast(g6):
     # A canonizer without automorphism pruning takes 26-30 s on K6,6.
+    proc, elapsed = timed_cli("check", "--nil", g6)
+    assert (proc.returncode, proc.stdout) == (1, "nIL: false\n")
+    assert elapsed < 5.0
+
+
+def timed_cli(*argv):
+    """The finished `python -m torlink.cli` process and its wall time."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "torlink.cli", "check", "--nil", g6],
+        [sys.executable, "-m", "torlink.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    elapsed = time.perf_counter() - start
-    assert (proc.returncode, proc.stdout) == (1, "nIL: false\n")
-    assert elapsed < 5.0
+    return proc, time.perf_counter() - start
 
 
 def test_petersen_stdout_and_file(tmp_path):
@@ -168,6 +179,21 @@ def test_verify_embedding_fail(tmp_path):
     assert "link: [1 2 3] [4 5 6] slope=1/1" in text
 
 
+def test_verify_embedding_on_3x4_grid_is_fast(tmp_path):
+    # Comparing every pair of its 27,182 short cycles takes about 275 s.
+    grid = grid_diagram(3, 4)
+    path = tmp_path / "grid3x4.emb"
+    path.write_text(format_embedding(grid))
+    proc, elapsed = timed_cli("verify-embedding", str(path))
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1
+    assert lines[0] == "linkless: false"
+    assert not [line for line in lines if line.startswith("warning:")]
+    links = [line for line in lines if line.startswith("link:")]
+    assert len(links) == len(find_links(grid)) == 3045
+    assert elapsed < 10.0
+
+
 def test_verify_embedding_missing_file():
     status, _ = invoke(["verify-embedding", "/nonexistent/x.emb"])
     assert status == 2
@@ -178,6 +204,24 @@ def test_verify_embedding_invalid_file(tmp_path):
     path.write_text("order 3\nedges 1-2\nup 1->3\nright\n")
     status, _ = invoke(["verify-embedding", str(path)])
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("order 13\nedges\nup\nright\n", 1),
+        ("order 3\nedges 1-2 2-2\nup\nright\n", 2),
+        ("order 3\nedges 1-2 2-3\nup 1->2 2->1\nright\n", 3),
+        ("order 3\nedges 1-2 2-3\nup 1->2\nright 1->3\n", 4),
+    ],
+    ids=["order", "edges", "up", "right"],
+)
+def test_verify_embedding_error_names_line(tmp_path, capsys, text, line):
+    path = tmp_path / "x.emb"
+    path.write_text(text)
+    status, _ = invoke(["verify-embedding", str(path)])
+    assert status == 2
+    assert capsys.readouterr().err.startswith(f"error: x.emb: line {line}: ")
 
 
 def test_census_maxnil_order6():

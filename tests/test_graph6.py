@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlink import Graph, complete_graph, decode_graph6, encode_graph6
 from torlink.errors import ParseError
@@ -14,6 +17,21 @@ def test_round_trip_exhaustive_order_le5():
     for n in range(1, 6):
         for g in all_graphs_of_order(n):
             assert decode_graph6(encode_graph6(g)) == g
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    """Any labeled graph of order 0..max_n."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [e for e, on in zip(pairs, bits) if on])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(graphs(12))
+def test_round_trip_property(g):
+    assert decode_graph6(encode_graph6(g)) == g
 
 
 def test_matches_networkx_encoding():

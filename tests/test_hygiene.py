@@ -1,4 +1,6 @@
-"""Every module of the package uses each name it imports."""
+"""Import hygiene of the package's modules: every imported name is used,
+no private name crosses a module boundary, and every import sits at module
+level."""
 
 import ast
 from pathlib import Path
@@ -6,9 +8,12 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "torlink"
+each_module = pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@each_module
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}
@@ -31,3 +36,32 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"imported but never used: {unused}"
+
+
+@each_module
+def test_no_private_names_imported_from_the_package(path):
+    tree = ast.parse(path.read_text())
+    private = [
+        f"{path.name}:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "torlink")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"private names imported from another module: {private}"
+
+
+@each_module
+def test_no_imports_inside_functions(path):
+    tree = ast.parse(path.read_text())
+    nested = sorted(
+        {
+            f"{path.name}:{node.lineno}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+    assert not nested, f"imports inside functions: {nested}"

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torlink import (
     Graph,
@@ -13,6 +16,7 @@ from torlink import (
     crossing_matrix,
     cycle_crossing_sums,
     cycle_slope,
+    disjoint_union,
     embedding_warnings,
     enumerate_cycles,
     find_links,
@@ -20,10 +24,12 @@ from torlink import (
     is_linkless,
     parse_embedding,
     torus_link_linking_number,
+    verify_embedding,
 )
 from torlink.errors import ParseError
 
 from bruteforce import brute_link_scan, random_graph
+from test_graph6 import graphs
 
 FIXTURE = Path(__file__).parent.parent / "src" / "torlink" / "data" / "k6_minus_e.emb"
 
@@ -52,7 +58,11 @@ def k7_diagram() -> TorusDiagram:
 
 
 def random_diagram(rng, n) -> TorusDiagram:
-    g = random_graph(rng, n, rng.uniform(0.4, 0.9))
+    return random_crossings(rng, random_graph(rng, n, rng.uniform(0.4, 0.9)))
+
+
+def random_crossings(rng, g: Graph) -> TorusDiagram:
+    """g with a random third of its edges crossing each boundary."""
     edges = list(g.edges)
     rng.shuffle(edges)
     k = len(edges)
@@ -60,6 +70,51 @@ def random_diagram(rng, n) -> TorusDiagram:
     rng.shuffle(edges)
     right = [e if rng.random() < 0.5 else (e[1], e[0]) for e in edges[: k // 3]]
     return TorusDiagram(g, up, right)
+
+
+def grid_diagram(rows: int, cols: int) -> TorusDiagram:
+    """The triangulated rows x cols grid on the torus; vertex (i, j) is
+    i*cols + j + 1, and rows grow upward."""
+
+    def vid(i, j):
+        return (i % rows) * cols + (j % cols) + 1
+
+    edges, up, right = [], [], []
+    for i in range(rows):
+        for j in range(cols):
+            for di, dj in ((0, 1), (1, 0), (1, 1)):
+                u, v = vid(i, j), vid(i + di, j + dj)
+                edges.append((u, v))
+                if i + di == rows:
+                    up.append((u, v))
+                if j + dj == cols:
+                    right.append((u, v))
+    return TorusDiagram(Graph(rows * cols, edges), up, right)
+
+
+def relabeled_diagram(rng, d: TorusDiagram) -> TorusDiagram:
+    perm = list(range(1, d.graph.n + 1))
+    rng.shuffle(perm)
+
+    def moved(pairs):
+        return [(perm[u - 1], perm[v - 1]) for u, v in pairs]
+
+    return TorusDiagram(
+        Graph(d.graph.n, moved(d.graph.edges)), moved(d.up_list), moved(d.right_list)
+    )
+
+
+def diagram_union(d: TorusDiagram, e: TorusDiagram) -> TorusDiagram:
+    """d and e side by side, with e's vertices shifted past d's."""
+
+    def shifted(pairs):
+        return [(u + d.graph.n, v + d.graph.n) for u, v in pairs]
+
+    return TorusDiagram(
+        disjoint_union(d.graph, e.graph),
+        list(d.up_list) + shifted(e.up_list),
+        list(d.right_list) + shifted(e.right_list),
+    )
 
 
 # -- diagram validation -------------------------------------------------------
@@ -283,24 +338,46 @@ def test_no_warnings_on_genuine_embeddings():
     assert embedding_warnings(k7_diagram()) == []
 
 
-def test_link_scans_match_bruteforce_random():
+def _link_scan_cases():
+    """(kind, diagram, min_len, max_len); None means the default range."""
     rng = random.Random(113)
-    seen_links = seen_clashes = 0
     for _ in range(24):
-        d = random_diagram(rng, rng.randint(6, 8))
-        links, clashes = brute_link_scan(d)
-        found = [(w.cycle_a, w.cycle_b, str(w.slope)) for w in find_links(d)]
-        assert found == links
+        yield "random", random_diagram(rng, rng.randint(6, 8)), None, None
+    for _ in range(6):
+        yield "order9", random_diagram(rng, 9), None, None
+    for _ in range(8):
+        n = rng.randint(6, 8)
+        lo = rng.randint(3, n - 2)
+        yield "range", random_diagram(rng, n), lo, rng.randint(lo, n)
+    yield "order10", random_diagram(rng, 10), None, None
+    for _ in range(2):
+        yield "grid", relabeled_diagram(rng, grid_diagram(3, 3)), None, None
+    k4 = random_crossings(rng, complete_graph(4))
+    union = diagram_union(k4, random_crossings(rng, complete_graph(5)))
+    yield "union", union, None, None
+    yield "union", union, 4, 5
+
+
+def test_link_scans_match_bruteforce_random():
+    totals = {}
+    for index, (kind, d, lo, hi) in enumerate(_link_scan_cases()):
+        links, clashes = brute_link_scan(d, lo or 3, hi)
+        found = find_links(d, lo, hi)
+        assert [(w.cycle_a, w.cycle_b, str(w.slope)) for w in found] == links, index
         expected = [
             f"disjoint essential cycles [{' '.join(map(str, a))}] and "
             f"[{' '.join(map(str, b))}] have slopes {sa} and {sb}; "
             "not a valid embedding"
             for a, b, sa, sb in clashes
         ]
-        assert embedding_warnings(d) == expected
-        seen_links += len(links)
-        seen_clashes += len(clashes)
-    assert seen_links and seen_clashes
+        assert embedding_warnings(d, lo, hi) == expected, index
+        if lo is None and hi is None:
+            assert verify_embedding(d) == (expected, found), index
+        counts = totals.setdefault(kind, [0, 0])
+        counts[0] += len(links)
+        counts[1] += len(clashes)
+    assert totals.pop("grid")[1] == 0
+    assert all(all(counts) for counts in totals.values()), totals
 
 
 # -- linking number -----------------------------------------------------------
@@ -342,6 +419,36 @@ def test_linking_number_exact_rational():
 def test_format_round_trip():
     for d in (k6_minus_e_diagram(), k6_diagram(), k7_diagram()):
         assert parse_embedding(format_embedding(d)) == d
+
+
+@st.composite
+def diagrams(draw, max_n: int) -> TorusDiagram:
+    """A graph of order 0..max_n whose edges each cross each boundary
+    forward, backward or not at all, listed in a drawn order."""
+    g = draw(graphs(max_n))
+    lists = []
+    for _ in ("up", "right"):
+        signs = draw(
+            st.lists(st.sampled_from((0, 1, -1)), min_size=g.size, max_size=g.size)
+        )
+        pairs = [e if sign == 1 else e[::-1] for e, sign in zip(g.edges, signs) if sign]
+        lists.append(draw(st.permutations(pairs)))
+    return TorusDiagram(g, *lists)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(diagrams(12))
+def test_format_round_trip_property(d):
+    assert parse_embedding(format_embedding(d)) == d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(diagrams(9), st.randoms(use_true_random=False))
+def test_link_scans_survive_relabeling(d, rng):
+    warnings, links = verify_embedding(d)
+    moved_warnings, moved_links = verify_embedding(relabeled_diagram(rng, d))
+    assert len(moved_warnings) == len(warnings)
+    assert Counter(w.slope for w in moved_links) == Counter(w.slope for w in links)
 
 
 def test_parse_blank_crossing_lines():
