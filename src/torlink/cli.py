@@ -34,9 +34,9 @@ from .search import (
     verify_size19_exclusion,
 )
 from .torus import (
+    SlopeClass,
     TorusDiagram,
     cycle_crossing_sums,
-    cycle_slope,
     find_links,
     parse_embedding,
     torus_link_linking_number,
@@ -136,7 +136,7 @@ def _cmd_slope(args, out) -> int:
     diagram = load_embedding_file(args.embedding)
     cycle = _parse_cycle(args.cycle)
     p, q = cycle_crossing_sums(diagram, cycle)
-    slope = cycle_slope(diagram, cycle)
+    slope = SlopeClass.from_sums(p, q)
     out.write("cycle: " + " ".join(map(str, cycle)) + "\n")
     out.write(f"crossings: P={p} Q={q}\n")
     out.write(f"slope: {slope}\n")
@@ -146,9 +146,7 @@ def _cmd_slope(args, out) -> int:
 
 def _write_links(witnesses, out) -> None:
     for w in witnesses:
-        ca = " ".join(map(str, w.cycle_a))
-        cb = " ".join(map(str, w.cycle_b))
-        out.write(f"link: [{ca}] [{cb}] slope={w.slope}\n")
+        out.write(f"link: {w}\n")
 
 
 def _cmd_find_links(args, out) -> int:
@@ -201,6 +199,8 @@ def _cmd_mtn_census(args, out) -> int:
 def _cmd_certify(args, out) -> int:
     graphs = read_graph6_file(args.mtn)
     emb_dir = Path(args.embeddings)
+    if not emb_dir.is_dir():
+        raise TorlinkError(f"{emb_dir}: not a directory")
     paths = sorted(emb_dir.glob("*.emb"))
     diagrams = [load_embedding_file(p) for p in paths]
     report = certify_order(graphs, diagrams, [p.name for p in paths])

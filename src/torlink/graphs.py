@@ -68,9 +68,6 @@ class Graph:
     def size(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self._adj[v - 1].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self._adj)
 
@@ -84,10 +81,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         m = self._adj[v - 1]
         return tuple(i + 1 for i in range(self.n) if m >> i & 1)
-
-    def adjacency_mask(self, v: int) -> int:
-        """Neighbors of v as a bitmask (bit i-1 set for vertex i)."""
-        return self._adj[v - 1]
 
     def non_edges(self) -> tuple[EdgePair, ...]:
         """Vertex pairs not joined by an edge, in lexicographic order."""
@@ -152,12 +145,6 @@ class Graph:
         ) != list(range(1, self.n + 1)):
             raise ValueError("perm must be a bijection of 1..n")
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph._from_masks(
-            (full & ~m & ~(1 << i)) for i, m in enumerate(self._adj)
-        )
 
     # -- connectivity ------------------------------------------------------
 

@@ -304,9 +304,7 @@ class CertificationReport:
                 f"linkless={str(e.linkless).lower()} -> {verdict}"
             )
             for w in e.witnesses:
-                ca = " ".join(map(str, w.cycle_a))
-                cb = " ".join(map(str, w.cycle_b))
-                lines.append(f"  link: [{ca}] [{cb}] slope={w.slope}")
+                lines.append(f"  link: {w}")
         for g in self.unmatched:
             lines.append(f"graph {encode_graph6(g)} unmatched -> MISSING")
         lines.append(f"overall={'pass' if self.overall_pass else 'fail'}")

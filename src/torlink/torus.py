@@ -133,6 +133,10 @@ class LinkWitness:
     cycle_b: tuple[int, ...]
     slope: SlopeClass
 
+    def __str__(self) -> str:
+        a, b = _cycle_text(self.cycle_a), _cycle_text(self.cycle_b)
+        return f"{a} {b} slope={self.slope}"
+
 
 def cycle_crossing_sums(
     d: TorusDiagram, cycle: tuple[int, ...], m: CrossingMatrix | None = None
@@ -184,11 +188,13 @@ def find_links(
     """All linked pairs among cycles of length min_len..max_len.
 
     Defaults cover lengths 3..n-3 (a disjoint partner needs 3 vertices).
-    Cycles whose crossing sums have both components nonzero are grouped by
-    reduced slope; every vertex-disjoint pair within a group is a link.
-    Output is sorted by the cycle representatives.
+    Only linking cycles, whose crossing sums have both components nonzero,
+    are scanned; a link is a vertex-disjoint pair of them with the same
+    reduced slope. Output is sorted by the cycle representatives.
     """
-    return _links(d.graph.n, _essential_cycles(d, min_len, max_len))
+    essential = _essential_cycles(d, min_len, max_len)
+    linking = [e for e in essential if e[1].is_linking]
+    return _pair_scan(d.graph.n, linking)[1]
 
 
 def is_linkless(d: TorusDiagram) -> bool:
@@ -205,37 +211,23 @@ def embedding_warnings(
     one slope class; a disjoint essential pair with different slopes means
     the crossing lists do not describe a real embedding.
     """
-    return _warnings(d.graph.n, _essential_cycles(d, min_len, max_len))
+    return _pair_scan(d.graph.n, _essential_cycles(d, min_len, max_len))[0]
 
 
 def verify_embedding(d: TorusDiagram) -> tuple[list[str], list[LinkWitness]]:
     """(embedding_warnings(d), find_links(d)) from one scan of the cycles."""
-    essential = _essential_cycles(d, None, None)
-    return _warnings(d.graph.n, essential), _links(d.graph.n, essential)
+    return _pair_scan(d.graph.n, _essential_cycles(d, None, None))
 
 
-def _links(
+def _pair_scan(
     n: int, essential: list[tuple[tuple[int, ...], SlopeClass]]
-) -> list[LinkWitness]:
-    by_slope: dict[SlopeClass, list[tuple[int, ...]]] = {}
-    for cyc, slope in essential:
-        if slope.is_linking:
-            by_slope.setdefault(slope, []).append(cyc)
-    witnesses = []
-    for slope, cycles in by_slope.items():
-        masks = [cycle_vertex_mask(c) for c in cycles]
-        for i, j in _disjoint_pairs(masks, (1 << n) - 1):
-            a, b = sorted((cycles[i], cycles[j]))
-            witnesses.append(LinkWitness(a, b, slope))
-    witnesses.sort(key=lambda w: (w.cycle_a, w.cycle_b))
-    return witnesses
-
-
-def _warnings(
-    n: int, essential: list[tuple[tuple[int, ...], SlopeClass]]
-) -> list[str]:
+) -> tuple[list[str], list[LinkWitness]]:
+    """(warnings, witnesses) from one walk over the disjoint pairs of the
+    essential cycles: a pair with different slopes is a warning, a pair
+    sharing a linking slope is a link."""
     masks = [cycle_vertex_mask(c) for c, _ in essential]
     warnings = []
+    witnesses = []
     for i, j in _disjoint_pairs(masks, (1 << n) - 1):
         (ci, si), (cj, sj) = essential[i], essential[j]
         if si != sj:
@@ -244,7 +236,10 @@ def _warnings(
                 f"{_cycle_text(ci)} and {_cycle_text(cj)} have slopes "
                 f"{si} and {sj}; not a valid embedding"
             )
-    return warnings
+        elif si.is_linking:
+            witnesses.append(LinkWitness(*sorted((ci, cj)), si))
+    witnesses.sort(key=lambda w: (w.cycle_a, w.cycle_b))
+    return warnings, witnesses
 
 
 def _disjoint_pairs(masks: list[int], full: int):

@@ -275,11 +275,21 @@ def test_certify_fail_unmatched(tmp_path):
     assert "overall=fail" in text
 
 
-def test_certify_missing_inputs_are_usage_errors(tmp_path):
+def test_certify_missing_inputs_are_usage_errors(tmp_path, capsys):
     status, _ = invoke(
         ["certify", "--mtn", str(tmp_path / "no.g6"), "--embeddings", str(tmp_path)]
     )
     assert status == 2
+    mtn = tmp_path / "mtn.g6"
+    mtn.write_text(K6_MINUS_E_G6 + "\n")
+    for embeddings in (tmp_path / "no_such_dir", mtn):
+        capsys.readouterr()
+        status, text = invoke(
+            ["certify", "--mtn", str(mtn), "--embeddings", str(embeddings)]
+        )
+        assert status == 2
+        assert text == ""
+        assert str(embeddings) in capsys.readouterr().err
 
 
 def test_find_links_bad_cycle_window(tmp_path):

@@ -1,6 +1,6 @@
-"""Import hygiene of the package's modules: every imported name is used,
-no private name crosses a module boundary, and every import sits at module
-level."""
+"""Hygiene of the package's modules: every imported name is used, no
+private name crosses a module boundary, every import sits at module level,
+and every function is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "torlink"
+TESTS = Path(__file__).parent
 each_module = pytest.mark.parametrize(
     "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
 )
@@ -65,3 +66,33 @@ def test_no_imports_inside_functions(path):
         }
     )
     assert not nested, f"imports inside functions: {nested}"
+
+
+def test_every_function_is_referenced():
+    """Every non-dunder function or method defined in the package is named
+    in the package or the tests: as a name, an attribute, an import or an
+    __all__ entry. A definition alone does not count."""
+    package = {p: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    tests = [ast.parse(p.read_text()) for p in sorted(TESTS.glob("*.py"))]
+    referenced = set()
+    for tree in [*package.values(), *tests]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced |= {a.name.split(".")[-1] for a in node.names}
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                referenced |= set(ast.literal_eval(node.value))
+    unreferenced = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path, tree in package.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced
+    ]
+    assert not unreferenced, f"functions never referenced: {unreferenced}"

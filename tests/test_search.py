@@ -353,6 +353,13 @@ def test_certify_flags_linked_embedding():
     assert not report.entries[0].linkless
     assert report.entries[0].witnesses
     assert "LINKED" in report.to_text()
+    assert str(report.entries[0].witnesses[0]) == "[1 2 3] [4 5 6] slope=1/1"
+    assert certify_order([g], [diagram], ["two.emb"]).to_text() == (
+        "certify graphs=1\n"
+        "graph EJaG embedding=two.emb linkless=false -> LINKED\n"
+        "  link: [1 2 3] [4 5 6] slope=1/1\n"
+        "overall=fail\n"
+    )
 
 
 def test_certify_empty_set_vacuous_pass():
