@@ -67,9 +67,17 @@ def _obstruction_db(args) -> ObstructionDB:
     return ObstructionDB.from_dir(d) if d else ObstructionDB.builtin()
 
 
+def _read_graphs(path) -> list[Graph]:
+    """The graphs of a graph6 file; a file without any is a usage error."""
+    graphs = read_graph6_file(path)
+    if not graphs:
+        raise TorlinkError(f"{Path(path).name}: no graphs")
+    return graphs
+
+
 def _input_graphs(spec: str) -> list[Graph]:
     if Path(spec).is_file():
-        return read_graph6_file(spec)
+        return _read_graphs(spec)
     return [decode_graph6(spec)]
 
 
@@ -197,7 +205,7 @@ def _cmd_mtn_census(args, out) -> int:
 
 
 def _cmd_certify(args, out) -> int:
-    graphs = read_graph6_file(args.mtn)
+    graphs = _read_graphs(args.mtn)
     emb_dir = Path(args.embeddings)
     if not emb_dir.is_dir():
         raise TorlinkError(f"{emb_dir}: not a directory")

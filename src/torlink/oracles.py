@@ -80,6 +80,8 @@ def petersen_family() -> tuple[Graph, ...]:
     return tuple(sorted(found.values(), key=lambda g: (g.n, canonical_form(g))))
 
 
+# Keyed by canonical form and only ever asked about the fixed Petersen
+# family, so no entry goes stale; `check FILE` and `census_maxnil` share it.
 _nil_memo: dict[bytes, bool] = {}
 
 

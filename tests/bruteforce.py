@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to validate the fast implementations.
 
 Everything here is deliberately naive: permutations for isomorphism,
-every leaf of the refinement tree for canonical keys, injections for
-subgraph containment, unmemoized recursion (with networkx
-doing the bottom matching) for minors, all pairs of permutation-found
-cycles for torus link scans. Only usable at tiny orders.
+every leaf of the refinement tree for canonical keys, every edge-added
+child for isomorphism classes, injections for subgraph containment,
+unmemoized recursion (with networkx doing the bottom matching) for minors,
+all pairs of permutation-found cycles for torus link scans. Only usable at
+tiny orders.
 """
 
 from itertools import combinations, permutations
@@ -12,7 +13,7 @@ from math import gcd
 
 import networkx as nx
 
-from torlink import Graph
+from torlink import Graph, canonical_form, empty_graph
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -104,6 +105,22 @@ def _brute_refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]):
         if len(new_cells) == len(cells):
             return new_cells
         cells = new_cells
+
+
+def brute_isomorphism_classes(n: int) -> list[Graph]:
+    """All order-n graphs up to isomorphism, by edge-adding closure that
+    canonizes every child of every class."""
+    level = {canonical_form(empty_graph(n)): empty_graph(n)}
+    out = list(level.values())
+    while level:
+        nxt: dict[bytes, Graph] = {}
+        for g in level.values():
+            for e in g.non_edges():
+                cand = g.add_edge(e)
+                nxt.setdefault(canonical_form(cand), cand)
+        out.extend(nxt.values())
+        level = nxt
+    return out
 
 
 def brute_subgraph_iso(pattern: Graph, host: Graph) -> bool:

@@ -88,6 +88,15 @@ def test_check_empty_string_is_graph6_not_a_path(capsys):
     assert capsys.readouterr().err == "error: empty graph6 string\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_check_graph6_file_without_graphs_is_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "EMPTY.g6"
+    path.write_text(text)
+    status, out = invoke(["check", "--nil", str(path)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: EMPTY.g6: no graphs\n"
+
+
 @pytest.mark.parametrize(
     "g6",
     ["K??F~z{~Fw^_", encode_graph6(complete_multipartite(4, 4, 4))],
@@ -290,6 +299,19 @@ def test_certify_missing_inputs_are_usage_errors(tmp_path, capsys):
         assert status == 2
         assert text == ""
         assert str(embeddings) in capsys.readouterr().err
+
+
+def test_certify_graph6_file_without_graphs_is_usage_error(tmp_path, capsys):
+    mtn = tmp_path / "EMPTY.g6"
+    mtn.write_text("")
+    embdir = tmp_path / "embeddings"
+    embdir.mkdir()
+    (embdir / "k6e.emb").write_text(FIXTURE.read_text())
+    status, out = invoke(
+        ["certify", "--mtn", str(mtn), "--embeddings", str(embdir)]
+    )
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == "error: EMPTY.g6: no graphs\n"
 
 
 def test_find_links_bad_cycle_window(tmp_path):

@@ -10,6 +10,7 @@ from torlink import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    encode_graph6,
     extract_obstruction_set,
     find_all_mtn_order9,
     find_links,
@@ -27,6 +28,7 @@ from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
 from torlink.search import isomorphism_classes
 
+from bruteforce import brute_isomorphism_classes
 from test_torus import FIXTURE
 
 
@@ -276,9 +278,30 @@ def test_find_all_mtn_synthetic_pipeline():
 
 
 def test_isomorphism_class_counts():
-    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, count in expected.items():
         assert len(isomorphism_classes(n)) == count
+
+
+@pytest.mark.slow
+def test_isomorphism_class_count_order8():
+    classes = isomorphism_classes(8)
+    assert len(classes) == 12346
+    assert len({canonical_form(g) for g in classes}) == 12346
+
+
+def test_isomorphism_classes_match_bruteforce():
+    # The top-edge filter must keep one child of every class that the
+    # unfiltered closure finds, and classes stay grouped by edge count.
+    for n in range(8):
+        classes = isomorphism_classes(n)
+        keys = [canonical_form(g) for g in classes]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {
+            canonical_form(g) for g in brute_isomorphism_classes(n)
+        }
+        sizes = [g.size for g in classes]
+        assert sizes == sorted(sizes)
 
 
 def test_census_bounds():
@@ -317,6 +340,9 @@ def test_all_order8_maxnil_graphs_are_mtn():
     db = ObstructionDB.builtin()
     graphs = census_maxnil(8)
     assert len(graphs) == 6
+    assert [encode_graph6(g) for g in graphs] == [
+        "Gtn^^k", "Gtvf~w", "G}r^^k", "G}ve~[", "G~zf^g", "GLvf~w"
+    ]
     for g in graphs:
         assert is_mtn(g, db)
 
