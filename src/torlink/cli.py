@@ -158,8 +158,11 @@ def _write_links(witnesses, out) -> None:
 
 
 def _cmd_find_links(args, out) -> int:
+    lo, hi = args.min_cycle, args.max_cycle
+    if lo is not None and hi is not None and hi < lo:
+        raise TorlinkError(f"empty cycle window: --min-cycle {lo} > --max-cycle {hi}")
     diagram = load_embedding_file(args.embedding)
-    witnesses = find_links(diagram, args.min_cycle, args.max_cycle)
+    witnesses = find_links(diagram, lo, hi)
     out.write(f"links: {len(witnesses)}\n")
     _write_links(witnesses, out)
     return PASS

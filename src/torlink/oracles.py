@@ -1,11 +1,26 @@
 """Forbidden-minor predicates: intrinsic linking and toroidality.
 
 A graph is nIL (admits a linkless spatial embedding) exactly when it has no
-member of the Petersen family as a minor; it is toroidal exactly when it has
-no toroidal obstruction as a minor. The Petersen family is generated here as
-the triangle/star exchange closure of K6. The order-8 obstructions are built
-from their known descriptions; obstruction lists for higher orders come from
-data files.
+member of the Petersen family as a minor (Robertson, Seymour & Thomas,
+*Sachs' linkless embedding conjecture*, JCTB 1995); it is toroidal exactly
+when it has no toroidal obstruction as a minor. The Petersen family is
+generated here as the triangle/star exchange closure of K6. The order-8
+obstructions are built from their known descriptions; obstruction lists for
+higher orders come from data files.
+
+`is_nil` decides in three steps, each sound on its own:
+
+1. Mader's bound. A graph with n >= 6 vertices and at least 4n - 9 edges
+   has a K6 minor (Mader 1968), and K6 is in the Petersen family: IL.
+2. The apex certificate. If deleting some vertex leaves a planar graph,
+   the graph is apex and so nIL (Sachs 1983): apex graphs form a
+   minor-closed class, and no Petersen-family graph is apex.
+3. Otherwise the minor DAG of `contains_any_minor` decides, with the
+   module memo. It stays the one decision procedure for non-apex graphs.
+
+`is_toroidal` answers for the database it is given, with no shortcut: a
+database may hold stand-in obstructions, for which neither "planar implies
+toroidal" nor an Euler bound holds.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from .containment import contains_any_minor
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
 from .graphs import Graph, complete_graph
+from .planarity import is_apex
 
 # No toroidal obstruction has fewer than 8 vertices.
 SMALLEST_OBSTRUCTION_ORDER = 8
@@ -82,11 +98,20 @@ def petersen_family() -> tuple[Graph, ...]:
 
 # Keyed by canonical form and only ever asked about the fixed Petersen
 # family, so no entry goes stale; `check FILE` and `census_maxnil` share it.
+# Only graphs that neither certificate of `is_nil` decides reach it.
 _nil_memo: dict[bytes, bool] = {}
 
 
 def is_nil(g: Graph) -> bool:
-    """True iff g has no Petersen-family minor (linkless embeddings exist)."""
+    """True iff g has no Petersen-family minor (linkless embeddings exist).
+
+    Mader's bound, then the apex certificate, then the minor DAG; see the
+    module docstring.
+    """
+    if g.n >= 6 and g.size >= 4 * g.n - 9:
+        return False
+    if is_apex(g):
+        return True
     return not contains_any_minor(g, petersen_family(), _nil_memo)
 
 

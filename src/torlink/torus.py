@@ -211,35 +211,53 @@ def embedding_warnings(
     one slope class; a disjoint essential pair with different slopes means
     the crossing lists do not describe a real embedding.
     """
-    return _pair_scan(d.graph.n, _essential_cycles(d, min_len, max_len))[0]
+    essential = _essential_cycles(d, min_len, max_len)
+    return _warning_texts(essential, _pair_scan(d.graph.n, essential)[0])
 
 
 def verify_embedding(d: TorusDiagram) -> tuple[list[str], list[LinkWitness]]:
     """(embedding_warnings(d), find_links(d)) from one scan of the cycles."""
-    return _pair_scan(d.graph.n, _essential_cycles(d, None, None))
+    essential = _essential_cycles(d, None, None)
+    clashes, witnesses = _pair_scan(d.graph.n, essential)
+    return _warning_texts(essential, clashes), witnesses
 
 
 def _pair_scan(
     n: int, essential: list[tuple[tuple[int, ...], SlopeClass]]
-) -> tuple[list[str], list[LinkWitness]]:
-    """(warnings, witnesses) from one walk over the disjoint pairs of the
-    essential cycles: a pair with different slopes is a warning, a pair
-    sharing a linking slope is a link."""
+) -> tuple[list[tuple[int, int]], list[LinkWitness]]:
+    """(clashes, witnesses) from one walk over the disjoint pairs of the
+    essential cycles: a pair with different slopes is a clash, kept as its
+    index pair, and a pair sharing a linking slope is a link."""
     masks = [cycle_vertex_mask(c) for c, _ in essential]
-    warnings = []
+    clashes = []
     witnesses = []
     for i, j in _disjoint_pairs(masks, (1 << n) - 1):
         (ci, si), (cj, sj) = essential[i], essential[j]
         if si != sj:
-            warnings.append(
-                "disjoint essential cycles "
-                f"{_cycle_text(ci)} and {_cycle_text(cj)} have slopes "
-                f"{si} and {sj}; not a valid embedding"
-            )
+            clashes.append((i, j))
         elif si.is_linking:
             witnesses.append(LinkWitness(*sorted((ci, cj)), si))
     witnesses.sort(key=lambda w: (w.cycle_a, w.cycle_b))
-    return warnings, witnesses
+    return clashes, witnesses
+
+
+def _warning_texts(
+    essential: list[tuple[tuple[int, ...], SlopeClass]],
+    clashes: list[tuple[int, int]],
+) -> list[str]:
+    """One warning per clashing pair; each cycle's text is built once."""
+    texts = {}
+    for pair in clashes:
+        for i in pair:
+            if i not in texts:
+                cycle, slope = essential[i]
+                texts[i] = _cycle_text(cycle), str(slope)
+    return [
+        "disjoint essential cycles "
+        f"{texts[i][0]} and {texts[j][0]} have slopes "
+        f"{texts[i][1]} and {texts[j][1]}; not a valid embedding"
+        for i, j in clashes
+    ]
 
 
 def _disjoint_pairs(masks: list[int], full: int):

@@ -1,6 +1,10 @@
 import sys
 from pathlib import Path
 
+import pytest
+
+from torlink.search import isomorphism_classes
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 _ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
@@ -20,3 +24,9 @@ def pytest_terminal_summary(terminalreporter):
         if detail:
             line += f"  ({detail})"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def order8_classes():
+    """isomorphism_classes(8), built once for the tests that walk all of it."""
+    return isomorphism_classes(8)

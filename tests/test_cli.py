@@ -321,6 +321,20 @@ def test_find_links_bad_cycle_window(tmp_path):
     assert status == 2
 
 
+def test_find_links_inverted_window_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "d.emb"
+    path.write_text(TWO_TRIANGLES_LINKED)
+    argv = ["find-links", str(path), "--min-cycle", "4", "--max-cycle", "3"]
+    assert invoke(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: empty cycle window: --min-cycle 4 > --max-cycle 3\n"
+    )
+    # The default window 3..n-3 of a diagram with n < 6 is empty, not an error.
+    small = tmp_path / "small.emb"
+    small.write_text("order 5\nedges 1-2 2-3 1-3 3-4 4-5\nup 1->2\nright 2->3\n")
+    assert invoke(["find-links", str(small)]) == (0, "links: 0\n")
+
+
 def test_validate_data(tmp_path, monkeypatch):
     monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
     status, _ = invoke(["validate-data"])

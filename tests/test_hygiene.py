@@ -1,8 +1,10 @@
 """Hygiene of the package's modules: every imported name is used, no
 private name crosses a module boundary, every import sits at module level,
-and every function is referenced somewhere."""
+every import is of the standard library or the package itself, and every
+function is referenced somewhere."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,6 +68,41 @@ def test_no_imports_inside_functions(path):
         }
     )
     assert not nested, f"imports inside functions: {nested}"
+
+
+def foreign_imports(source: str) -> list[str]:
+    """`line: module` for each module imported by the source that is neither
+    in the standard library nor torlink; relative imports are torlink."""
+    allowed = sys.stdlib_module_names | {"torlink"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {m}" for m in modules if m.split(".")[0] not in allowed
+        ]
+    return found
+
+
+@each_module
+def test_runtime_imports_are_stdlib_only(path):
+    foreign = foreign_imports(path.read_text())
+    assert not foreign, f"{path.name} imports outside the standard library: {foreign}"
+
+
+def test_foreign_import_check_catches_a_planted_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import itertools, networkx as nx\n"
+        "from networkx.algorithms import planarity\n"
+        "from .graphs import Graph\n"
+        "from torlink.errors import ParseError\n"
+    )
+    assert foreign_imports(source) == ["2: networkx", "3: networkx.algorithms"]
 
 
 def test_every_function_is_referenced():

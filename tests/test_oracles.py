@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from torlink import (
@@ -9,22 +10,31 @@ from torlink import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    decode_graph6,
     disjoint_union,
     encode_graph6,
+    is_apex,
     is_isomorphic,
     is_maxnil,
     is_mtn,
     is_nil,
+    is_planar,
     is_tn,
     is_toroidal,
     petersen_family,
     petersen_graph,
 )
+from torlink import oracles
 from torlink.canonical import canonical_form
+from torlink.containment import contains_any_minor
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import delta_y, order8_obstructions, y_delta
+from torlink.search import isomorphism_classes
 
-from bruteforce import all_graphs_of_order, random_graph
+from bruteforce import all_graphs_of_order, random_graph, to_nx
+
+# The one nIL class of order 8 that is not apex: a maxnIL graph of size 21.
+NON_APEX_MAXNIL = "G~qkz{"
 
 
 def k6_minus_e() -> Graph:
@@ -115,6 +125,73 @@ def test_nil_minor_closed_random_order6():
         e = rng.choice(g.edges)
         assert is_nil(g.delete_edge(e))
         assert is_nil(g.contract_edge(e))
+
+
+# -- nIL certificates -----------------------------------------------------------
+
+
+def test_petersen_family_is_not_apex():
+    # Apex graphs are minor-closed, so with this no apex graph has a
+    # Petersen-family minor: an apex graph is nIL.
+    for g in petersen_family():
+        assert not is_apex(g)
+        for v in range(1, g.n + 1):
+            h = g.delete_vertex(v)
+            assert not is_planar(h)
+            assert not nx.check_planarity(to_nx(h))[0]
+
+
+def test_graphs_past_maders_bound_are_il(order8_classes):
+    memo = {}
+    dense = [
+        g
+        for g in [*(g for n in (6, 7) for g in isomorphism_classes(n)), *order8_classes]
+        if g.size >= 4 * g.n - 9
+    ]
+    # Complements of the graphs with at most 0, 2 and 5 edges.
+    assert len(dense) == 1 + 4 + 44
+    for g in dense:
+        assert contains_any_minor(g, petersen_family(), memo), g
+
+
+def _agrees_with_minor_dag(graphs):
+    memo = {}
+    for g in graphs:
+        assert is_nil(g) == (not contains_any_minor(g, petersen_family(), memo)), g
+
+
+def test_is_nil_matches_minor_dag_on_small_classes():
+    _agrees_with_minor_dag(g for n in range(8) for g in isomorphism_classes(n))
+
+
+@pytest.mark.slow
+def test_is_nil_matches_minor_dag_on_order8_classes(order8_classes):
+    _agrees_with_minor_dag(order8_classes)
+
+
+def test_is_nil_on_relabeled_non_apex_maxnil_graph():
+    g = decode_graph6(NON_APEX_MAXNIL)
+    assert not is_apex(g)
+    rng = random.Random(331)
+    relabelings = []
+    for _ in range(8):
+        perm = rng.sample(range(1, 9), 8)
+        h = g.relabel({i + 1: p for i, p in enumerate(perm)})
+        relabelings += [h, *(h.add_edge(e) for e in h.non_edges())]
+    _agrees_with_minor_dag(relabelings)
+    assert all(is_maxnil(h) for h in relabelings[:: 1 + len(g.non_edges())])
+
+
+def test_only_non_apex_inputs_reach_the_minor_dag(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(oracles, "_nil_memo", memo)
+    assert is_nil(k6_minus_e())  # apex
+    assert is_nil(cycle_graph(9))  # planar
+    assert not is_nil(complete_graph(7))  # past Mader's bound
+    assert memo == {}
+    g = decode_graph6(NON_APEX_MAXNIL)
+    assert is_nil(g)
+    assert memo[canonical_form(g)] is False
 
 
 # -- obstructions and toroidality ---------------------------------------------
