@@ -39,7 +39,11 @@ def canonical_form(g: Graph) -> bytes:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
+    """The canonically labeled representative of g's isomorphism class.
+
+    Isomorphic graphs give equal representatives, so a set of them holds
+    one graph per class; the search and the censuses rely on this.
+    """
     key, order = _canon(g.n, g._adj)
     rep = g.relabel({v + 1: i + 1 for i, v in enumerate(order)})
     # Isomorphic graphs share a key, so both can skip the recomputation.

@@ -2,13 +2,15 @@
 
 Minor testing is a backtracking reduction search: while the host is larger
 than the pattern, branch on single vertex deletions and edge contractions,
-pruning by order and size and deduplicating states by canonical form; once
-orders agree the question reduces to a spanning-subgraph embedding. One
-engine answers every minor query: it tests a whole pattern collection at
-once and memoizes results by host canonical form in a memo the caller owns.
-A caller that keeps its memo for a fixed collection, as the nIL and
-toroidality oracles do, turns repeated queries into a shared DAG traversal;
-``has_minor`` uses a fresh memo per call.
+pruning by order and size; once orders agree the question reduces to a
+spanning-subgraph embedding. One engine answers every minor query: it tests
+a whole pattern collection at once and memoizes results by host canonical
+form in a memo the caller owns. The memo is the only deduplication of
+states: a repeated child is a memo hit, since its first copy was answered
+False and memoized before the next child was made. A caller that keeps its
+memo for a fixed collection, as the nIL and toroidality oracles do, turns
+repeated queries into a shared DAG traversal; ``has_minor`` uses a fresh
+memo per call.
 """
 
 from __future__ import annotations
@@ -85,24 +87,13 @@ def has_minor(g: Graph, h: Graph) -> bool:
     return contains_any_minor(g, (h,), {})
 
 
-def _reductions(g: Graph, min_size: int):
-    """Order-reducing single steps (vertex deletion, edge contraction),
-    deduplicated by canonical form and pruned by size."""
-    seen: set[bytes] = set()
+def _reductions(g: Graph):
+    """Every order-reducing single step: each vertex deletion, then each
+    edge contraction."""
     for v in range(1, g.n + 1):
-        child = g.delete_vertex(v)
-        if child.size >= min_size:
-            key = canonical_form(child)
-            if key not in seen:
-                seen.add(key)
-                yield child
+        yield g.delete_vertex(v)
     for e in g.edges:
-        child = g.contract_edge(e)
-        if child.size >= min_size:
-            key = canonical_form(child)
-            if key not in seen:
-                seen.add(key)
-                yield child
+        yield g.contract_edge(e)
 
 
 def contains_any_minor(
@@ -134,7 +125,7 @@ def _contains_any(g, patterns, memo, min_order, min_size) -> bool:
             result = True
             break
     if not result and g.n > min_order:
-        for child in _reductions(g, min_size):
+        for child in _reductions(g):
             if _contains_any(child, patterns, memo, min_order, min_size):
                 result = True
                 break

@@ -72,7 +72,7 @@ def petersen_family() -> tuple[Graph, ...]:
     intermediate graph simple; the closure is still complete.
     """
     seed = canonical_graph(complete_graph(6))
-    found: dict[bytes, Graph] = {canonical_form(seed): seed}
+    found = {seed}
     frontier = [seed]
     while frontier:
         g = frontier.pop()
@@ -88,12 +88,11 @@ def petersen_family() -> tuple[Graph, ...]:
             ):
                 candidates.append(y_delta(g, v))
         for cand in candidates:
-            key = canonical_form(cand)
-            if key not in found:
-                rep = canonical_graph(cand)
-                found[key] = rep
+            rep = canonical_graph(cand)
+            if rep not in found:
+                found.add(rep)
                 frontier.append(rep)
-    return tuple(sorted(found.values(), key=lambda g: (g.n, canonical_form(g))))
+    return tuple(sorted(found, key=lambda g: (g.n, canonical_form(g))))
 
 
 # Keyed by canonical form and only ever asked about the fixed Petersen
@@ -179,9 +178,12 @@ class ObstructionDB:
     def from_dir(cls, data_dir) -> "ObstructionDB":
         """Built-in order-8 set plus any obstruction files found in data_dir.
 
-        A provided order-8 file must agree with the built-in trio.
+        A provided order-8 file must agree with the built-in trio; a
+        data_dir that is not a directory is an error.
         """
         data_dir = Path(data_dir)
+        if not data_dir.is_dir():
+            raise DataValidationError(f"{data_dir}: not a directory")
         by_order: dict[int, tuple[Graph, ...]] = {8: order8_obstructions()}
         pattern = re.compile(r"obstructions_order(\d+)\.g6$")
         for path in sorted(data_dir.glob("obstructions_order*.g6")):

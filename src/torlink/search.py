@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canonical import canonical_form, canonical_graph, is_isomorphic
+from .canonical import canonical_form, canonical_graph
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import Graph, empty_graph
@@ -43,8 +43,8 @@ class SearchContext:
 
 
 def classify_maxnil(maxnil_order9, db: ObstructionDB) -> SearchContext:
-    """Strictly validate the 20 order-9 maxnIL graphs and partition them
-    by toroidality."""
+    """Strictly validate the 20 order-9 maxnIL graphs, pairwise
+    non-isomorphic, and partition them by toroidality."""
     graphs = list(maxnil_order9)
     if len(graphs) != 20:
         raise DataValidationError(
@@ -55,10 +55,16 @@ def classify_maxnil(maxnil_order9, db: ObstructionDB) -> SearchContext:
             raise DataValidationError(f"graph {i} has order {g.n}, expected 9")
         if not is_maxnil(g):
             raise DataValidationError(f"graph {i} is not maximally nIL")
+    reps = [canonical_graph(g) for g in graphs]
+    first: dict[Graph, int] = {}
+    for i, rep in enumerate(reps, start=1):
+        j = first.setdefault(rep, i)
+        if j != i:
+            raise DataValidationError(f"graphs {j} and {i} are isomorphic")
     toroidal = []
     nontoroidal = []
-    for g in graphs:
-        (toroidal if is_toroidal(g, db) else nontoroidal).append(canonical_graph(g))
+    for g, rep in zip(graphs, reps):
+        (toroidal if is_toroidal(g, db) else nontoroidal).append(rep)
     toroidal.sort(key=canonical_form)
     nontoroidal.sort(key=canonical_form)
     return SearchContext(tuple(toroidal), tuple(nontoroidal), db)
@@ -76,9 +82,9 @@ def load_search_context(data_dir) -> SearchContext:
 def mtn_search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
     """Search the deletion tree below g for surviving toroidal graphs.
 
-    Returns canonically labeled representatives, deduplicated by canonical
-    form; results and visited states are memoized in ctx.cache, so repeated
-    and overlapping searches share work.
+    Returns canonically labeled representatives, one per class; results
+    are memoized in ctx.cache, so repeated and overlapping searches share
+    work.
     """
     if g.n != SEARCH_ORDER:
         raise ValueError(f"search requires order {SEARCH_ORDER}, got {g.n}")
@@ -88,6 +94,8 @@ def mtn_search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
 
 
 def _search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
+    # ctx.cache is the only dedup: a repeated child is a cache hit. Every
+    # leaf is canonical_graph(g), so a union holds one graph per class.
     key = canonical_form(g)
     hit = ctx.cache.get(key)
     if hit is not None:
@@ -99,17 +107,9 @@ def _search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
     ):
         result: frozenset[Graph] = frozenset()
     elif not is_toroidal(g, ctx.db):
-        acc: dict[bytes, Graph] = {}
-        seen_children: set[bytes] = set()
-        for e in g.edges:
-            child = g.delete_edge(e)
-            child_key = canonical_form(child)
-            if child_key in seen_children:
-                continue
-            seen_children.add(child_key)
-            for found in _search(child, ctx):
-                acc.setdefault(canonical_form(found), found)
-        result = frozenset(acc.values())
+        result = frozenset().union(
+            *(_search(g.delete_edge(e), ctx) for e in g.edges)
+        )
     else:
         result = frozenset([canonical_graph(g)])
     ctx.cache[key] = result
@@ -136,17 +136,19 @@ def extract_obstruction_set(ctx: SearchContext) -> ObstructionHits:
         raise UnsupportedOrderError(
             "order-9 obstruction data is required to extract the embedded set"
         )
-    subgraphs: dict[bytes, Graph] = {}
-    for obs in ctx.db.by_order[9]:
-        if any(is_subgraph_iso(obs, host) for host in ctx.nontoroidal_maxnil):
-            subgraphs.setdefault(canonical_form(obs), canonical_graph(obs))
-    order8: dict[bytes, Graph] = {}
-    for obs in ctx.db.by_order.get(8, ()):
-        if any(has_minor(host, obs) for host in ctx.nontoroidal_maxnil):
-            order8.setdefault(canonical_form(obs), canonical_graph(obs))
+    subgraphs = {
+        canonical_graph(obs)
+        for obs in ctx.db.by_order[9]
+        if any(is_subgraph_iso(obs, host) for host in ctx.nontoroidal_maxnil)
+    }
+    order8 = {
+        canonical_graph(obs)
+        for obs in ctx.db.by_order.get(8, ())
+        if any(has_minor(host, obs) for host in ctx.nontoroidal_maxnil)
+    }
     return ObstructionHits(
-        tuple(sorted(subgraphs.values(), key=canonical_form)),
-        tuple(sorted(order8.values(), key=canonical_form)),
+        tuple(sorted(subgraphs, key=canonical_form)),
+        tuple(sorted(order8, key=canonical_form)),
     )
 
 
@@ -207,24 +209,20 @@ def find_all_mtn_order9(ctx: SearchContext) -> CensusReport:
     """Union the searches from every non-toroidal root, keep the graphs that
     are maximally TN, and merge with the toroidal maximal graphs."""
     start = time.perf_counter()
-    found: dict[bytes, Graph] = {}
-    provenance: dict[bytes, set[int]] = {}
+    # Search results are canonical, one graph per class.
+    provenance: dict[Graph, set[int]] = {}
     for idx, root in enumerate(ctx.nontoroidal_maxnil, start=1):
         for g in mtn_search(root, ctx):
-            key = canonical_form(g)
-            found.setdefault(key, g)
-            provenance.setdefault(key, set()).add(idx)
-    candidates = tuple(sorted(found.values(), key=canonical_form))
+            provenance.setdefault(g, set()).add(idx)
+    candidates = tuple(sorted(provenance, key=canonical_form))
     non_maxnil = tuple(g for g in candidates if is_mtn(g, ctx.db))
-    non_maxnil_keys = {canonical_form(g) for g in non_maxnil}
+    # Keyed by form: a hand-built context may hold non-canonical graphs.
     merged = {canonical_form(g): g for g in non_maxnil}
     for g in ctx.toroidal_maxnil:
         merged[canonical_form(g)] = g
     all_mtn = tuple(sorted(merged.values(), key=encode_graph6))
     prov_text = {
-        encode_graph6(found[key]): tuple(sorted(roots))
-        for key, roots in provenance.items()
-        if key in non_maxnil_keys
+        encode_graph6(g): tuple(sorted(provenance[g])) for g in non_maxnil
     }
     return CensusReport(
         toroidal_maxnil=ctx.toroidal_maxnil,
@@ -268,6 +266,7 @@ def isomorphism_classes(n: int) -> list[Graph]:
         nxt: dict[bytes, Graph] = {}
         for g in level.values():
             adj = g._adj
+            deg = [m.bit_count() for m in adj]
             for u in range(n):
                 for v in range(u + 1, n):
                     if adj[u] >> v & 1:
@@ -275,7 +274,10 @@ def isomorphism_classes(n: int) -> list[Graph]:
                     masks = list(adj)
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-                    if _is_top_edge(masks, u, v):
+                    child_deg = deg.copy()
+                    child_deg[u] += 1
+                    child_deg[v] += 1
+                    if _is_top_edge(masks, child_deg, u, v):
                         child = Graph._from_masks(masks)
                         nxt.setdefault(canonical_form(child), child)
         out.extend(nxt.values())
@@ -283,10 +285,10 @@ def isomorphism_classes(n: int) -> list[Graph]:
     return out
 
 
-def _is_top_edge(masks: list[int], u: int, v: int) -> bool:
+def _is_top_edge(masks: list[int], deg: list[int], u: int, v: int) -> bool:
     """True iff edge (u, v) of the graph with these 0-based adjacency masks
-    maximizes f of `isomorphism_classes` over all its edges."""
-    deg = [m.bit_count() for m in masks]
+    and vertex degrees maximizes f of `isomorphism_classes` over all its
+    edges."""
     hi = max(deg)
     if max(deg[u], deg[v]) < hi:
         return False
@@ -368,14 +370,15 @@ def certify_order(
     names = list(names) if names is not None else [None] * len(diagrams)
     entries = []
     unmatched = []
+    # The first diagram of each class is the one used.
+    index_of: dict[bytes, int] = {}
+    for i, d in enumerate(diagrams):
+        index_of.setdefault(canonical_form(d.graph), i)
     ordered = sorted(
         (canonical_graph(g) for g in mtn_graphs), key=canonical_form
     )
     for g in ordered:
-        index = next(
-            (i for i, d in enumerate(diagrams) if is_isomorphic(d.graph, g)),
-            None,
-        )
+        index = index_of.get(canonical_form(g))
         if index is None:
             unmatched.append(g)
             continue

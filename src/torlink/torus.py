@@ -323,6 +323,12 @@ def parse_embedding(text: str) -> TorusDiagram:
     ]
     _at_line(1, Graph, n)
     graph = _at_line(2, Graph, n, edges)
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(f"repeated edge {u}-{v}", line=2)
+        seen.add(key)
     _at_line(3, TorusDiagram, graph, up, ())
     return _at_line(4, TorusDiagram, graph, up, right)
 

@@ -4,6 +4,7 @@ Everything here is deliberately naive: permutations for isomorphism,
 every leaf of the refinement tree for canonical keys, every edge-added
 child for isomorphism classes, injections for subgraph containment,
 unmemoized recursion (with networkx doing the bottom matching) for minors,
+a networkx walk over every deletion and contraction for reduction closures,
 all pairs of permutation-found cycles for torus link scans. Only usable at
 tiny orders.
 """
@@ -148,6 +149,30 @@ def brute_minor(g: Graph, h: Graph) -> bool:
         if brute_minor(g.contract_edge(e), h):
             return True
     return False
+
+
+def brute_reduction_closure(g: Graph, min_order: int, min_size: int) -> set[bytes]:
+    """Canonical forms of g and of every graph with at least min_order
+    vertices and min_size edges that vertex deletions and edge
+    contractions reach from it; networkx takes the steps."""
+    found: set[bytes] = set()
+    todo = [to_nx(g)]
+    while todo:
+        h = todo.pop()
+        if h.number_of_nodes() < min_order or h.number_of_edges() < min_size:
+            continue
+        pos = {v: i for i, v in enumerate(h, start=1)}
+        key = canonical_form(Graph(len(pos), [(pos[a], pos[b]) for a, b in h.edges]))
+        if key in found:
+            continue
+        found.add(key)
+        for v in h:
+            child = h.copy()
+            child.remove_node(v)
+            todo.append(child)
+        for a, b in h.edges:
+            todo.append(nx.contracted_nodes(h, a, b, self_loops=False))
+    return found
 
 
 def brute_cycles(g: Graph, min_len: int, max_len: int) -> set[tuple[int, ...]]:

@@ -1,5 +1,7 @@
+import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,15 +10,17 @@ from pathlib import Path
 import pytest
 
 from torlink import (
+    Graph,
     complete_graph,
     encode_graph6,
     find_links,
     format_embedding,
     petersen_family,
 )
-from torlink.cli import run
+from torlink.cli import build_parser, run
 
 from bruteforce import complete_multipartite
+from test_search import stacked_planar
 from test_torus import FIXTURE, grid_diagram
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -222,8 +226,9 @@ def test_verify_embedding_invalid_file(tmp_path):
         ("order 3\nedges 1-2 2-2\nup\nright\n", 2),
         ("order 3\nedges 1-2 2-3\nup 1->2 2->1\nright\n", 3),
         ("order 3\nedges 1-2 2-3\nup 1->2\nright 1->3\n", 4),
+        ("order 3\nedges 1-2 2-1 2-3 1-3\nup\nright\n", 2),
     ],
-    ids=["order", "edges", "up", "right"],
+    ids=["order", "edges", "up", "right", "repeated-edge"],
 )
 def test_verify_embedding_error_names_line(tmp_path, capsys, text, line):
     path = tmp_path / "x.emb"
@@ -346,6 +351,54 @@ def test_validate_data(tmp_path, monkeypatch):
     bad.write_text(encode_graph6(complete_graph(8)) + "\n")
     status, _ = invoke(["validate-data", "--data-dir", str(tmp_path)])
     assert status == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate-data"], ["mtn-census"], ["check", "--toroidal", K6_MINUS_E_G6]],
+    ids=["validate-data", "mtn-census", "check"],
+)
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_missing_data_dir_is_usage_error(tmp_path, monkeypatch, capsys, argv, via):
+    missing = tmp_path / "no_such_dir"
+    if via == "flag":
+        monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+        argv = argv + ["--data-dir", str(missing)]
+    else:
+        monkeypatch.setenv("TORLINK_DATA_DIR", str(missing))
+    assert invoke(argv) == (2, "")
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_validate_data_rejects_isomorphic_maxnil_graphs(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+    planar = stacked_planar(8)
+    cone = Graph(9, list(planar.edges) + [(9, v) for v in range(1, 9)])
+    (tmp_path / "maxnil_order9.g6").write_text((encode_graph6(cone) + "\n") * 20)
+    for command in ("validate-data", "mtn-census"):
+        capsys.readouterr()
+        status, _ = invoke([command, "--data-dir", str(tmp_path)])
+        assert status == 2
+        assert capsys.readouterr().err == "error: graphs 1 and 2 are isomorphic\n"
+
+
+def test_readme_cli_block_lists_every_subcommand_and_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = {
+        line.split()[1]: line
+        for line in readme.splitlines()
+        if line.startswith("torlink ") and len(line.split()) > 1
+    }
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in subparsers.choices.items():
+        assert name in lines, f"README has no line for {name}"
+        tokens = set(re.findall(r"--[\w-]+", lines[name]))
+        for action in sub._actions:
+            for opt in action.option_strings:
+                if opt.startswith("--") and opt != "--help":
+                    assert opt in tokens, f"README line for {name} omits {opt}"
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

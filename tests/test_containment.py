@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from torlink import (
     Graph,
     complete_bipartite,
@@ -12,14 +14,16 @@ from torlink import (
 )
 from torlink.canonical import canonical_form
 from torlink.containment import contains_any_minor
-from torlink.oracles import order8_obstructions
+from torlink.oracles import order8_obstructions, petersen_family
 
 from bruteforce import (
     all_graphs_of_order,
     brute_minor,
+    brute_reduction_closure,
     brute_subgraph_iso,
     random_graph,
 )
+from test_search import stacked_planar
 
 
 def test_k3_in_k4():
@@ -123,6 +127,30 @@ def test_contains_any_minor_shared_memo_matches_bruteforce():
             assert contains_any_minor(g, patterns, memo) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def _apex_host() -> Graph:
+    planar = stacked_planar(9)
+    return Graph(10, list(planar.edges) + [(10, v) for v in range(1, 10)])
+
+
+@pytest.mark.parametrize(
+    "host, patterns",
+    [
+        (_apex_host(), petersen_family()),
+        (stacked_planar(10), (complete_graph(5),)),
+    ],
+    ids=["apex-petersen", "planar-k5"],
+)
+def test_negative_query_memoizes_every_reachable_state(host, patterns):
+    # The memo is the search's only deduplication: a negative query must
+    # visit, and memoize, each reachable state once, and nothing else.
+    memo: dict[bytes, bool] = {}
+    assert not contains_any_minor(host, patterns, memo)
+    min_order = min(p.n for p in patterns)
+    min_size = min(p.size for p in patterns)
+    assert set(memo) == brute_reduction_closure(host, min_order, min_size)
+    assert not any(memo.values())
 
 
 def test_subgraph_implies_minor_exhaustive_order_le5():

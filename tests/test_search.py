@@ -15,6 +15,7 @@ from torlink import (
     find_all_mtn_order9,
     find_links,
     is_isomorphic,
+    is_maxnil,
     is_mtn,
     is_nil,
     is_subgraph_iso,
@@ -23,7 +24,7 @@ from torlink import (
     parse_embedding,
     verify_size19_exclusion,
 )
-from torlink.canonical import canonical_form
+from torlink.canonical import canonical_form, canonical_graph
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
 from torlink.search import isomorphism_classes
@@ -196,6 +197,17 @@ def test_classify_rejects_padded_non_maxnil():
     padded = disjoint_union(complete_graph(6).delete_edge((1, 2)), Graph(3))
     with pytest.raises(DataValidationError):
         classify_maxnil([padded] * 20, fake_db())
+
+
+def test_classify_rejects_isomorphic_graphs():
+    planar = stacked_planar(8)
+    cone = Graph(9, list(planar.edges) + [(9, v) for v in range(1, 9)])
+    relabeled = cone.relabel({v: 10 - v for v in range(1, 10)})
+    assert relabeled != cone and is_maxnil(cone)
+    with pytest.raises(DataValidationError, match="^graphs 1 and 2 are isomorphic$"):
+        classify_maxnil([cone] * 20, fake_db())
+    with pytest.raises(DataValidationError, match="^graphs 1 and 2 are isomorphic$"):
+        classify_maxnil([cone, relabeled] + [cone] * 18, fake_db())
 
 
 # -- obstruction extraction -----------------------------------------------------
@@ -392,6 +404,27 @@ def test_certify_empty_set_vacuous_pass():
     report = certify_order([], [])
     assert report.overall_pass
     assert "overall=pass" in report.to_text()
+
+
+def test_certify_first_isomorphic_diagram_wins():
+    g = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    linked = parse_embedding(
+        "order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2 4->5\nright 2->3 5->6\n"
+    )
+    # The same two triangles, relabeled and drawn without crossings.
+    unlinked = parse_embedding("order 6\nedges 1-4 4-6 1-6 2-3 3-5 2-5\nup\nright\n")
+    names = ["a.emb", "b.emb"]
+    report = certify_order([g, k6_minus_e()], [linked, unlinked], names)
+    (entry,) = report.entries
+    assert (entry.embedding_index, entry.embedding_name) == (0, "a.emb")
+    assert not entry.linkless
+    assert report.unmatched == (canonical_graph(k6_minus_e()),)
+    assert "unmatched -> MISSING" in report.to_text()
+    report = certify_order([g, k6_minus_e()], [unlinked, linked], names)
+    (entry,) = report.entries
+    assert (entry.embedding_index, entry.embedding_name) == (0, "a.emb")
+    assert entry.linkless
+    assert report.unmatched == (canonical_graph(k6_minus_e()),)
 
 
 def test_certify_reports_unmatched():
