@@ -10,6 +10,17 @@ non-singleton cell in turn, refine again, and so on down to discrete
 partitions. Each discrete partition is a labeling; the key is the
 lexicographically smallest adjacency bitstring over all of them.
 
+Refinement splits every cell by each vertex's neighbour counts in the
+cells and orders the subcells by those counts, round after round until
+nothing splits. A round counts neighbours only in the cells the previous
+round split off (the splitter idea of McKay and Piperno's refinement):
+every cell at the root, and (v,) and the rest of its cell after
+individualizing v out of an equitable partition. Against any other cell
+the counts are constant within each cell, so dropping them changes
+neither which vertices group together nor the order of the subcells, and
+the partitions, labelings and keys are those of counting against every
+cell (``tests/bruteforce.py`` keeps that refinement as the reference).
+
 The search is depth-first and prunes with automorphisms (McKay and
 Piperno, Practical graph isomorphism II, 2014, section 3). Two leaves
 with the same adjacency bitstring give an automorphism of the graph.
@@ -99,34 +110,49 @@ def _canon(n: int, adj: tuple[int, ...]) -> tuple[bytes, list[int]]:
     return bytes([n, 255]) + key.to_bytes(nbytes, "big"), order
 
 
-def _refine(n: int, adj: tuple[int, ...], cells: list[tuple[int, ...]]):
-    """Equitable refinement; new subcells ordered by signature."""
+def _refine(
+    n: int,
+    adj: tuple[int, ...],
+    cells: list[tuple[int, ...]],
+    fresh: list[tuple[int, ...]],
+):
+    """Equitable refinement of cells; new subcells ordered by signature.
+
+    fresh lists, in partition order, the cells against which some cell
+    may not yet be equitable: every cell for the unit partition, (v,) and
+    rest after individualizing v out of a cell of an equitable partition.
+    """
     bit_count = int.bit_count
     while True:
         masks = []
-        for c in cells:
+        for c in fresh:
             m = 0
             for v in c:
                 m |= 1 << v
             masks.append(m)
         new_cells: list[tuple[int, ...]] = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
+            # Counts packed 4 bits each (all < 16 for n <= 12), so int
+            # order is the order of the count tuples.
+            groups: dict[int, list[int]] = {}
             for v in cell:
                 row = adj[v]
-                sig = tuple([bit_count(row & m) for m in masks])
+                sig = 0
+                for m in masks:
+                    sig = sig << 4 | bit_count(row & m)
                 groups.setdefault(sig, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
                 for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
-        if not changed:
+                    sub = tuple(groups[sig])
+                    new_cells.append(sub)
+                    fresh.append(sub)
+        if not fresh:
             return new_cells
         cells = new_cells
 
@@ -142,7 +168,8 @@ def _leaf_key(n: int, adj: tuple[int, ...], order: list[int]) -> int:
 
 def _core_min_labeling(n: int, adj: tuple[int, ...]):
     """Smallest adjacency key over refined labelings, with its vertex order."""
-    root = _refine(n, adj, [tuple(range(n))])
+    unit = [tuple(range(n))]
+    root = _refine(n, adj, unit, unit)
     if len(root) == n:
         order = [c[0] for c in root]
         return _leaf_key(n, adj, order), order
@@ -196,7 +223,7 @@ def _core_min_labeling(n: int, adj: tuple[int, ...]):
             explored.append(v)
             rest = tuple(w for w in cell if w != v)
             split = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            search(_refine(n, adj, split), path + [v])
+            search(_refine(n, adj, split, [(v,), rest]), path + [v])
 
     search(root, [])
     return best_key, best_order

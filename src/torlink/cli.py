@@ -223,7 +223,14 @@ def _cmd_validate_data(args, out) -> int:
     d = _data_dir(args)
     if d is None:
         raise TorlinkError("--data-dir (or TORLINK_DATA_DIR) is required")
-    db = ObstructionDB.from_dir(d)
+    # Load and validate everything before writing, so a rejected data
+    # directory leaves stdout empty.
+    ctx = None
+    if (d / MAXNIL_ORDER9_FILE).exists():
+        ctx = load_search_context(d)
+        db = ctx.db
+    else:
+        db = ObstructionDB.from_dir(d)
     loaded = sorted(k for k in db.by_order if db.by_order[k])
     out.write(
         "obstruction orders: "
@@ -231,11 +238,9 @@ def _cmd_validate_data(args, out) -> int:
         + "\n"
     )
     out.write(f"max_supported_order: {db.max_supported_order}\n")
-    maxnil_path = d / MAXNIL_ORDER9_FILE
-    if not maxnil_path.exists():
+    if ctx is None:
         out.write(f"{MAXNIL_ORDER9_FILE}: absent\n")
         return PASS
-    ctx = load_search_context(d)
     out.write(f"{MAXNIL_ORDER9_FILE}: 20 graphs, all order 9, all maxnIL\n")
     out.write(f"toroidal: {len(ctx.toroidal_maxnil)}\n")
     out.write(f"nontoroidal: {len(ctx.nontoroidal_maxnil)}\n")

@@ -33,7 +33,8 @@ class SearchContext:
     """Partitioned order-9 maximal-nIL graphs plus the obstruction data
     backing toroidality queries. ``size_floor`` is the edge-count guard of
     the search (candidates must have strictly more edges). ``cache`` maps
-    canonical forms to search results for the context's lifetime."""
+    canonical forms of the states above the floor to search results for
+    the context's lifetime; states at or below it are never keyed."""
 
     toroidal_maxnil: tuple[Graph, ...]
     nontoroidal_maxnil: tuple[Graph, ...]
@@ -94,24 +95,29 @@ def mtn_search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
 
 
 def _search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
+    # No graph at or below the floor is a candidate, whatever its class, so
+    # such a state needs no key and ctx.cache holds only states above it.
+    if g.size <= ctx.size_floor:
+        return frozenset()
     # ctx.cache is the only dedup: a repeated child is a cache hit. Every
     # leaf is canonical_graph(g), so a union holds one graph per class.
     key = canonical_form(g)
     hit = ctx.cache.get(key)
     if hit is not None:
         return hit
-    if (
-        g.size <= ctx.size_floor
-        or not g.is_connected()
-        or any(is_subgraph_iso(g, m) for m in ctx.toroidal_maxnil)
+    if not g.is_connected() or any(
+        is_subgraph_iso(g, m) for m in ctx.toroidal_maxnil
     ):
         result: frozenset[Graph] = frozenset()
-    elif not is_toroidal(g, ctx.db):
+    elif is_toroidal(g, ctx.db):
+        result = frozenset([canonical_graph(g)])
+    elif g.size > ctx.size_floor + 1:
         result = frozenset().union(
             *(_search(g.delete_edge(e), ctx) for e in g.edges)
         )
     else:
-        result = frozenset([canonical_graph(g)])
+        # Every child would have size_floor edges.
+        result = frozenset()
     ctx.cache[key] = result
     return result
 

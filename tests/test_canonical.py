@@ -17,10 +17,12 @@ from torlink import (
     path_graph,
     petersen_graph,
 )
+from torlink.canonical import _refine
 from torlink.oracles import order8_obstructions
 from torlink.search import isomorphism_classes
 
 from bruteforce import (
+    _brute_refine,
     all_graphs_of_order,
     brute_canonical_key,
     brute_isomorphic,
@@ -203,6 +205,38 @@ def test_canonical_form_matches_exhaustive_walk_on_random_graphs():
 def test_canonical_form_matches_exhaustive_walk_on_symmetric_graphs(name):
     g = SYMMETRIC[name]
     assert canonical_form(g) == brute_canonical_key(g)
+
+
+def test_refine_matches_full_signature_refinement():
+    # _refine counts neighbours only in the cells split off in the previous
+    # round; the brute refinement counts them in every cell, every round.
+    rng = random.Random(31)
+    graphs = [random_graph(rng, n, rng.uniform(0.1, 0.9))
+              for n in range(2, 13) for _ in range(12)]
+    graphs += SYMMETRIC.values()
+    graphs += [
+        complete_bipartite(6, 6),
+        complete_multipartite(4, 4, 4),
+        complete_multipartite(3, 3, 3, 3),
+        complete_multipartite(2, 2, 2, 2, 2, 2),
+        complete_bipartite(4, 6),
+        complete_graph(12),
+        *(cycle_graph(k) for k in range(3, 13)),
+    ]
+    for g in graphs:
+        n, adj = g.n, g._adj
+        unit = [tuple(range(n))]
+        root = _refine(n, adj, unit, unit)
+        assert root == _brute_refine(adj, unit)
+        for t, cell in enumerate(root):
+            if len(cell) == 1:
+                continue
+            for v in cell:
+                rest = tuple(w for w in cell if w != v)
+                split = root[:t] + [(v,), rest] + root[t + 1 :]
+                assert _refine(n, adj, split, [(v,), rest]) == _brute_refine(
+                    adj, split
+                )
 
 
 @st.composite

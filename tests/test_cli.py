@@ -377,8 +377,9 @@ def test_validate_data_rejects_isomorphic_maxnil_graphs(tmp_path, monkeypatch, c
     (tmp_path / "maxnil_order9.g6").write_text((encode_graph6(cone) + "\n") * 20)
     for command in ("validate-data", "mtn-census"):
         capsys.readouterr()
-        status, _ = invoke([command, "--data-dir", str(tmp_path)])
+        status, text = invoke([command, "--data-dir", str(tmp_path)])
         assert status == 2
+        assert text == ""
         assert capsys.readouterr().err == "error: graphs 1 and 2 are isomorphic\n"
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import torlink.search
 from torlink import (
     Graph,
     ObstructionDB,
@@ -9,6 +10,7 @@ from torlink import (
     classify_maxnil,
     complete_graph,
     cycle_graph,
+    decode_graph6,
     disjoint_union,
     encode_graph6,
     extract_obstruction_set,
@@ -140,11 +142,38 @@ def test_search_matches_bruteforce_depth2():
     assert canonical_form(double_k5()) in result
 
 
-def test_search_matches_bruteforce_depth3():
+def test_search_matches_bruteforce_depth3(monkeypatch):
+    # Also: no state at or below the floor is canonized.
+    sizes = []
+
+    def recorder(g):
+        sizes.append(g.size)
+        return canonical_form(g)
+
+    monkeypatch.setattr(torlink.search, "canonical_form", recorder)
     g = bridged_double_k5()
     ctx = make_ctx(floor=18)
     result = {canonical_form(x) for x in mtn_search(g, ctx)}
+    assert sizes and min(sizes) > 18
     assert result == brute_search_keys(g, ctx)
+
+
+@pytest.mark.slow
+def test_search_at_workload_scale():
+    # The order-9 stand-in of the pipeline9 benchmark: cones over two
+    # stacked triangulations as roots, C9 as the only order-9 obstruction
+    # (so "toroidal" means non-Hamiltonian), floor 21.
+    roots = sorted(
+        (canonical_graph(decode_graph6(g6)) for g6 in ("H~^edb~", "H~]rQr~")),
+        key=canonical_form,
+    )
+    db = ObstructionDB({8: order8_obstructions(), 9: (cycle_graph(9),)})
+    ctx = SearchContext((), tuple(roots), db, 21)
+    text = find_all_mtn_order9(ctx).to_text()
+    facts = {"search_candidates 79", "non_maxnil_mtn 11", "all_mtn 11"}
+    assert facts <= set(text.splitlines())
+    # One entry per distinct state above the floor that the search reached.
+    assert len(ctx.cache) == 4441
 
 
 def test_search_outputs_satisfy_guards():
