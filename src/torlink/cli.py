@@ -247,6 +247,17 @@ def _cmd_validate_data(args, out) -> int:
     return PASS
 
 
+def _jobs(text: str) -> int:
+    """`--jobs` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torlink",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_dir(p)
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs,
         default=1,
         help="worker hint; results are independent of this setting",
     )

@@ -10,10 +10,14 @@ states: a repeated child is a memo hit, since its first copy was answered
 False and memoized before the next child was made. A caller that keeps its
 memo for a fixed collection, as the nIL and toroidality oracles do, turns
 repeated queries into a shared DAG traversal; ``has_minor`` uses a fresh
-memo per call.
+memo per call. A collection with exact certificates, as the Petersen family
+has, may pass them as a settling rule that answers states before they are
+canonized.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .canonical import canonical_form
 from .graphs import Graph
@@ -97,24 +101,39 @@ def _reductions(g: Graph):
 
 
 def contains_any_minor(
-    g: Graph, patterns: tuple[Graph, ...], memo: dict[bytes, bool]
+    g: Graph,
+    patterns: tuple[Graph, ...],
+    memo: dict[bytes, bool],
+    settle: Callable[[Graph], bool | None] | None = None,
 ) -> bool:
     """Does g contain any of the given graphs as a minor?
 
     Equivalent to any(has_minor(g, p)), but explores the reduction DAG once
     for the whole collection, with a caller-owned memo keyed by canonical
     form. The collection backing a memo must never change.
+
+    ``settle`` is the collection's settling rule, if it has one. It is
+    called on every state that passes the order and size guard, before the
+    state is canonized, and returns the exact verdict for that state (True
+    iff it has a pattern minor) or None when it cannot tell. A settled
+    state is answered by the rule alone: it is never canonized, tested or
+    memoized. The rule must be exact on every graph, since a wrong verdict
+    would reach the memo through the states above it.
     """
     if not patterns:
         return False
     min_order = min(p.n for p in patterns)
     min_size = min(p.size for p in patterns)
-    return _contains_any(g, patterns, memo, min_order, min_size)
+    return _contains_any(g, patterns, memo, min_order, min_size, settle)
 
 
-def _contains_any(g, patterns, memo, min_order, min_size) -> bool:
+def _contains_any(g, patterns, memo, min_order, min_size, settle) -> bool:
     if g.n < min_order or g.size < min_size:
         return False
+    if settle is not None:
+        verdict = settle(g)
+        if verdict is not None:
+            return verdict
     key = canonical_form(g)
     cached = memo.get(key)
     if cached is not None:
@@ -126,7 +145,7 @@ def _contains_any(g, patterns, memo, min_order, min_size) -> bool:
             break
     if not result and g.n > min_order:
         for child in _reductions(g):
-            if _contains_any(child, patterns, memo, min_order, min_size):
+            if _contains_any(child, patterns, memo, min_order, min_size, settle):
                 result = True
                 break
     memo[key] = result

@@ -23,7 +23,7 @@ class Graph:
     new graph. Equality and hashing are on the labeled structure.
     """
 
-    __slots__ = ("n", "_adj", "_canon")
+    __slots__ = ("n", "_adj", "_canon", "_size")
 
     def __init__(self, n: int, edges: Iterable[EdgePair] = ()):
         if not 0 <= n <= MAX_ORDER:
@@ -39,6 +39,7 @@ class Graph:
         self.n = n
         self._adj = tuple(adj)
         self._canon = None
+        self._size = None
 
     @classmethod
     def _from_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -46,6 +47,7 @@ class Graph:
         g._adj = tuple(masks)
         g.n = len(g._adj)
         g._canon = None
+        g._size = None
         return g
 
     # -- basic queries ----------------------------------------------------
@@ -66,7 +68,10 @@ class Graph:
 
     @property
     def size(self) -> int:
-        return sum(m.bit_count() for m in self._adj) // 2
+        """Number of edges, counted on first use."""
+        if self._size is None:
+            self._size = sum(m.bit_count() for m in self._adj) // 2
+        return self._size
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self._adj)

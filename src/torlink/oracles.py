@@ -8,15 +8,19 @@ generated here as the triangle/star exchange closure of K6. The order-8
 obstructions are built from their known descriptions; obstruction lists for
 higher orders come from data files.
 
-`is_nil` decides in three steps, each sound on its own:
+`is_nil` is the minor DAG of `contains_any_minor` over the Petersen family,
+with the module memo and two certificates as its settling rule. Each is
+exact on its own, and they are tried on every state of the DAG, the input
+included, before that state is canonized:
 
 1. Mader's bound. A graph with n >= 6 vertices and at least 4n - 9 edges
    has a K6 minor (Mader 1968), and K6 is in the Petersen family: IL.
 2. The apex certificate. If deleting some vertex leaves a planar graph,
    the graph is apex and so nIL (Sachs 1983): apex graphs form a
    minor-closed class, and no Petersen-family graph is apex.
-3. Otherwise the minor DAG of `contains_any_minor` decides, with the
-   module memo. It stays the one decision procedure for non-apex graphs.
+
+Only states that neither settles are canonized, pattern-tested, expanded
+and memoized; the DAG stays the one decision procedure for them.
 
 `is_toroidal` answers for the database it is given, with no shortcut: a
 database may hold stand-in obstructions, for which neither "planar implies
@@ -97,21 +101,29 @@ def petersen_family() -> tuple[Graph, ...]:
 
 # Keyed by canonical form and only ever asked about the fixed Petersen
 # family, so no entry goes stale; `check FILE` and `census_maxnil` share it.
-# Only graphs that neither certificate of `is_nil` decides reach it.
+# Only graphs that `_settle_nil` leaves open reach it.
 _nil_memo: dict[bytes, bool] = {}
+
+
+def _settle_nil(g: Graph) -> bool | None:
+    """Whether g has a Petersen-family minor, when a certificate says so.
+
+    True past Mader's bound, False for an apex graph, None otherwise.
+    """
+    if g.n >= 6 and g.size >= 4 * g.n - 9:
+        return True
+    if is_apex(g):
+        return False
+    return None
 
 
 def is_nil(g: Graph) -> bool:
     """True iff g has no Petersen-family minor (linkless embeddings exist).
 
-    Mader's bound, then the apex certificate, then the minor DAG; see the
-    module docstring.
+    The minor DAG, with Mader's bound and the apex certificate settling
+    its states; see the module docstring.
     """
-    if g.n >= 6 and g.size >= 4 * g.n - 9:
-        return False
-    if is_apex(g):
-        return True
-    return not contains_any_minor(g, petersen_family(), _nil_memo)
+    return not contains_any_minor(g, petersen_family(), _nil_memo, _settle_nil)
 
 
 def is_maxnil(g: Graph) -> bool:

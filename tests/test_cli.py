@@ -264,6 +264,18 @@ def test_mtn_census_requires_data(tmp_path, monkeypatch):
     assert status == 2  # directory lacks the maxnil data file
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_mtn_census_bad_jobs_is_usage_error(tmp_path, monkeypatch, capsys, jobs):
+    # Rejected while parsing, before any data file is looked for.
+    monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        invoke(["mtn-census", "--data-dir", str(tmp_path), "--jobs", jobs])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --jobs:" in captured.err
+
+
 def test_certify_pass(tmp_path):
     g6file = tmp_path / "mtn.g6"
     g6file.write_text(K6_MINUS_E_G6 + "\n")

@@ -12,6 +12,8 @@ from torlink import (
     is_isomorphic,
     path_graph,
 )
+from torlink.canonical import canonical_graph
+from torlink.graph6 import decode_graph6, encode_graph6
 from torlink.graphs import is_cycle_of
 
 from bruteforce import (
@@ -109,6 +111,30 @@ def test_mutations_keep_graphs_well_formed():
             assert well_formed(contracted)
             assert contracted.n == g.n - 1
         assert well_formed(g.delete_vertex(rng.randint(1, g.n)))
+
+
+def test_size_is_right_however_the_graph_is_made():
+    # The edge count is cached on first use; read every parent's first, so
+    # a derived graph that inherited a stale count would show it.
+    def check(g):
+        assert g.size == len(g.edges) == sum(g.degrees()) // 2
+        return g
+
+    rng = random.Random(4417)
+    for _ in range(100):
+        g = check(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9)))
+        check(Graph._from_masks(g._adj))
+        check(decode_graph6(encode_graph6(g)))
+        check(canonical_graph(g))
+        perm = rng.sample(range(1, g.n + 1), g.n)
+        check(g.relabel({i + 1: p for i, p in enumerate(perm)}))
+        check(g.delete_vertex(rng.randint(1, g.n)))
+        if g.non_edges():
+            assert check(g.add_edge(rng.choice(g.non_edges()))).size == g.size + 1
+        if g.edges:
+            e = rng.choice(g.edges)
+            assert check(g.delete_edge(e)).size == g.size - 1
+            check(g.contract_edge(e))
 
 
 def test_degree_sum_even_after_contraction():

@@ -24,7 +24,7 @@ from torlink import (
     petersen_family,
     petersen_graph,
 )
-from torlink import oracles
+from torlink import containment, oracles
 from torlink.canonical import canonical_form
 from torlink.containment import contains_any_minor
 from torlink.errors import DataValidationError, UnsupportedOrderError
@@ -39,6 +39,31 @@ NON_APEX_MAXNIL = "G~qkz{"
 
 def k6_minus_e() -> Graph:
     return complete_graph(6).delete_edge((1, 2))
+
+
+def subdivided(g: Graph, k: int, rng) -> Graph:
+    """g with k edges subdivided in turn, each new vertex numbered last."""
+    for _ in range(k):
+        u, v = rng.choice(g.edges)
+        w = g.n + 1
+        g = Graph(w, [e for e in g.edges if e != (u, v)] + [(u, w), (v, w)])
+    return g
+
+
+def with_edges(g: Graph, k: int, rng) -> Graph:
+    """g plus k of its non-edges, or all of them if it has fewer."""
+    for _ in range(min(k, len(g.non_edges()))):
+        g = g.add_edge(rng.choice(g.non_edges()))
+    return g
+
+
+def relabeled(g: Graph, rng) -> Graph:
+    perm = rng.sample(range(1, g.n + 1), g.n)
+    return g.relabel({i + 1: p for i, p in enumerate(perm)})
+
+
+def below_maders_bound(g: Graph) -> bool:
+    return g.size < 4 * g.n - 9
 
 
 # -- Petersen family ----------------------------------------------------------
@@ -192,6 +217,51 @@ def test_only_non_apex_inputs_reach_the_minor_dag(monkeypatch):
     g = decode_graph6(NON_APEX_MAXNIL)
     assert is_nil(g)
     assert memo[canonical_form(g)] is False
+
+
+def test_certificates_settle_every_minor_dag_state(monkeypatch):
+    # Only states that neither Mader's bound nor the apex certificate
+    # decides are canonized: the input and every state below it.
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(oracles, "_nil_memo", {})
+    monkeypatch.setattr(containment, "canonical_form", recording)
+    rng = random.Random(8)
+    k6 = subdivided(complete_graph(6), 5, rng)
+    il = with_edges(k6, 8, rng)
+    nil = relabeled(decode_graph6(NON_APEX_MAXNIL), rng)
+    assert (il.n, il.size) == (11, 28) and not is_apex(il)
+    assert not is_nil(il)
+    assert is_nil(nil)
+    assert il in seen and nil in seen
+    for g in seen:
+        assert below_maders_bound(g) and not is_apex(g), g
+
+
+def test_is_nil_matches_minor_dag_at_orders_9_to_11():
+    # Non-apex graphs below Mader's bound are the ones the minor DAG
+    # decides; each order must supply both verdicts among them.
+    rng = random.Random(9011)
+    graphs = []
+    for n in (9, 10, 11):
+        for _ in range(4):
+            graphs.append(random_graph(rng, n, rng.uniform(0.25, 0.6)))
+            g = subdivided(decode_graph6(NON_APEX_MAXNIL), n - 8, rng)
+            graphs.append(relabeled(with_edges(g, rng.randint(0, 1), rng), rng))
+            p = rng.choice([p for p in petersen_family() if p.n <= n])
+            g = subdivided(p, n - p.n, rng)
+            graphs.append(relabeled(with_edges(g, rng.randint(0, 8), rng), rng))
+    _agrees_with_minor_dag(graphs)
+    kinds = {
+        (g.n, is_nil(g))
+        for g in graphs
+        if below_maders_bound(g) and not is_apex(g)
+    }
+    assert kinds == {(n, v) for n in (9, 10, 11) for v in (True, False)}
 
 
 # -- obstructions and toroidality ---------------------------------------------
