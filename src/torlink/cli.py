@@ -349,11 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first run and reused: building it costs more than most
+# commands it parses. parse_args leaves the parser unchanged.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv=None, out=None) -> int:
     """Parse argv, execute the mapped command, and return the exit status."""
+    global _parser
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args, out)
     except (TorlinkError, ValueError, OSError) as exc:

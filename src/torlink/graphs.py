@@ -244,38 +244,71 @@ def enumerate_cycles(g: Graph, min_len: int, max_len: int) -> list[tuple[int, ..
     Each cycle is reported as a vertex tuple in its canonical traversal:
     the smallest vertex first, continuing toward the smaller of its two
     cycle neighbors. This fixes one representative per rotation/reflection
-    class, so output order is deterministic.
+    class. Cycles come shortest first, and in tuple order within a length.
+    """
+    zero = [[0] * g.n] * g.n
+    return [cycle for cycle, _, _ in cycle_walk(g, min_len, max_len, zero)]
+
+
+def cycle_walk(
+    g: Graph, min_len: int, max_len: int, weight: list[list[int]]
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """(cycle, total, mask) for each cycle of enumerate_cycles, in its order.
+
+    total sums weight[u][v] over the traversal's steps u -> v, where weight
+    is an n x n table on 0-based vertices; mask has bit v - 1 set for each
+    vertex v of the cycle. Both ride along the depth-first walk, so a cycle
+    costs nothing beyond the step that closes it.
     """
     if not 3 <= min_len <= max_len <= max(g.n, 3):
         raise ValueError(f"invalid cycle length range [{min_len}, {max_len}]")
     adj = g._adj
-    out: list[tuple[int, ...]] = []
-    # Grow paths from each start s using only vertices > s, so s is the
-    # cycle minimum; requiring second < last picks one direction.
+    tails = [(v + 1,) for v in range(g.n)]
+    by_len: list[list[tuple[tuple[int, ...], int, int]]] = [
+        [] for _ in range(max_len + 1)
+    ]
+    # Paths from each start s use only vertices above s, so s is the cycle
+    # minimum, and a cycle closes only at a last vertex above the first,
+    # which picks one direction. A path closes its one-step-longer cycles
+    # when it pops, lowest last vertex first, and pushes its extensions
+    # highest first, so paths pop in tuple order and each length's list
+    # fills sorted.
     for s in range(g.n):
         s_bit = 1 << s
         above = ~((s_bit << 1) - 1)
-        start_nbrs = adj[s] & above
-        stack: list[tuple[int, int, list[int]]] = []
-        nbrs = start_nbrs
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            stack.append((low.bit_length() - 1, s_bit | low, [low.bit_length() - 1]))
-        while stack:
-            v, used, path = stack.pop()
-            if len(path) + 1 >= min_len and adj[v] & s_bit and path[0] < v:
-                out.append(tuple([s + 1] + [w + 1 for w in path]))
-            if len(path) + 1 == max_len:
+        start = adj[s] & above
+        back = [row[s] for row in weight]
+        firsts = start
+        while firsts:
+            f_bit = firsts & -firsts
+            firsts ^= f_bit
+            closers = start & ~((f_bit << 1) - 1)
+            if not closers:
                 continue
-            ext = adj[v] & above & ~used
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                w = low.bit_length() - 1
-                stack.append((w, used | low, path + [w]))
-    out.sort(key=lambda c: (len(c), c))
-    return out
+            f = f_bit.bit_length() - 1
+            stack = [(f, s_bit | f_bit, weight[s][f], (s + 1, f + 1))]
+            while stack:
+                v, used, total, path = stack.pop()
+                k = len(path) + 1
+                ext = adj[v] & above & ~used
+                row = weight[v]
+                if k >= min_len:
+                    close = ext & closers
+                    cycles = by_len[k]
+                    while close:
+                        bit = close & -close
+                        close ^= bit
+                        w = bit.bit_length() - 1
+                        cycles.append(
+                            (path + tails[w], total + row[w] + back[w], used | bit)
+                        )
+                if k < max_len:
+                    while ext:
+                        w = ext.bit_length() - 1
+                        bit = 1 << w
+                        ext ^= bit
+                        stack.append((w, used | bit, total + row[w], path + tails[w]))
+    return [entry for bucket in by_len for entry in bucket]
 
 
 def is_cycle_of(g: Graph, vertices: tuple[int, ...]) -> bool:
@@ -286,10 +319,3 @@ def is_cycle_of(g: Graph, vertices: tuple[int, ...]) -> bool:
     if not all(1 <= v <= g.n for v in vertices):
         return False
     return all(g.has_edge(vertices[i], vertices[(i + 1) % k]) for i in range(k))
-
-
-def cycle_vertex_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << (v - 1)
-    return mask

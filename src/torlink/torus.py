@@ -12,12 +12,13 @@ when they share a slope class with both components nonzero.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError
-from .graphs import Graph, cycle_vertex_mask, enumerate_cycles, is_cycle_of
+from .graphs import Graph, cycle_walk, is_cycle_of
 
 
 class TorusDiagram:
@@ -162,23 +163,42 @@ def cycle_slope(d: TorusDiagram, cycle: tuple[int, ...]) -> SlopeClass:
     return SlopeClass.from_sums(*cycle_crossing_sums(d, cycle))
 
 
+# The cycle walk carries (P, Q) as the one int P * _Q_SPAN + Q. An edge
+# crosses the right boundary at most once, so |Q| is at most the cycle
+# length, which is at most 12 for n <= 12; a span above 2 * 12 + 1 keeps
+# the packing exact.
+_Q_SPAN = 32
+
+
 def _essential_cycles(
     d: TorusDiagram, min_len: int | None, max_len: int | None
-) -> list[tuple[tuple[int, ...], SlopeClass]]:
-    """Cycles of length min_len..max_len (default 3..n-3) with a nonzero
-    slope, each with its slope class, in enumeration order."""
+) -> list[tuple[tuple[int, ...], SlopeClass, int]]:
+    """(cycle, slope, vertex mask) for each cycle of length min_len..max_len
+    (default 3..n-3) with a nonzero crossing sum, in enumeration order.
+
+    Cycles of one slope class share one SlopeClass object, built once per
+    distinct crossing sum, so slopes compare by identity.
+    """
     n = d.graph.n
     lo = 3 if min_len is None else min_len
     hi = n - 3 if max_len is None else max_len
+    if any(k is not None and k < 3 for k in (min_len, max_len)):
+        raise ValueError(f"invalid cycle length range [{lo}, {hi}]")
     hi = min(hi, n)
     if hi < lo:
         return []
-    m = crossing_matrix(d)
+    weight = [[p * _Q_SPAN + q for p, q in row] for row in crossing_matrix(d).entries]
+    slopes: dict[int, SlopeClass] = {}
+    classes: dict[SlopeClass, SlopeClass] = {}
     essential = []
-    for cyc in enumerate_cycles(d.graph, lo, hi):
-        p, q = _crossing_sums(m, cyc)
-        if p or q:
-            essential.append((cyc, SlopeClass.from_sums(p, q)))
+    for cycle, total, mask in cycle_walk(d.graph, lo, hi, weight):
+        if total:
+            slope = slopes.get(total)
+            if slope is None:
+                p = (total + _Q_SPAN // 2) // _Q_SPAN
+                slope = SlopeClass.from_sums(p, total - p * _Q_SPAN)
+                slope = slopes[total] = classes.setdefault(slope, slope)
+            essential.append((cycle, slope, mask))
     return essential
 
 
@@ -223,17 +243,17 @@ def verify_embedding(d: TorusDiagram) -> tuple[list[str], list[LinkWitness]]:
 
 
 def _pair_scan(
-    n: int, essential: list[tuple[tuple[int, ...], SlopeClass]]
+    n: int, essential: list[tuple[tuple[int, ...], SlopeClass, int]]
 ) -> tuple[list[tuple[int, int]], list[LinkWitness]]:
     """(clashes, witnesses) from one walk over the disjoint pairs of the
     essential cycles: a pair with different slopes is a clash, kept as its
     index pair, and a pair sharing a linking slope is a link."""
-    masks = [cycle_vertex_mask(c) for c, _ in essential]
     clashes = []
     witnesses = []
+    masks = [mask for _, _, mask in essential]
     for i, j in _disjoint_pairs(masks, (1 << n) - 1):
-        (ci, si), (cj, sj) = essential[i], essential[j]
-        if si != sj:
+        (ci, si, _), (cj, sj, _) = essential[i], essential[j]
+        if si is not sj:  # one SlopeClass object per class
             clashes.append((i, j))
         elif si.is_linking:
             witnesses.append(LinkWitness(*sorted((ci, cj)), si))
@@ -242,7 +262,7 @@ def _pair_scan(
 
 
 def _warning_texts(
-    essential: list[tuple[tuple[int, ...], SlopeClass]],
+    essential: list[tuple[tuple[int, ...], SlopeClass, int]],
     clashes: list[tuple[int, int]],
 ) -> list[str]:
     """One warning per clashing pair; each cycle's text is built once."""
@@ -250,7 +270,7 @@ def _warning_texts(
     for pair in clashes:
         for i in pair:
             if i not in texts:
-                cycle, slope = essential[i]
+                cycle, slope, _ = essential[i]
                 texts[i] = _cycle_text(cycle), str(slope)
     return [
         "disjoint essential cycles "
@@ -264,25 +284,34 @@ def _disjoint_pairs(masks: list[int], full: int):
     """Every (i, j) with i < j and masks[i] & masks[j] == 0, ordered by i
     and then j, where full covers every mask.
 
-    Indices are bucketed by mask, and each i looks up every nonempty
-    submask of full & ~masks[i]. For cycles of at least 3 of at most 12
-    vertices that is at most 2^9 lookups per cycle, so the cost follows the
-    number of cycles and of disjoint pairs rather than of all pairs.
+    Indices are bucketed by mask. At the first index of each distinct mask,
+    the buckets of the nonempty submasks of its complement in full are
+    merged into one sorted partner list. Each index of that mask yields the
+    partners past it, and the list is dropped after the mask's last index.
+    For cycles of at least 3 of at most 12 vertices that is at most 2^9
+    lookups per distinct mask, so the cost follows the number of cycles and
+    of disjoint pairs rather than of all pairs.
     """
     by_mask: dict[int, list[int]] = {}
     for j, m in enumerate(masks):
         by_mask.setdefault(m, []).append(j)
+    partners: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
-        free = full & ~m
-        later = []
-        sub = free
-        while sub:
-            bucket = by_mask.get(sub)
-            if bucket:
-                later += [j for j in bucket if j > i]
-            sub = (sub - 1) & free
-        later.sort()
-        for j in later:
+        later = partners.get(m)
+        if later is None:
+            free = full & ~m
+            later = []
+            sub = free
+            while sub:
+                bucket = by_mask.get(sub)
+                if bucket and bucket[-1] > i:
+                    later += bucket
+                sub = (sub - 1) & free
+            later.sort()
+            partners[m] = later
+        if by_mask[m][-1] == i:
+            del partners[m]
+        for j in later[bisect_right(later, i) :]:
             yield i, j
 
 

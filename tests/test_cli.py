@@ -17,6 +17,7 @@ from torlink import (
     format_embedding,
     petersen_family,
 )
+from torlink import cli
 from torlink.cli import build_parser, run
 
 from bruteforce import complete_multipartite
@@ -336,6 +337,13 @@ def test_find_links_bad_cycle_window(tmp_path):
     path.write_text(TWO_TRIANGLES_LINKED)
     status, _ = invoke(["find-links", str(path), "--min-cycle", "2"])
     assert status == 2
+    # A bound below 3 is a usage error on every order, also where the
+    # default window is empty.
+    small = tmp_path / "small.emb"
+    small.write_text("order 4\nedges 1-2 2-3 1-3 3-4\nup 1->2\nright 2->3\n")
+    for emb in (path, small):
+        for flags in (["--min-cycle", "2"], ["--max-cycle", "2"]):
+            assert invoke(["find-links", str(emb), *flags]) == (2, ""), (emb, flags)
 
 
 def test_find_links_inverted_window_is_usage_error(tmp_path, capsys):
@@ -412,6 +420,45 @@ def test_readme_cli_block_lists_every_subcommand_and_option():
             for opt in action.option_strings:
                 if opt.startswith("--") and opt != "--help":
                     assert opt in tokens, f"README line for {name} omits {opt}"
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert invoke(["linking-number", "2", "4"]) == (0, "2\n")
+    assert invoke(["find-links", str(FIXTURE)])[0] == 0
+    assert invoke(["linking-number", "3", "3"]) == (0, "3\n")
+    assert len(built) == 1
+
+
+def test_parser_reused_after_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    argv = ["find-links", str(FIXTURE), "--max-cycle", "3"]
+    with pytest.raises(SystemExit) as exc:
+        invoke(["find-links", str(FIXTURE), "--min-cycle", "x"])
+    assert exc.value.code == 2
+    assert "argument --min-cycle" in capsys.readouterr().err
+    fresh, _ = timed_cli(*argv)
+    assert invoke(argv) == (fresh.returncode, fresh.stdout)
+
+
+def test_help_is_identical_on_repeated_calls(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (["--help"], ["find-links", "--help"], ["--help"]):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                invoke(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: torlink")
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

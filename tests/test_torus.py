@@ -27,8 +27,10 @@ from torlink import (
     verify_embedding,
 )
 from torlink.errors import ParseError
+from torlink.graphs import cycle_walk
+from torlink.torus import _disjoint_pairs
 
-from bruteforce import brute_link_scan, random_graph
+from bruteforce import brute_crossing_sums, brute_cycles, brute_link_scan, random_graph
 from test_graph6 import graphs
 
 FIXTURE = Path(__file__).parent.parent / "src" / "torlink" / "data" / "k6_minus_e.emb"
@@ -378,6 +380,59 @@ def test_link_scans_match_bruteforce_random():
         counts[1] += len(clashes)
     assert totals.pop("grid")[1] == 0
     assert all(all(counts) for counts in totals.values()), totals
+
+
+def crossing_tables(d: TorusDiagram) -> list[list[list[int]]]:
+    """The up and right crossing lists as antisymmetric 0-based per-edge
+    weight tables, read off the raw lists."""
+    n = d.graph.n
+    tables = [[[0] * n for _ in range(n)] for _ in range(2)]
+    for table, pairs in zip(tables, (d.up_list, d.right_list)):
+        for u, v in pairs:
+            table[u - 1][v - 1] += 1
+            table[v - 1][u - 1] -= 1
+    return tables
+
+
+def test_cycle_walk_matches_enumeration_and_bruteforce():
+    rng = random.Random(211)
+    seen = 0
+    for _ in range(80):
+        n = rng.randint(3, 10)
+        density = rng.uniform(0.3, 0.9 if n <= 7 else 0.55)
+        d = random_crossings(rng, random_graph(rng, n, density))
+        lo = rng.randint(3, max(n, 3))
+        hi = rng.randint(lo, max(n, 3))
+        cycles = enumerate_cycles(d.graph, lo, hi)
+        assert cycles == sorted(set(cycles), key=lambda c: (len(c), c))
+        if n <= 7:  # the raw permutation filter is too slow past order 7
+            assert set(cycles) == brute_cycles(d.graph, lo, hi)
+        walks = [cycle_walk(d.graph, lo, hi, t) for t in crossing_tables(d)]
+        for (cycle, p, mask), (cycle_q, q, mask_q) in zip(*walks, strict=True):
+            assert cycle == cycle_q and mask == mask_q
+            assert (p, q) == brute_crossing_sums(d, cycle)
+            assert mask == sum(1 << (v - 1) for v in cycle)
+        assert [c for c, _, _ in walks[0]] == cycles
+        seen += len(cycles)
+    assert seen > 1000, seen
+
+
+def test_disjoint_pairs_match_all_pairs_with_repeated_masks():
+    rng = random.Random(223)
+    for _ in range(60):
+        n = rng.randint(6, 12)
+        pool = [
+            sum(1 << v for v in rng.sample(range(n), rng.randint(3, n - 3)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        masks = [rng.choice(pool) for _ in range(rng.randint(0, 120))]
+        expected = [
+            (i, j)
+            for i in range(len(masks))
+            for j in range(i + 1, len(masks))
+            if not masks[i] & masks[j]
+        ]
+        assert list(_disjoint_pairs(masks, (1 << n) - 1)) == expected
 
 
 # -- linking number -----------------------------------------------------------
