@@ -38,7 +38,7 @@ from .canonical import canonical_form, canonical_graph, is_isomorphic
 from .containment import contains_any_minor
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
-from .graphs import Graph, complete_graph
+from .graphs import MAX_ORDER, Graph, complete_graph
 from .planarity import is_apex
 
 # No toroidal obstruction has fewer than 8 vertices.
@@ -162,9 +162,9 @@ class ObstructionDB:
 
     def __init__(self, by_order: dict[int, tuple[Graph, ...]]):
         for k, graphs in by_order.items():
-            if not SMALLEST_OBSTRUCTION_ORDER <= k <= 12:
+            if not SMALLEST_OBSTRUCTION_ORDER <= k <= MAX_ORDER:
                 raise DataValidationError(
-                    f"obstruction order {k} outside the supported range 8..12"
+                    f"obstruction order {k} outside the supported range 8..{MAX_ORDER}"
                 )
             for g in graphs:
                 if g.n != k:
@@ -173,7 +173,7 @@ class ObstructionDB:
                     )
         self.by_order = {k: tuple(v) for k, v in sorted(by_order.items())}
         limit = SMALLEST_OBSTRUCTION_ORDER - 1
-        while limit < 12 and limit + 1 in self.by_order:
+        while limit < MAX_ORDER and limit + 1 in self.by_order:
             limit += 1
         self.max_supported_order = limit
         self._patterns = tuple(

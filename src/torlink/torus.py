@@ -12,7 +12,6 @@ when they share a slope class with both components nonzero.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -280,39 +279,29 @@ def _warning_texts(
     ]
 
 
-def _disjoint_pairs(masks: list[int], full: int):
+def _disjoint_pairs(masks: list[int], full: int) -> list[tuple[int, int]]:
     """Every (i, j) with i < j and masks[i] & masks[j] == 0, ordered by i
     and then j, where full covers every mask.
 
-    Indices are bucketed by mask. At the first index of each distinct mask,
-    the buckets of the nonempty submasks of its complement in full are
-    merged into one sorted partner list. Each index of that mask yields the
-    partners past it, and the list is dropped after the mask's last index.
-    For cycles of at least 3 of at most 12 vertices that is at most 2^9
-    lookups per distinct mask, so the cost follows the number of cycles and
-    of disjoint pairs rather than of all pairs.
+    Indices are bucketed by mask. Each distinct mask m looks up the
+    submasks of its complement in full that are greater than m, so each
+    pair of disjoint vertex sets is looked up once, from its smaller mask,
+    and yields the index pairs of its two buckets.
     """
     by_mask: dict[int, list[int]] = {}
-    for j, m in enumerate(masks):
-        by_mask.setdefault(m, []).append(j)
-    partners: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
-        later = partners.get(m)
-        if later is None:
-            free = full & ~m
-            later = []
-            sub = free
-            while sub:
-                bucket = by_mask.get(sub)
-                if bucket and bucket[-1] > i:
-                    later += bucket
-                sub = (sub - 1) & free
-            later.sort()
-            partners[m] = later
-        if by_mask[m][-1] == i:
-            del partners[m]
-        for j in later[bisect_right(later, i) :]:
-            yield i, j
+        by_mask.setdefault(m, []).append(i)
+    pairs = []
+    for m, bucket in by_mask.items():
+        free = full & ~m
+        sub = free
+        while sub > m:
+            other = by_mask.get(sub)
+            if other:
+                pairs += [(i, j) if i < j else (j, i) for i in bucket for j in other]
+            sub = (sub - 1) & free
+    pairs.sort()
+    return pairs
 
 
 def torus_link_linking_number(m: int, n: int) -> Fraction:

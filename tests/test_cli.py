@@ -163,6 +163,18 @@ def test_slope_rejects_non_cycle():
     assert status == 2
 
 
+def test_slope_bad_cycle_is_usage_error(capsys):
+    status, text = invoke(["slope", str(FIXTURE), "--cycle", "1,x,4"])
+    assert (status, text) == (2, "")
+    assert capsys.readouterr().err == "error: bad cycle '1,x,4'\n"
+
+
+def test_slope_inessential_cycle():
+    status, text = invoke(["slope", str(FIXTURE), "--cycle", "2,4,5"])
+    assert status == 0
+    assert text.splitlines()[-2:] == ["slope: inessential", "linking: false"]
+
+
 def test_find_links_on_fixture():
     status, text = invoke(["find-links", str(FIXTURE)])
     assert status == 0
@@ -191,6 +203,17 @@ def test_verify_embedding_fail(tmp_path):
     assert status == 1
     assert "linkless: false" in text
     assert "link: [1 2 3] [4 5 6] slope=1/1" in text
+
+
+def test_verify_embedding_warns_on_slope_clash(tmp_path):
+    path = tmp_path / "clash.emb"
+    path.write_text("order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2\nright 4->5\n")
+    status, text = invoke(["verify-embedding", str(path)])
+    assert status == 0
+    assert text == (
+        "warning: disjoint essential cycles [1 2 3] and [4 5 6] have slopes "
+        "1/0 and 0/1; not a valid embedding\nlinkless: true\n"
+    )
 
 
 def test_verify_embedding_on_3x4_grid_is_fast(tmp_path):
@@ -228,8 +251,10 @@ def test_verify_embedding_invalid_file(tmp_path):
         ("order 3\nedges 1-2 2-3\nup 1->2 2->1\nright\n", 3),
         ("order 3\nedges 1-2 2-3\nup 1->2\nright 1->3\n", 4),
         ("order 3\nedges 1-2 2-1 2-3 1-3\nup\nright\n", 2),
+        ("order 3 4\nedges\nup\nright\n", 1),
+        ("order 3\nedges 1-2\nup 1->x\nright\n", 3),
     ],
-    ids=["order", "edges", "up", "right", "repeated-edge"],
+    ids=["order", "edges", "up", "right", "repeated-edge", "order-count", "bad-pair"],
 )
 def test_verify_embedding_error_names_line(tmp_path, capsys, text, line):
     path = tmp_path / "x.emb"
@@ -250,6 +275,14 @@ def test_census_maxnil_order6():
     assert is_isomorphic(
         decode_graph6(lines[1]), complete_graph(6).delete_edge((1, 2))
     )
+
+
+def test_census_maxnil_out_file(tmp_path):
+    status, text = invoke(["census-maxnil", "5"])
+    assert status == 0
+    out_file = tmp_path / "maxnil5.g6"
+    assert invoke(["census-maxnil", "5", "--out", str(out_file)]) == (0, "")
+    assert out_file.read_bytes() == text.encode()
 
 
 def test_census_maxnil_bad_order():

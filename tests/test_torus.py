@@ -528,3 +528,14 @@ def test_parse_errors():
     # duplicate crossing of one edge
     with pytest.raises(ParseError):
         parse_embedding("order 3\nedges 1-2 2-3\nup 1->2 2->1\nright\n")
+    with pytest.raises(ParseError) as info:
+        parse_embedding("order 3 4\nedges\nup\nright\n")
+    assert str(info.value) == "line 1: order line must hold a single integer"
+    with pytest.raises(ParseError) as info:
+        parse_embedding("order 3\nedges 1-2\nup 1->x\nright\n")
+    assert str(info.value) == "line 3: bad pair '1->x'"
+
+
+def test_parse_accepts_trailing_blank_lines():
+    text = "order 3\nedges 1-2 2-3 1-3\nup 1->2\nright\n"
+    assert parse_embedding(text + "\n \n") == parse_embedding(text)
