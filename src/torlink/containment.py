@@ -13,6 +13,26 @@ repeated queries into a shared DAG traversal; ``has_minor`` uses a fresh
 memo per call. A collection with exact certificates, as the Petersen family
 has, may pass them as a settling rule that answers states before they are
 canonized.
+
+Subgraph embedding is a backtracking search over pattern vertices in a
+fixed order, each placed on a host vertex of large enough degree that is
+adjacent to the images of its earlier-placed neighbours. What depends on
+the pattern alone, its plan, is built once per pattern object and kept on
+it: the order, each position's earlier-placed neighbours, the pattern
+degrees and the sorted degree sequence. The plan also chains twins. Two
+vertices are twins when their neighbourhoods agree apart from each other.
+Twinhood is an equivalence: adjacent twins have equal closed
+neighbourhoods, non-adjacent twins equal open ones, and no vertex has
+twins of both kinds. Swapping two twins is an automorphism of the pattern,
+so any permutation within twin classes is one. Given any embedding,
+composing it with the automorphism that sorts each class's images gives
+an embedding in which the images of each class increase in search order,
+so the search need only look for those: a vertex's candidates are cut to
+the host vertices above the image of the last twin placed before it
+(Grochow & Kellis, *Network motif discovery using subgraph enumeration
+and symmetry-breaking*, RECOMB 2007, break symmetry with such
+conditions). K6 is one twin class, so the search tries each set of six
+host vertices in one order instead of 720.
 """
 
 from __future__ import annotations
@@ -28,27 +48,18 @@ def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
     pn, hn = pattern.n, host.n
     if pn > hn or pattern.size > host.size:
         return False
-    pd = pattern.degree_sequence()
-    hd = host.degree_sequence()
-    if any(p > h for p, h in zip(pd, hd)):
+    plan = pattern._plan
+    if plan is None:
+        plan = pattern._plan = _plan(pn, pattern._adj)
+    pd, pdeg, back_edges, twin_prev = plan
+    hadj = host._adj
+    hdeg = [m.bit_count() for m in hadj]
+    if any(p > h for p, h in zip(pd, sorted(hdeg, reverse=True))):
         return False
     if pn == 0:
         return True
 
-    padj = pattern._adj
-    hadj = host._adj
-    order = _embedding_order(pn, padj)
-    pos = {v: i for i, v in enumerate(order)}
-    # Earlier-placed pattern neighbors of each vertex, by search position.
-    back_edges = [
-        [pos[w] for w in range(pn) if padj[v] >> w & 1 and pos[w] < i]
-        for i, v in enumerate(order)
-    ]
-    pdeg = [padj[v].bit_count() for v in order]
-    hdeg = [hadj[u].bit_count() for u in range(hn)]
-    deg_ok = [
-        sum(1 << u for u in range(hn) if hdeg[u] >= pdeg[i]) for i in range(pn)
-    ]
+    deg_ok = [sum(1 << u for u in range(hn) if hdeg[u] >= d) for d in pdeg]
     images = [0] * pn
 
     def place(i: int, used: int) -> bool:
@@ -57,6 +68,9 @@ def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
         cand = deg_ok[i] & ~used
         for j in back_edges[i]:
             cand &= hadj[images[j]]
+        t = twin_prev[i]
+        if t >= 0:
+            cand &= -2 << images[t]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -68,19 +82,42 @@ def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
     return place(0, 0)
 
 
-def _embedding_order(n: int, adj: tuple[int, ...]) -> list[int]:
-    """Greedy max-connectivity order: keeps the backtrack tree narrow."""
-    degs = [adj[v].bit_count() for v in range(n)]
-    order = [max(range(n), key=lambda v: degs[v])]
-    placed = 1 << order[0]
-    while len(order) < n:
+def _plan(n: int, adj: tuple[int, ...]):
+    """The pattern-only part of `is_subgraph_iso`, by search position: the
+    sorted degree sequence, the degrees, the earlier-placed neighbours and
+    the previous twin's position (-1 for none)."""
+    degs = [m.bit_count() for m in adj]
+    # Greedy max-connectivity order: keeps the backtrack tree narrow.
+    order: list[int] = []
+    placed = 0
+    for _ in range(n):
         best = max(
             (v for v in range(n) if not placed >> v & 1),
             key=lambda v: ((adj[v] & placed).bit_count(), degs[v]),
         )
         order.append(best)
         placed |= 1 << best
-    return order
+    pos = {v: i for i, v in enumerate(order)}
+    back_edges = [
+        [pos[w] for w in range(n) if adj[v] >> w & 1 and pos[w] < i]
+        for i, v in enumerate(order)
+    ]
+    # Twinhood is an equivalence, so the latest earlier twin is the previous
+    # link of the class's chain.
+    twin_prev = []
+    for i, v in enumerate(order):
+        twins = [
+            j
+            for j, w in enumerate(order[:i])
+            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
+        ]
+        twin_prev.append(twins[-1] if twins else -1)
+    return (
+        sorted(degs, reverse=True),
+        [degs[v] for v in order],
+        back_edges,
+        twin_prev,
+    )
 
 
 def has_minor(g: Graph, h: Graph) -> bool:

@@ -23,7 +23,9 @@ class Graph:
     new graph. Equality and hashing are on the labeled structure.
     """
 
-    __slots__ = ("n", "_adj", "_canon", "_size")
+    # _canon, _size and _plan are caches, filled on first use by
+    # canonical_form, size and containment.is_subgraph_iso.
+    __slots__ = ("n", "_adj", "_canon", "_size", "_plan")
 
     def __init__(self, n: int, edges: Iterable[EdgePair] = ()):
         if not 0 <= n <= MAX_ORDER:
@@ -40,6 +42,7 @@ class Graph:
         self._adj = tuple(adj)
         self._canon = None
         self._size = None
+        self._plan = None
 
     @classmethod
     def _from_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -48,6 +51,7 @@ class Graph:
         g.n = len(g._adj)
         g._canon = None
         g._size = None
+        g._plan = None
         return g
 
     # -- basic queries ----------------------------------------------------

@@ -127,7 +127,22 @@ def is_nil(g: Graph) -> bool:
 
 
 def is_maxnil(g: Graph) -> bool:
-    """True iff g is nIL and every single-edge addition destroys that."""
+    """True iff g is nIL and every single-edge addition destroys that.
+
+    An apex graph with n >= 4 vertices is maxnIL iff it has exactly
+    4n - 10 edges. Say G - v is planar. Then |E| <= (n - 1) + 3(n - 1) - 6
+    = 4n - 10, since v has at most n - 1 neighbours and G - v, planar on
+    n - 1 >= 3 vertices, at most 3(n - 1) - 6 edges. Below that bound
+    either v has a non-neighbour w, and G + vw is apex through v; or G - v
+    is planar but not a triangulation, so some edge e keeps G - v + e
+    planar and G + e is apex through v. Either way G + e is nIL, so G is
+    not maxnIL. At the bound G is nIL, and each G + e has 4n - 9 edges,
+    which for n >= 6 gives a K6 minor by Mader's bound; for n = 4 and 5
+    the bound is n(n - 1)/2, so G is complete and has no G + e to test.
+    K3 (n = 3) takes the general path.
+    """
+    if g.n >= 4 and is_apex(g):
+        return g.size == 4 * g.n - 10
     if not is_nil(g):
         return False
     return all(not is_nil(g.add_edge(e)) for e in g.non_edges())

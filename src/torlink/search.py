@@ -91,34 +91,49 @@ def mtn_search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
         raise ValueError(f"search requires order {SEARCH_ORDER}, got {g.n}")
     if not is_nil(g):
         raise ValueError("search requires a nIL input graph")
-    return _search(g, ctx)
+    return _search(g, ctx, {})
 
 
-def _search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
+# The one empty result, shared by every state that has one.
+_NONE: frozenset[Graph] = frozenset()
+
+
+def _search(
+    g: Graph, ctx: SearchContext, seen: dict[int, frozenset[Graph]]
+) -> frozenset[Graph]:
     # No graph at or below the floor is a candidate, whatever its class, so
     # such a state needs no key and ctx.cache holds only states above it.
     if g.size <= ctx.size_floor:
-        return frozenset()
-    # ctx.cache is the only dedup: a repeated child is a cache hit. Every
-    # leaf is canonical_graph(g), so a union holds one graph per class.
+        return _NONE
+    # Every state is an edge subset of the root, reached once per order of
+    # its deleted edges; seen, keyed by the labeled adjacency, answers all
+    # but the first of those paths without canonizing. ctx.cache, keyed by
+    # class, answers a state isomorphic to one met before. Every leaf is
+    # canonical_graph(g), so a union holds one graph per class.
+    label = 0
+    for mask in g._adj:
+        label = label << SEARCH_ORDER | mask
+    result = seen.get(label)
+    if result is not None:
+        return result
     key = canonical_form(g)
-    hit = ctx.cache.get(key)
-    if hit is not None:
-        return hit
-    if not g.is_connected() or any(
-        is_subgraph_iso(g, m) for m in ctx.toroidal_maxnil
-    ):
-        result: frozenset[Graph] = frozenset()
-    elif is_toroidal(g, ctx.db):
-        result = frozenset([canonical_graph(g)])
-    elif g.size > ctx.size_floor + 1:
-        result = frozenset().union(
-            *(_search(g.delete_edge(e), ctx) for e in g.edges)
-        )
-    else:
-        # Every child would have size_floor edges.
-        result = frozenset()
-    ctx.cache[key] = result
+    result = ctx.cache.get(key)
+    if result is None:
+        if not g.is_connected() or any(
+            is_subgraph_iso(g, m) for m in ctx.toroidal_maxnil
+        ):
+            result = _NONE
+        elif is_toroidal(g, ctx.db):
+            result = frozenset([canonical_graph(g)])
+        elif g.size > ctx.size_floor + 1:
+            result = _NONE.union(
+                *(_search(g.delete_edge(e), ctx, seen) for e in g.edges)
+            ) or _NONE
+        else:
+            # Every child would have size_floor edges.
+            result = _NONE
+        ctx.cache[key] = result
+    seen[label] = result
     return result
 
 

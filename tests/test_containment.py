@@ -7,6 +7,7 @@ from torlink import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     has_minor,
     is_isomorphic,
     is_subgraph_iso,
@@ -21,6 +22,7 @@ from bruteforce import (
     brute_minor,
     brute_reduction_closure,
     brute_subgraph_iso,
+    complete_multipartite,
     random_graph,
 )
 from test_search import stacked_planar
@@ -47,6 +49,49 @@ def test_subgraph_iso_matches_bruteforce():
         p = random_graph(rng, rng.randint(2, 5), rng.uniform(0.2, 0.9))
         h = random_graph(rng, rng.randint(p.n, 7), rng.uniform(0.2, 0.9))
         assert is_subgraph_iso(p, h) == brute_subgraph_iso(p, h)
+
+
+def _k5_minus_triangle() -> Graph:
+    g = complete_graph(5)
+    for e in [(1, 2), (1, 3), (2, 3)]:
+        g = g.delete_edge(e)
+    return g
+
+
+TWIN_RICH = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "K2,3": complete_bipartite(2, 3),
+    "K3,3": complete_bipartite(3, 3),
+    "star4": complete_bipartite(1, 4),
+    "K1,2,2": complete_multipartite(1, 2, 2),
+    "K2,2,2": complete_multipartite(2, 2, 2),
+    "K3+2K1": disjoint_union(complete_graph(3), Graph(2)),
+    "C4+K1": disjoint_union(cycle_graph(4), Graph(1)),
+    "3K1": Graph(3),
+    "K5-K3": _k5_minus_triangle(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_RICH))
+def test_twin_pruning_matches_bruteforce(name):
+    # Twins are the classes the search breaks symmetry on, and the host's
+    # labels decide which image order it keeps, so every host is also
+    # asked under relabelings. One pattern object serves every host, so
+    # all but the first query run on its cached plan.
+    pattern = TWIN_RICH[name]
+    rng = random.Random(sum(map(ord, name)))
+    verdicts = set()
+    for _ in range(20):
+        host = random_graph(rng, rng.randint(pattern.n, 7), rng.uniform(0.2, 1.0))
+        expected = brute_subgraph_iso(pattern, host)
+        verdicts.add(expected)
+        for _ in range(3):
+            perm = rng.sample(range(1, host.n + 1), host.n)
+            h = host.relabel({i + 1: q for i, q in enumerate(perm)})
+            assert is_subgraph_iso(pattern, h) == expected, (name, h)
+    # An edgeless pattern fits every host with enough vertices.
+    assert verdicts == ({True} if name == "3K1" else {True, False})
 
 
 def test_pattern_larger_than_host():

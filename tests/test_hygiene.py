@@ -1,13 +1,16 @@
 """Hygiene of the package's modules: every imported name is used, no
 private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
-function is referenced somewhere."""
+function is referenced somewhere; and every Graph, however it is made,
+has every slot set."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+from torlink import Graph, canonical_graph, complete_graph, decode_graph6, graphs
 
 PACKAGE = Path(__file__).parent.parent / "src" / "torlink"
 TESTS = Path(__file__).parent
@@ -133,3 +136,30 @@ def test_every_function_is_referenced():
         and node.name not in referenced
     ]
     assert not unreferenced, f"functions never referenced: {unreferenced}"
+
+
+def test_every_constructor_sets_every_graph_slot():
+    # _from_masks skips __init__, so a slot it forgets fails only when it
+    # is first read.
+    g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
+    made = {
+        "Graph": g,
+        "_from_masks": Graph._from_masks(g._adj),
+        "add_edge": g.add_edge((2, 4)),
+        "delete_edge": g.delete_edge((1, 2)),
+        "contract_edge": g.contract_edge((1, 3)),
+        "delete_vertex": g.delete_vertex(2),
+        "relabel": g.relabel({1: 5, 2: 4, 3: 3, 4: 2, 5: 1}),
+        "decode_graph6": decode_graph6("DqK"),
+        "canonical_graph": canonical_graph(g),
+        "complete_graph": complete_graph(4),
+        "disjoint_union": graphs.disjoint_union(g, g),
+        "petersen_graph": graphs.petersen_graph(),
+    }
+    unset = [
+        f"{how}: {slot}"
+        for how, h in made.items()
+        for slot in Graph.__slots__
+        if not hasattr(h, slot)
+    ]
+    assert not unset, f"slots left unset: {unset}"

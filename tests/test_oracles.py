@@ -372,6 +372,36 @@ def test_is_maxnil_examples():
     assert not is_maxnil(complete_graph(4).delete_edge((1, 2)))
 
 
+def _maxnil_by_definition(g: Graph) -> bool:
+    return is_nil(g) and all(not is_nil(g.add_edge(e)) for e in g.non_edges())
+
+
+def test_is_maxnil_matches_definition_on_small_classes():
+    for n in range(3, 8):
+        for g in isomorphism_classes(n):
+            assert is_maxnil(g) == _maxnil_by_definition(g), g
+
+
+@pytest.mark.slow
+def test_is_maxnil_matches_definition_on_order8_classes(order8_classes):
+    for g in order8_classes:
+        assert is_maxnil(g) == _maxnil_by_definition(g), g
+
+
+def test_is_maxnil_decides_apex_graphs_by_edge_count(monkeypatch):
+    def no_dag(g):
+        raise AssertionError(f"is_nil asked about {g}")
+
+    monkeypatch.setattr(oracles, "is_nil", no_dag)
+    assert is_maxnil(k6_minus_e())  # apex, 14 = 4 * 6 - 10 edges
+    assert not is_maxnil(k6_minus_e().delete_edge((3, 4)))
+    assert is_maxnil(complete_graph(4))
+    apex_over_planar = Graph(
+        9, list(cycle_graph(8).edges) + [(9, v) for v in range(1, 9)]
+    )
+    assert not is_maxnil(apex_over_planar)
+
+
 def test_is_mtn_examples():
     db = ObstructionDB.builtin()
     assert is_mtn(k6_minus_e(), db)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import torlink.search
@@ -156,6 +158,37 @@ def test_search_matches_bruteforce_depth3(monkeypatch):
     result = {canonical_form(x) for x in mtn_search(g, ctx)}
     assert sizes and min(sizes) > 18
     assert result == brute_search_keys(g, ctx)
+
+
+def test_search_canonizes_each_labeled_state_once(monkeypatch):
+    # Every state is an edge subset of the root, met once per order of its
+    # deleted edges; only the first meeting may canonize it.
+    states = []
+
+    def recorder(g):
+        states.append(g._adj)
+        return canonical_form(g)
+
+    monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    g = bridged_double_k5()
+    ctx = make_ctx(floor=17)
+    result = {canonical_form(x) for x in mtn_search(g, ctx)}
+    assert result == brute_search_keys(g, ctx)
+    assert len(states) == len(set(states))
+    # Every class above the floor is still keyed in ctx.cache.
+    assert len(ctx.cache) == len({canonical_form(Graph._from_masks(a)) for a in states})
+
+
+def test_search_result_ignores_the_root_labels():
+    g = bridged_double_k5()
+    expected = mtn_search(g, make_ctx(floor=18))
+    shared = make_ctx(floor=18)
+    rng = random.Random(1812)
+    for _ in range(4):
+        perm = rng.sample(range(1, 10), 9)
+        h = g.relabel({i + 1: q for i, q in enumerate(perm)})
+        assert mtn_search(h, make_ctx(floor=18)) == expected
+        assert mtn_search(h, shared) == expected
 
 
 @pytest.mark.slow
