@@ -368,9 +368,5 @@ def run(argv=None, out=None) -> int:
         return USAGE
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -9,7 +9,7 @@ package supports (n <= 12).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_ORDER = 12
 
@@ -255,7 +255,7 @@ def enumerate_cycles(g: Graph, min_len: int, max_len: int) -> list[tuple[int, ..
 
 
 def cycle_walk(
-    g: Graph, min_len: int, max_len: int, weight: list[list[int]]
+    g: Graph, min_len: int, max_len: int, weight: Sequence[Sequence[int]]
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """(cycle, total, mask) for each cycle of enumerate_cycles, in its order.
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
-from .canonical import canonical_form, canonical_graph, is_isomorphic
+from .canonical import canonical_form, canonical_graph
 from .containment import contains_any_minor
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
@@ -220,9 +220,8 @@ class ObstructionDB:
             order = int(m.group(1))
             graphs = read_graph6_file(path)
             if order == 8:
-                builtin = by_order[8]
-                if len(graphs) != len(builtin) or not all(
-                    any(is_isomorphic(g, b) for b in builtin) for g in graphs
+                if sorted(map(canonical_form, graphs)) != sorted(
+                    map(canonical_form, by_order[8])
                 ):
                     raise DataValidationError(
                         f"{path.name} disagrees with the built-in order-8 set"

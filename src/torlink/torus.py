@@ -28,12 +28,13 @@ class TorusDiagram:
     def __init__(self, graph: Graph, up_list, right_list):
         up_list = tuple(tuple(p) for p in up_list)
         right_list = tuple(tuple(p) for p in right_list)
+        edges = set(graph.edges)
         for name, pairs in (("up", up_list), ("right", right_list)):
             seen = set()
             for u, v in pairs:
-                if not graph.has_edge(u, v):
+                key = (min(u, v), max(u, v))
+                if key not in edges:
                     raise ValueError(f"{name} crossing ({u},{v}) is not an edge")
-                key = frozenset((u, v))
                 if key in seen:
                     raise ValueError(
                         f"edge ({u},{v}) crosses the {name} boundary twice"
@@ -61,31 +62,41 @@ class TorusDiagram:
         )
 
 
+# Every crossing sum is the one int P * _Q_SPAN + Q. An edge crosses the
+# right boundary at most once, so |Q| is at most the cycle length, which is
+# at most 12 for n <= 12; a span above 2 * 12 + 1 keeps the packing exact.
+_Q_SPAN = 32
+
+
+def _unpack(total: int) -> tuple[int, int]:
+    """(P, Q) from the packed sum P * _Q_SPAN + Q."""
+    p = (total + _Q_SPAN // 2) // _Q_SPAN
+    return p, total - p * _Q_SPAN
+
+
 @dataclass(frozen=True)
 class CrossingMatrix:
-    """Antisymmetric per-edge crossing contributions, 1-based access."""
+    """Antisymmetric per-edge crossing contributions, packed.
+
+    weights[u-1][v-1] is P * _Q_SPAN + Q for the step u -> v, where P and
+    Q (each -1, 0 or 1) count its signed top and right crossings, so the
+    sum of a cycle's steps packs the cycle's (P, Q). entry(u, v) is 1-based.
+    """
 
     n: int
-    entries: tuple[tuple[tuple[int, int], ...], ...]
+    weights: tuple[tuple[int, ...], ...]
 
     def entry(self, u: int, v: int) -> tuple[int, int]:
-        return self.entries[u - 1][v - 1]
+        return _unpack(self.weights[u - 1][v - 1])
 
 
 def crossing_matrix(d: TorusDiagram) -> CrossingMatrix:
     n = d.graph.n
-    rows = [[(0, 0)] * n for _ in range(n)]
-
-    def bump(u, v, dp, dq):
-        p, q = rows[u - 1][v - 1]
-        rows[u - 1][v - 1] = (p + dp, q + dq)
-        p, q = rows[v - 1][u - 1]
-        rows[v - 1][u - 1] = (p - dp, q - dq)
-
-    for u, v in d.up_list:
-        bump(u, v, 1, 0)
-    for u, v in d.right_list:
-        bump(u, v, 0, 1)
+    rows = [[0] * n for _ in range(n)]
+    for pairs, step in ((d.up_list, _Q_SPAN), (d.right_list, 1)):
+        for u, v in pairs:
+            rows[u - 1][v - 1] += step
+            rows[v - 1][u - 1] -= step
     return CrossingMatrix(n, tuple(tuple(r) for r in rows))
 
 
@@ -144,29 +155,14 @@ def cycle_crossing_sums(
     """Componentwise sum of crossing entries along the cycle traversal."""
     if not is_cycle_of(d.graph, tuple(cycle)):
         raise ValueError(f"{cycle!r} is not a cycle of the diagram's graph")
-    return _crossing_sums(crossing_matrix(d) if m is None else m, cycle)
-
-
-def _crossing_sums(m: CrossingMatrix, cycle: tuple[int, ...]) -> tuple[int, int]:
-    p = q = 0
-    k = len(cycle)
-    for i in range(k):
-        dp, dq = m.entry(cycle[i], cycle[(i + 1) % k])
-        p += dp
-        q += dq
-    return p, q
+    weights = (crossing_matrix(d) if m is None else m).weights
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    return _unpack(sum(weights[u - 1][v - 1] for u, v in steps))
 
 
 def cycle_slope(d: TorusDiagram, cycle: tuple[int, ...]) -> SlopeClass:
     """Slope class of a cycle of the diagram's graph."""
     return SlopeClass.from_sums(*cycle_crossing_sums(d, cycle))
-
-
-# The cycle walk carries (P, Q) as the one int P * _Q_SPAN + Q. An edge
-# crosses the right boundary at most once, so |Q| is at most the cycle
-# length, which is at most 12 for n <= 12; a span above 2 * 12 + 1 keeps
-# the packing exact.
-_Q_SPAN = 32
 
 
 def _essential_cycles(
@@ -186,16 +182,14 @@ def _essential_cycles(
     hi = min(hi, n)
     if hi < lo:
         return []
-    weight = [[p * _Q_SPAN + q for p, q in row] for row in crossing_matrix(d).entries]
     slopes: dict[int, SlopeClass] = {}
     classes: dict[SlopeClass, SlopeClass] = {}
     essential = []
-    for cycle, total, mask in cycle_walk(d.graph, lo, hi, weight):
+    for cycle, total, mask in cycle_walk(d.graph, lo, hi, crossing_matrix(d).weights):
         if total:
             slope = slopes.get(total)
             if slope is None:
-                p = (total + _Q_SPAN // 2) // _Q_SPAN
-                slope = SlopeClass.from_sums(p, total - p * _Q_SPAN)
+                slope = SlopeClass.from_sums(*_unpack(total))
                 slope = slopes[total] = classes.setdefault(slope, slope)
             essential.append((cycle, slope, mask))
     return essential

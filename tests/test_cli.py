@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from torlink import (
     encode_graph6,
     find_links,
     format_embedding,
+    parse_embedding,
     petersen_family,
 )
 from torlink import cli
@@ -253,8 +255,18 @@ def test_verify_embedding_invalid_file(tmp_path):
         ("order 3\nedges 1-2 2-1 2-3 1-3\nup\nright\n", 2),
         ("order 3 4\nedges\nup\nright\n", 1),
         ("order 3\nedges 1-2\nup 1->x\nright\n", 3),
+        ("order 6\nedges 1-2 2-6\nup 0->2\nright\n", 3),
     ],
-    ids=["order", "edges", "up", "right", "repeated-edge", "order-count", "bad-pair"],
+    ids=[
+        "order",
+        "edges",
+        "up",
+        "right",
+        "repeated-edge",
+        "order-count",
+        "bad-pair",
+        "endpoint-zero",
+    ],
 )
 def test_verify_embedding_error_names_line(tmp_path, capsys, text, line):
     path = tmp_path / "x.emb"
@@ -262,6 +274,55 @@ def test_verify_embedding_error_names_line(tmp_path, capsys, text, line):
     status, _ = invoke(["verify-embedding", str(path)])
     assert status == 2
     assert capsys.readouterr().err.startswith(f"error: x.emb: line {line}: ")
+
+
+def embedding_mutants(text: str, count: int, seed: int) -> list[str]:
+    """count single-fault copies of an embedding file: a vertex token set to
+    0, -1, n+1, 13 or x, a line dropped or duplicated, or a pair repeated."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    tokens = [m.span() for m in re.finditer(r"\d+", text)]
+    mutants = []
+    for _ in range(count):
+        kind = rng.choice(["vertex", "vertex", "drop", "duplicate", "repeat"])
+        i = rng.randrange(len(lines))
+        if kind == "vertex":
+            start, end = rng.choice(tokens)
+            value = rng.choice(["0", "-1", str(n + 1), "13", "x"])
+            mutants.append(text[:start] + value + text[end:])
+            continue
+        changed = list(lines)
+        if kind == "drop":
+            del changed[i]
+        elif kind == "duplicate":
+            changed.insert(i, lines[i])
+        else:
+            i = rng.randrange(1, len(lines))
+            changed[i] += " " + rng.choice(lines[i].split()[1:])
+        mutants.append("\n".join(changed) + "\n")
+    return mutants
+
+
+def test_verify_embedding_seeded_mutants(tmp_path, capsys):
+    # Every malformed file is an exit-2 error naming the file; every file
+    # that is accepted has crossing pairs that are edges on 1..n.
+    path = tmp_path / "m.emb"
+    for text in embedding_mutants(FIXTURE.read_text(), 300, seed=14):
+        path.write_text(text)
+        try:
+            status, _ = invoke(["verify-embedding", str(path)])
+        except Exception as exc:
+            pytest.fail(f"{text!r} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), text
+        if status == 2:
+            assert err.startswith("error: m.emb: "), (text, err)
+        else:
+            d = parse_embedding(text)
+            for u, v in d.up_list + d.right_list:
+                assert 1 <= min(u, v) and max(u, v) <= d.graph.n, text
+                assert d.graph.has_edge(u, v), text
 
 
 def test_census_maxnil_order6():

@@ -352,6 +352,23 @@ def test_db_from_dir_checks_order8_agreement(tmp_path):
         "".join(encode_graph6(g) + "\n" for g in order8_obstructions())
     )
     assert ObstructionDB.from_dir(good).max_supported_order == 8
+    # relabeled and reordered, the same three classes still agree
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    perm = {v: 9 - v for v in range(1, 9)}
+    relabeled = [g.relabel(perm) for g in order8_obstructions()[::-1]]
+    (moved / "obstructions_order8.g6").write_text(
+        "".join(encode_graph6(g) + "\n" for g in relabeled)
+    )
+    assert ObstructionDB.from_dir(moved).max_supported_order == 8
+    # three graphs, but one class three times: not the built-in set
+    copies = tmp_path / "copies"
+    copies.mkdir()
+    (copies / "obstructions_order8.g6").write_text(
+        (encode_graph6(order8_obstructions()[0]) + "\n") * 3
+    )
+    with pytest.raises(DataValidationError):
+        ObstructionDB.from_dir(copies)
 
 
 # -- TN and maximality ----------------------------------------------------------

@@ -15,6 +15,7 @@ from torlink import (
     complete_graph,
     crossing_matrix,
     cycle_crossing_sums,
+    cycle_graph,
     cycle_slope,
     disjoint_union,
     embedding_warnings,
@@ -174,6 +175,38 @@ def test_matrix_antisymmetry_random():
                 pu, qu = m.entry(u, v)
                 pv, qv = m.entry(v, u)
                 assert (pu, qu) == (-pv, -qv)
+
+
+def test_packed_sums_exact_at_the_order_bound():
+    # A 12-cycle with every edge in both lists sums to |P| = |Q| = 12, the
+    # largest crossing sums a diagram of order <= 12 can have.
+    cycle = tuple(range(1, 13))
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    for sp, sq in [(1, 1), (-1, -1), (1, -1), (-1, 1)]:
+        d = TorusDiagram(
+            cycle_graph(12),
+            [s if sp == 1 else s[::-1] for s in steps],
+            [s if sq == 1 else s[::-1] for s in steps],
+        )
+        m = crossing_matrix(d)
+        assert all(m.entry(u, v) == (sp, sq) for u, v in steps)
+        assert all(m.entry(v, u) == (-sp, -sq) for u, v in steps)
+        assert cycle_crossing_sums(d, cycle, m) == (12 * sp, 12 * sq)
+        assert cycle_crossing_sums(d, cycle) == brute_crossing_sums(d, cycle)
+        reverse = cycle[::-1]
+        assert cycle_crossing_sums(d, reverse) == (-12 * sp, -12 * sq)
+        assert cycle_crossing_sums(d, reverse) == brute_crossing_sums(d, reverse)
+
+
+def test_two_hexagons_with_sums_six_six_link():
+    g = disjoint_union(cycle_graph(6), cycle_graph(6))
+    a, b = tuple(range(1, 7)), tuple(range(7, 13))
+    steps = [s for c in (a, b) for s in zip(c, c[1:] + c[:1])]
+    d = TorusDiagram(g, steps, steps)
+    assert cycle_crossing_sums(d, a) == cycle_crossing_sums(d, b) == (6, 6)
+    assert [str(w) for w in find_links(d)] == [
+        "[1 2 3 4 5 6] [7 8 9 10 11 12] slope=1/1"
+    ]
 
 
 # -- slopes -------------------------------------------------------------------
@@ -534,6 +567,17 @@ def test_parse_errors():
     with pytest.raises(ParseError) as info:
         parse_embedding("order 3\nedges 1-2\nup 1->x\nright\n")
     assert str(info.value) == "line 3: bad pair '1->x'"
+    # crossing endpoints outside 1..n are not edges, however they index
+    for up, right, message in [
+        ("0->2", "", "line 3: up crossing (0,2) is not an edge"),
+        ("-1->2", "", "line 3: up crossing (-1,2) is not an edge"),
+        ("4->1", "", "line 3: up crossing (4,1) is not an edge"),
+        ("", "3->4", "line 4: right crossing (3,4) is not an edge"),
+    ]:
+        text = f"order 3\nedges 1-2 2-3\nup {up}\nright {right}\n"
+        with pytest.raises(ParseError) as info:
+            parse_embedding(text)
+        assert str(info.value) == message
 
 
 def test_parse_accepts_trailing_blank_lines():
