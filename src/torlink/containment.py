@@ -3,9 +3,13 @@
 Minor testing is a backtracking reduction search: while the host is larger
 than the pattern, branch on single vertex deletions and edge contractions,
 pruning by order and size; once orders agree the question reduces to a
-spanning-subgraph embedding. One engine answers every minor query: it tests
-a whole pattern collection at once and memoizes results by host canonical
-form in a memo the caller owns. The memo is the only deduplication of
+spanning-subgraph embedding. The size bound is taken per order: a state
+with k vertices is dropped, before it is canonized, when it has fewer
+edges than every pattern of at most k vertices, so a collection that mixes
+orders, as the toroidality obstructions do, is not bounded by its
+smallest pattern at every order. One engine answers every minor query: it
+tests a whole pattern collection at once and memoizes results by host
+canonical form in a memo the caller owns. The memo is the only deduplication of
 states: a repeated child is a memo hit, since its first copy was answered
 False and memoized before the next child was made. A caller that keeps its
 memo for a fixed collection, as the nIL and toroidality oracles do, turns
@@ -150,7 +154,7 @@ def contains_any_minor(
     form. The collection backing a memo must never change.
 
     ``settle`` is the collection's settling rule, if it has one. It is
-    called on every state that passes the order and size guard, before the
+    called on every state that passes the size bound, before the
     state is canonized, and returns the exact verdict for that state (True
     iff it has a pattern minor) or None when it cannot tell. A settled
     state is answered by the rule alone: it is never canonized, tested or
@@ -159,13 +163,20 @@ def contains_any_minor(
     """
     if not patterns:
         return False
-    min_order = min(p.n for p in patterns)
-    min_size = min(p.size for p in patterns)
-    return _contains_any(g, patterns, memo, min_order, min_size, settle)
+    # fewest[k]: the fewest edges of any pattern with at most k vertices, or
+    # more edges than g has when no pattern is that small. A minor has no
+    # more vertices or edges than its host, so a state with k vertices and
+    # fewer than fewest[k] edges holds no pattern.
+    fewest = [g.size + 1] * (g.n + 1)
+    for p in patterns:
+        for k in range(p.n, g.n + 1):
+            if p.size < fewest[k]:
+                fewest[k] = p.size
+    return _contains_any(g, patterns, memo, fewest, settle)
 
 
-def _contains_any(g, patterns, memo, min_order, min_size, settle) -> bool:
-    if g.n < min_order or g.size < min_size:
+def _contains_any(g, patterns, memo, fewest, settle) -> bool:
+    if g.size < fewest[g.n]:
         return False
     if settle is not None:
         verdict = settle(g)
@@ -180,9 +191,10 @@ def _contains_any(g, patterns, memo, min_order, min_size, settle) -> bool:
         if p.n <= g.n and p.size <= g.size and is_subgraph_iso(p, g):
             result = True
             break
-    if not result and g.n > min_order:
+    # Every reduction has one vertex fewer and no more edges.
+    if not result and g.size >= fewest[g.n - 1]:
         for child in _reductions(g):
-            if _contains_any(child, patterns, memo, min_order, min_size, settle):
+            if _contains_any(child, patterns, memo, fewest, settle):
                 result = True
                 break
     memo[key] = result

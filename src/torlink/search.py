@@ -264,12 +264,12 @@ def isomorphism_classes(n: int) -> list[Graph]:
     count in increasing order. Practical through n = 8.
 
     Level m + 1 is built from the representatives of level m by adding one
-    edge, deduplicated by canonical form. A child g + e is canonized only
-    if e is a top edge of it: f(e) >= f(e') for every edge e' of g + e,
-    ties included, where f(a, b) = (larger endpoint degree, smaller
-    endpoint degree, number of common neighbours of a and b), compared
-    lexicographically (McKay, *Isomorph-free exhaustive generation*,
-    J. Algorithms 1998, uses the same canonical-deletion idea).
+    edge. A child g + e is kept only if e is a top edge of it: f(e) >=
+    f(e') for every edge e' of g + e, ties included, where f(a, b) =
+    (larger endpoint degree, smaller endpoint degree, number of common
+    neighbours of a and b), compared lexicographically (McKay, *Isomorph-free
+    exhaustive generation*, J. Algorithms 1998, uses the same
+    canonical-deletion idea).
 
     The filter loses no class. Take a class of size m + 1, a member H and
     an edge e of H that maximizes f. H - e is isomorphic, by some map phi,
@@ -277,15 +277,22 @@ def isomorphism_classes(n: int) -> list[Graph]:
     P + phi(e) is isomorphic to H, and since f is an isomorphism invariant,
     phi(e) maximizes f in P + phi(e), so that child passes the filter.
 
+    The kept children of a level are grouped by `_invariant`, and only a
+    group that holds two or more of them is deduplicated by canonical
+    form. The invariant is an isomorphism invariant, so isomorphic
+    children always share a group: a child alone in its group is
+    isomorphic to no other child and is a new class without being
+    canonized, and children in different groups are never isomorphic.
+
     Only the set of classes, grouped by size, is guaranteed: within one
     edge count the order of the classes and the labeled representative of
     each are unspecified.
     """
-    level = {canonical_form(empty_graph(n)): empty_graph(n)}
-    out = list(level.values())
+    level = [empty_graph(n)]
+    out = list(level)
     while level:
-        nxt: dict[bytes, Graph] = {}
-        for g in level.values():
+        groups: dict[tuple[int, ...], list[Graph]] = {}
+        for g in level:
             adj = g._adj
             deg = [m.bit_count() for m in adj]
             for u in range(n):
@@ -299,11 +306,38 @@ def isomorphism_classes(n: int) -> list[Graph]:
                     child_deg[u] += 1
                     child_deg[v] += 1
                     if _is_top_edge(masks, child_deg, u, v):
-                        child = Graph._from_masks(masks)
-                        nxt.setdefault(canonical_form(child), child)
-        out.extend(nxt.values())
-        level = nxt
+                        groups.setdefault(
+                            _invariant(masks, child_deg), []
+                        ).append(Graph._from_masks(masks))
+        level = []
+        for group in groups.values():
+            if len(group) > 1:
+                group = {canonical_form(c): c for c in group}.values()
+            level.extend(group)
+        out.extend(level)
     return out
+
+
+def _invariant(masks: list[int], deg: list[int]) -> tuple[int, ...]:
+    """Isomorphism invariant of the graph with these 0-based adjacency
+    masks and vertex degrees: the sorted tuple, over vertices v, of
+    (deg v, sum of the degrees of v's neighbours, sum over neighbours w of
+    |N(v) & N(w)|), packed as deg << 16 | degree sum << 8 | common sum.
+    The packing is exact for n <= 12: degrees are below 16 and both sums
+    at most 11 * 11 < 256. Packed or not, each entry is a function of its
+    vertex's triple, so the tuple is an isomorphism invariant for any n."""
+    out = []
+    for mask, d in zip(masks, deg):
+        s = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            s += deg[w] << 8 | (mask & masks[w]).bit_count()
+            rest ^= low
+        out.append(d << 16 | s)
+    out.sort()
+    return tuple(out)
 
 
 def _is_top_edge(masks: list[int], deg: list[int], u: int, v: int) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import random
@@ -336,6 +337,27 @@ def test_census_maxnil_order6():
     assert is_isomorphic(
         decode_graph6(lines[1]), complete_graph(6).delete_edge((1, 2))
     )
+
+
+# SHA-256 of `census-maxnil N` stdout, fixed before class generation
+# stopped canonizing every child: the census must not change by a byte.
+CENSUS_SHA = {
+    3: "1c5be33c7c93093f58907ca05040bd2b3f766b11aeade6b93d1091445150db59",
+    4: "33f0141c55d9c8f439632e0d7319673451d1a40e6e06702a66fd7f9eebc73bf0",
+    5: "67a24f5d94cb9256b8b592633ade6e43a948f08a65389d9eb99c64dcbe055976",
+    6: "149cc3d48886827f15db4b2f82760f0c83adbe39f40ff28477982be9c5dfb59c",
+    7: "f4db1082e0fcddb8616af811dd0fdcc55fe6d9fbc2d58aed84e095e0548c9e68",
+    8: "fc38c9a2508be001742b5d676d6650172c1de986ba4b614a690ea191e176e3a8",
+}
+
+
+@pytest.mark.parametrize(
+    "n", [*range(3, 8), pytest.param(8, marks=pytest.mark.slow)]
+)
+def test_census_maxnil_stdout_is_pinned(n):
+    status, text = invoke(["census-maxnil", str(n)])
+    assert status == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA[n]
 
 
 def test_census_maxnil_out_file(tmp_path):

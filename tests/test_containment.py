@@ -198,6 +198,17 @@ def test_negative_query_memoizes_every_reachable_state(host, patterns):
     assert not any(memo.values())
 
 
+def test_negative_query_skips_states_no_pattern_fits():
+    # The order-8 obstructions have 22-25 edges, so C9 alone sets the
+    # overall smallest size, 9. K4,5 (20 edges, bipartite) holds no C9, and
+    # every order-8 reduction of it has at most 20 edges, fewer than any
+    # order-8 pattern: only the host itself is canonized and memoized.
+    host = complete_bipartite(4, 5)
+    memo: dict[bytes, bool] = {}
+    assert not contains_any_minor(host, order8_obstructions() + (cycle_graph(9),), memo)
+    assert memo == {canonical_form(host): False}
+
+
 def test_subgraph_implies_minor_exhaustive_order_le5():
     reps = []
     seen = set()

@@ -10,6 +10,7 @@ from torlink import (
     census_maxnil,
     certify_order,
     classify_maxnil,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     decode_graph6,
@@ -31,9 +32,10 @@ from torlink import (
 from torlink.canonical import canonical_form, canonical_graph
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
-from torlink.search import isomorphism_classes
+from torlink.search import _invariant, isomorphism_classes
 
-from bruteforce import brute_isomorphism_classes
+from bruteforce import brute_isomorphism_classes, random_graph
+from test_canonical import cube_graph
 from test_torus import FIXTURE
 
 
@@ -376,6 +378,84 @@ def test_isomorphism_classes_match_bruteforce():
         }
         sizes = [g.size for g in classes]
         assert sizes == sorted(sizes)
+
+
+def invariant_of(g: Graph) -> tuple[int, ...]:
+    return _invariant(list(g._adj), [m.bit_count() for m in g._adj])
+
+
+def wagner_graph() -> Graph:
+    """The 8-cycle with its four long diagonals: cubic and triangle-free,
+    like the cube, but not bipartite."""
+    return Graph(8, [(i, i % 8 + 1) for i in range(1, 9)] + [(i, i + 4) for i in range(1, 5)])
+
+
+def test_invariant_survives_relabeling_and_packs_exactly():
+    rng = random.Random(61)
+    graphs = [random_graph(rng, n, rng.uniform(0.1, 0.9)) for n in range(1, 13) for _ in range(8)]
+    # K12 and K1,11 reach the packing bounds: degree 11, degree sum 121,
+    # common-neighbour sum 110.
+    graphs += [complete_graph(12), complete_bipartite(1, 11)]
+    for g in graphs:
+        expected = invariant_of(g)
+        # Unpacked, the invariant is the sorted per-vertex triples.
+        triples = sorted(
+            (
+                len(g.neighbors(v)),
+                sum(len(g.neighbors(w)) for w in g.neighbors(v)),
+                sum(len(set(g.neighbors(v)) & set(g.neighbors(w))) for w in g.neighbors(v)),
+            )
+            for v in range(1, g.n + 1)
+        )
+        assert [(x >> 16, x >> 8 & 255, x & 255) for x in expected] == triples
+        for _ in range(3):
+            labels = list(range(1, g.n + 1))
+            rng.shuffle(labels)
+            h = g.relabel(dict(zip(range(1, g.n + 1), labels)))
+            assert invariant_of(h) == expected
+    assert invariant_of(complete_graph(12)) == (11 << 16 | 121 << 8 | 110,) * 12
+
+
+def test_cube_and_wagner_share_a_group_and_both_survive(order8_classes):
+    cube, wagner = cube_graph(), wagner_graph()
+    assert not is_isomorphic(cube, wagner)
+    assert invariant_of(cube) == invariant_of(wagner)
+    keys = {canonical_form(g) for g in order8_classes}
+    assert canonical_form(cube) in keys and canonical_form(wagner) in keys
+
+
+def test_grouping_canonizes_only_shared_invariants(monkeypatch):
+    # A group of two or more children is the only place isomorphism_classes
+    # canonizes, and the brute-force match above runs it at every order from
+    # 3. At these orders no two classes share an invariant; the first such
+    # pairs, the cube and the Wagner graph among them, have order 8.
+    calls = []
+
+    def recorder(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    for n in range(3, 8):
+        calls.clear()
+        classes = isomorphism_classes(n)
+        assert calls
+        groups = {(g.size, invariant_of(g)) for g in classes}
+        assert len(groups) == len(classes)
+
+
+def test_isomorphism_classes_order7_canonization_count(monkeypatch):
+    # Canonizing every top-edge child made 1,896 calls here; grouping the
+    # children by the invariant makes 1,273.
+    calls = []
+
+    def recorder(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    assert len(isomorphism_classes(7)) == 1044
+    assert len(calls) <= 1300
 
 
 def test_census_bounds():
