@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_embedding)
 
     p = sub.add_parser(
-        "census-maxnil", help="exhaustive maxnIL census for one order (3..8)"
+        "census-maxnil", help="exhaustive maxnIL census for one order (3..9)"
     )
     p.add_argument("order", type=int)
     p.add_argument("--out", help="write to a file instead of stdout")

@@ -259,9 +259,10 @@ def find_all_mtn_order9(ctx: SearchContext) -> CensusReport:
 # -- exhaustive small-order census -------------------------------------------
 
 
-def isomorphism_classes(n: int) -> list[Graph]:
+def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     """All order-n graphs up to isomorphism, one per class, grouped by edge
-    count in increasing order. Practical through n = 8.
+    count in increasing order; with `keep`, only the classes it accepts.
+    Practical through n = 8, and through n = 9 with keep=is_nil.
 
     Level m + 1 is built from the representatives of level m by adding one
     edge. A child g + e is kept only if e is a top edge of it: f(e) >=
@@ -277,6 +278,12 @@ def isomorphism_classes(n: int) -> list[Graph]:
     P + phi(e) is isomorphic to H, and since f is an isomorphism invariant,
     phi(e) maximizes f in P + phi(e), so that child passes the filter.
 
+    `keep`, if given, must be an isomorphism invariant and closed under
+    subgraphs: a graph it accepts has every subgraph accepted. A class it
+    rejects is dropped and never extended. That loses no accepted class:
+    in the argument above H - e is a subgraph of H, so if keep accepts H
+    it accepted the class of H - e, and P was extended.
+
     The kept children of a level are grouped by `_invariant`, and only a
     group that holds two or more of them is deduplicated by canonical
     form. The invariant is an isomorphism invariant, so isomorphic
@@ -288,16 +295,36 @@ def isomorphism_classes(n: int) -> list[Graph]:
     edge count the order of the classes and the labeled representative of
     each are unspecified.
     """
+    return [g for level, _ in _levels(n, keep) for g in level]
+
+
+def _levels(n: int, keep):
+    """Walk the levels of `isomorphism_classes(n, keep)`, yielding for each
+    edge count m the pair (classes with m edges, barren classes with
+    m - 1 edges); the last pair holds no classes. A class is barren when
+    none of its top-edge children passed `keep`. Only two levels are held
+    at a time.
+
+    `keep` runs once per class, on its representative. When a class
+    passes, the parent of each of its top-edge children becomes fertile,
+    not only the parent of the representative.
+    """
     level = [empty_graph(n)]
-    out = list(level)
+    if keep is not None and not keep(level[0]):
+        level = []
+    yield level, []
     while level:
-        groups: dict[tuple[int, ...], list[Graph]] = {}
-        for g in level:
+        # Children grouped by invariant, each with its parent's index.
+        groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
+        for i, g in enumerate(level):
             adj = g._adj
             deg = [m.bit_count() for m in adj]
+            # The child's top edge needs an endpoint of degree at least the
+            # parent's maximum, so one endpoint must have degree >= low.
+            low = max(deg, default=0) - 1
             for u in range(n):
                 for v in range(u + 1, n):
-                    if adj[u] >> v & 1:
+                    if adj[u] >> v & 1 or deg[u] < low and deg[v] < low:
                         continue
                     masks = list(adj)
                     masks[u] |= 1 << v
@@ -308,14 +335,27 @@ def isomorphism_classes(n: int) -> list[Graph]:
                     if _is_top_edge(masks, child_deg, u, v):
                         groups.setdefault(
                             _invariant(masks, child_deg), []
-                        ).append(Graph._from_masks(masks))
-        level = []
+                        ).append((Graph._from_masks(masks), i))
+        fertile = [False] * len(level)
+        nxt = []
         for group in groups.values():
             if len(group) > 1:
-                group = {canonical_form(c): c for c in group}.values()
-            level.extend(group)
-        out.extend(level)
-    return out
+                by_form: dict[bytes, list[tuple[Graph, int]]] = {}
+                for child in group:
+                    by_form.setdefault(canonical_form(child[0]), []).append(
+                        child
+                    )
+                classes = by_form.values()
+            else:
+                classes = (group,)
+            for members in classes:
+                rep = members[-1][0]
+                if keep is None or keep(rep):
+                    for _, i in members:
+                        fertile[i] = True
+                    nxt.append(rep)
+        yield nxt, [g for g, f in zip(level, fertile) if not f]
+        level = nxt
 
 
 def _invariant(masks: list[int], deg: list[int]) -> tuple[int, ...]:
@@ -363,12 +403,24 @@ def _is_top_edge(masks: list[int], deg: list[int], u: int, v: int) -> bool:
 
 
 def census_maxnil(n: int) -> tuple[Graph, ...]:
-    """All maximally-nIL graphs of order n up to isomorphism (3 <= n <= 8)."""
-    if not 3 <= n <= 8:
+    """All maximally-nIL graphs of order n up to isomorphism (3 <= n <= 9).
+
+    The levels of the nIL classes are walked with `keep=is_nil`, and only
+    the barren ones are tested with `is_maxnil`. That is exact: a maxnIL
+    graph has no nIL one-edge extension, so none of its top-edge children
+    passes and its class is barren. Order 8 has 11,667 nIL classes, 5,097
+    of them barren; order 9 has 227,041 and 100,170.
+    """
+    if not 3 <= n <= 9:
         raise UnsupportedOrderError(
-            f"exhaustive census supports orders 3..8, got {n}"
+            f"exhaustive census supports orders 3..9, got {n}"
         )
-    hits = [canonical_graph(g) for g in isomorphism_classes(n) if is_maxnil(g)]
+    hits = [
+        canonical_graph(g)
+        for _, barren in _levels(n, is_nil)
+        for g in barren
+        if is_maxnil(g)
+    ]
     hits.sort(key=canonical_form)
     return tuple(hits)
 

@@ -20,6 +20,15 @@ from .errors import ParseError
 from .graphs import Graph, cycle_walk, is_cycle_of
 
 
+class _CrossingError(ValueError):
+    """A crossing list that does not fit the graph; `boundary` names the
+    list at fault, "up" or "right"."""
+
+    def __init__(self, boundary: str, message: str):
+        super().__init__(message)
+        self.boundary = boundary
+
+
 class TorusDiagram:
     """A graph plus its oriented boundary-crossing edge lists."""
 
@@ -34,10 +43,12 @@ class TorusDiagram:
             for u, v in pairs:
                 key = (min(u, v), max(u, v))
                 if key not in edges:
-                    raise ValueError(f"{name} crossing ({u},{v}) is not an edge")
+                    raise _CrossingError(
+                        name, f"{name} crossing ({u},{v}) is not an edge"
+                    )
                 if key in seen:
-                    raise ValueError(
-                        f"edge ({u},{v}) crosses the {name} boundary twice"
+                    raise _CrossingError(
+                        name, f"edge ({u},{v}) crosses the {name} boundary twice"
                     )
                 seen.add(key)
         self.graph = graph
@@ -341,8 +352,10 @@ def parse_embedding(text: str) -> TorusDiagram:
         if key in seen:
             raise ParseError(f"repeated edge {u}-{v}", line=2)
         seen.add(key)
-    _at_line(3, TorusDiagram, graph, up, ())
-    return _at_line(4, TorusDiagram, graph, up, right)
+    try:
+        return TorusDiagram(graph, up, right)
+    except _CrossingError as exc:
+        raise ParseError(str(exc), line=3 if exc.boundary == "up" else 4) from None
 
 
 def format_embedding(d: TorusDiagram) -> str:

@@ -7,13 +7,16 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import torlink.search
 from torlink import (
     Graph,
     complete_graph,
+    decode_graph6,
     encode_graph6,
     find_links,
     format_embedding,
@@ -348,6 +351,7 @@ CENSUS_SHA = {
     6: "149cc3d48886827f15db4b2f82760f0c83adbe39f40ff28477982be9c5dfb59c",
     7: "f4db1082e0fcddb8616af811dd0fdcc55fe6d9fbc2d58aed84e095e0548c9e68",
     8: "fc38c9a2508be001742b5d676d6650172c1de986ba4b614a690ea191e176e3a8",
+    9: "901b5d61d34f9c6823443fbce1bf40779eb0801082952c331f468293ff2cb00b",
 }
 
 
@@ -360,6 +364,30 @@ def test_census_maxnil_stdout_is_pinned(n):
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA[n]
 
 
+@pytest.mark.slow
+def test_census_maxnil_order9(monkeypatch):
+    # The paper's starting point: the 20 maxnIL graphs of order 9, from one
+    # walk of the nIL classes whose barren classes alone are tested.
+    walk = torlink.search._levels
+    counts = {"nil": 0, "barren": 0}
+
+    def counted(n, keep):
+        for level, barren in walk(n, keep):
+            counts["nil"] += len(level)
+            counts["barren"] += len(barren)
+            yield level, barren
+
+    monkeypatch.setattr(torlink.search, "_levels", counted)
+    status, text = invoke(["census-maxnil", "9"])
+    assert status == 0
+    assert counts == {"nil": 227041, "barren": 100170}
+    lines = text.splitlines()
+    assert lines[0] == "count: 20"
+    sizes = Counter(decode_graph6(g6).size for g6 in lines[1:])
+    assert sizes == {24: 3, 25: 2, 26: 15}
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA[9]
+
+
 def test_census_maxnil_out_file(tmp_path):
     status, text = invoke(["census-maxnil", "5"])
     assert status == 0
@@ -369,8 +397,13 @@ def test_census_maxnil_out_file(tmp_path):
 
 
 def test_census_maxnil_bad_order():
-    status, _ = invoke(["census-maxnil", "9"])
+    status, _ = invoke(["census-maxnil", "10"])
     assert status == 2
+
+
+def test_census_maxnil_order10_names_the_range(capsys):
+    assert invoke(["census-maxnil", "10"]) == (2, "")
+    assert "orders 3..9, got 10" in capsys.readouterr().err
 
 
 def test_mtn_census_requires_data(tmp_path, monkeypatch):

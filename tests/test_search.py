@@ -23,6 +23,7 @@ from torlink import (
     is_maxnil,
     is_mtn,
     is_nil,
+    is_planar,
     is_subgraph_iso,
     is_toroidal,
     mtn_search,
@@ -32,7 +33,7 @@ from torlink import (
 from torlink.canonical import canonical_form, canonical_graph
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
-from torlink.search import _invariant, isomorphism_classes
+from torlink.search import _invariant, _levels, isomorphism_classes
 
 from bruteforce import brute_isomorphism_classes, random_graph
 from test_canonical import cube_graph
@@ -458,11 +459,61 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     assert len(calls) <= 1300
 
 
+@pytest.mark.parametrize("keep", [is_nil, is_planar])
+def test_isomorphism_classes_keep_matches_bruteforce(keep):
+    # keep is closed under subgraphs, so filtering the levels loses none of
+    # the classes it accepts and keeps none it rejects.
+    for n in range(8):
+        classes = isomorphism_classes(n, keep)
+        keys = [canonical_form(g) for g in classes]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {
+            canonical_form(g) for g in brute_isomorphism_classes(n) if keep(g)
+        }
+        sizes = [g.size for g in classes]
+        assert sizes == sorted(sizes)
+
+
+def nil_walk(n: int) -> tuple[int, list[Graph]]:
+    """(number of nIL classes, the barren ones) from one walk of order n."""
+    count = 0
+    barren = []
+    for level, level_barren in _levels(n, is_nil):
+        count += len(level)
+        barren.extend(level_barren)
+    return count, barren
+
+
+def test_every_maxnil_class_is_barren():
+    for n in range(1, 8):
+        count, barren = nil_walk(n)
+        assert count == len(isomorphism_classes(n, is_nil))
+        barren_keys = {canonical_form(g) for g in barren}
+        assert len(barren_keys) == len(barren)
+        maxnil = [g for g in isomorphism_classes(n) if is_maxnil(g)]
+        assert maxnil
+        assert {canonical_form(g) for g in maxnil} <= barren_keys
+        # Barren is not maxnIL: some barren classes have a nIL extension
+        # whose added edge is not a top edge.
+        if n >= 5:
+            assert len(barren_keys) > len(maxnil)
+
+
+@pytest.mark.slow
+def test_order8_census_tests_only_barren_classes(order8_classes):
+    count, barren = nil_walk(8)
+    assert (count, len(barren)) == (11667, 5097)
+    maxnil = {canonical_form(g) for g in order8_classes if is_maxnil(g)}
+    assert len(maxnil) == 6
+    assert {canonical_form(g) for g in barren if is_maxnil(g)} == maxnil
+    assert {canonical_form(g) for g in census_maxnil(8)} == maxnil
+
+
 def test_census_bounds():
     with pytest.raises(UnsupportedOrderError):
         census_maxnil(2)
     with pytest.raises(UnsupportedOrderError):
-        census_maxnil(9)
+        census_maxnil(10)
 
 
 def test_census_tiny_orders_are_complete_graphs():

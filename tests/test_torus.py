@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torlink.torus
 from torlink import (
     Graph,
     SlopeClass,
@@ -578,6 +579,20 @@ def test_parse_errors():
         with pytest.raises(ParseError) as info:
             parse_embedding(text)
         assert str(info.value) == message
+
+
+def test_parse_builds_one_diagram(monkeypatch):
+    built = []
+
+    class Counted(TorusDiagram):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(torlink.torus, "TorusDiagram", Counted)
+    d = parse_embedding("order 3\nedges 1-2 2-3 1-3\nup 1->2\nright 2->3\n")
+    assert (d.up_list, d.right_list) == (((1, 2),), ((2, 3),))
+    assert len(built) == 1
 
 
 def test_parse_accepts_trailing_blank_lines():
