@@ -77,13 +77,6 @@ class Graph:
             self._size = sum(m.bit_count() for m in self._adj) // 2
         return self._size
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self._adj)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in descending order (an isomorphism invariant)."""
-        return tuple(sorted(self.degrees(), reverse=True))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u - 1] >> (v - 1) & 1)
 
@@ -206,10 +199,6 @@ def _drop_slot(masks: list[int], slot: int, n: int) -> list[int]:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(1, n + 1), 2))
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
 
 
 def cycle_graph(n: int) -> Graph:

@@ -237,14 +237,11 @@ class ObstructionDB:
                 f"maximum {self.max_supported_order}"
             )
 
-    def contains_obstruction_minor(self, g: Graph) -> bool:
-        return contains_any_minor(g, self._patterns, self._memo)
-
 
 def is_toroidal(g: Graph, db: ObstructionDB) -> bool:
     """True iff g has no obstruction minor; only valid for supported orders."""
     db.check_supported(g.n)
-    return not db.contains_obstruction_minor(g)
+    return not contains_any_minor(g, db._patterns, db._memo)
 
 
 def is_tn(g: Graph, db: ObstructionDB) -> bool:

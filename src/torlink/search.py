@@ -18,7 +18,7 @@ from pathlib import Path
 from .canonical import canonical_form, canonical_graph
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import encode_graph6, read_graph6_file
-from .graphs import Graph, empty_graph
+from .graphs import Graph
 from .oracles import ObstructionDB, is_maxnil, is_mtn, is_nil, is_tn, is_toroidal
 from .containment import has_minor, is_subgraph_iso
 from .torus import TorusDiagram, find_links
@@ -309,7 +309,7 @@ def _levels(n: int, keep):
     passes, the parent of each of its top-edge children becomes fertile,
     not only the parent of the representative.
     """
-    level = [empty_graph(n)]
+    level = [Graph(n)]
     if keep is not None and not keep(level[0]):
         level = []
     yield level, []
@@ -431,14 +431,9 @@ def census_maxnil(n: int) -> tuple[Graph, ...]:
 @dataclass(frozen=True)
 class CertificationEntry:
     graph: Graph
-    embedding_index: int | None
-    embedding_name: str | None
-    linkless: bool | None
+    embedding_name: str
+    linkless: bool
     witnesses: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.linkless is True
 
 
 @dataclass(frozen=True)
@@ -448,15 +443,14 @@ class CertificationReport:
 
     @property
     def overall_pass(self) -> bool:
-        return not self.unmatched and all(e.passed for e in self.entries)
+        return not self.unmatched and all(e.linkless for e in self.entries)
 
     def to_text(self) -> str:
         lines = [f"certify graphs={len(self.entries) + len(self.unmatched)}"]
         for e in self.entries:
-            name = e.embedding_name or f"#{e.embedding_index}"
-            verdict = "ok" if e.passed else "LINKED"
+            verdict = "ok" if e.linkless else "LINKED"
             lines.append(
-                f"graph {encode_graph6(e.graph)} embedding={name} "
+                f"graph {encode_graph6(e.graph)} embedding={e.embedding_name} "
                 f"linkless={str(e.linkless).lower()} -> {verdict}"
             )
             for w in e.witnesses:
@@ -467,14 +461,15 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def certify_order(
-    mtn_graphs, embeddings, names=None
-) -> CertificationReport:
+def certify_order(mtn_graphs, embeddings, names) -> CertificationReport:
     """Match each graph to an embedding diagram of the same isomorphism
-    class and verify the diagram is linkless. Failures are report entries,
-    never exceptions."""
+    class and verify the diagram is linkless; names[i] names embeddings[i].
+    Failures are report entries, never exceptions; only a names list of
+    the wrong length raises ValueError."""
     diagrams: list[TorusDiagram] = list(embeddings)
-    names = list(names) if names is not None else [None] * len(diagrams)
+    names = list(names)
+    if len(names) != len(diagrams):
+        raise ValueError(f"{len(names)} name(s) for {len(diagrams)} embedding(s)")
     entries = []
     unmatched = []
     # The first diagram of each class is the one used.
@@ -493,7 +488,6 @@ def certify_order(
         entries.append(
             CertificationEntry(
                 graph=g,
-                embedding_index=index,
                 embedding_name=names[index],
                 linkless=not witnesses,
                 witnesses=witnesses,

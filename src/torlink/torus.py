@@ -29,16 +29,21 @@ class _CrossingError(ValueError):
         self.boundary = boundary
 
 
+@dataclass(frozen=True)
 class TorusDiagram:
-    """A graph plus its oriented boundary-crossing edge lists."""
+    """A graph plus its oriented boundary-crossing edge lists, stored as
+    tuples of (u, v) pairs."""
 
-    __slots__ = ("graph", "up_list", "right_list")
+    graph: Graph
+    up_list: tuple[tuple[int, int], ...]
+    right_list: tuple[tuple[int, int], ...]
 
-    def __init__(self, graph: Graph, up_list, right_list):
-        up_list = tuple(tuple(p) for p in up_list)
-        right_list = tuple(tuple(p) for p in right_list)
-        edges = set(graph.edges)
-        for name, pairs in (("up", up_list), ("right", right_list)):
+    def __post_init__(self):
+        for attr in ("up_list", "right_list"):
+            pairs = tuple(tuple(p) for p in getattr(self, attr))
+            object.__setattr__(self, attr, pairs)
+        edges = set(self.graph.edges)
+        for name, pairs in (("up", self.up_list), ("right", self.right_list)):
             seen = set()
             for u, v in pairs:
                 key = (min(u, v), max(u, v))
@@ -51,26 +56,6 @@ class TorusDiagram:
                         name, f"edge ({u},{v}) crosses the {name} boundary twice"
                     )
                 seen.add(key)
-        self.graph = graph
-        self.up_list = up_list
-        self.right_list = right_list
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TorusDiagram)
-            and self.graph == other.graph
-            and self.up_list == other.up_list
-            and self.right_list == other.right_list
-        )
-
-    def __hash__(self):
-        return hash((self.graph, self.up_list, self.right_list))
-
-    def __repr__(self):
-        return (
-            f"TorusDiagram(order={self.graph.n}, up={list(self.up_list)}, "
-            f"right={list(self.right_list)})"
-        )
 
 
 # Every crossing sum is the one int P * _Q_SPAN + Q. An edge crosses the
@@ -94,7 +79,6 @@ class CrossingMatrix:
     sum of a cycle's steps packs the cycle's (P, Q). entry(u, v) is 1-based.
     """
 
-    n: int
     weights: tuple[tuple[int, ...], ...]
 
     def entry(self, u: int, v: int) -> tuple[int, int]:
@@ -108,7 +92,7 @@ def crossing_matrix(d: TorusDiagram) -> CrossingMatrix:
         for u, v in pairs:
             rows[u - 1][v - 1] += step
             rows[v - 1][u - 1] -= step
-    return CrossingMatrix(n, tuple(tuple(r) for r in rows))
+    return CrossingMatrix(tuple(tuple(r) for r in rows))
 
 
 @dataclass(frozen=True)
@@ -226,21 +210,14 @@ def is_linkless(d: TorusDiagram) -> bool:
     return not find_links(d)
 
 
-def embedding_warnings(
-    d: TorusDiagram, min_len: int | None = None, max_len: int | None = None
-) -> list[str]:
-    """Diagnostics for diagrams that cannot be genuine embeddings.
-
-    Vertex-disjoint cycles drawn without crossings on the torus must share
-    one slope class; a disjoint essential pair with different slopes means
-    the crossing lists do not describe a real embedding.
-    """
-    essential = _essential_cycles(d, min_len, max_len)
-    return _warning_texts(essential, _pair_scan(d.graph.n, essential)[0])
-
-
 def verify_embedding(d: TorusDiagram) -> tuple[list[str], list[LinkWitness]]:
-    """(embedding_warnings(d), find_links(d)) from one scan of the cycles."""
+    """(warnings, find_links(d)) from one scan of the cycles.
+
+    The warnings flag diagrams that cannot be genuine embeddings:
+    vertex-disjoint cycles drawn without crossings on the torus must share
+    one slope class, so a disjoint essential pair with different slopes
+    means the crossing lists do not describe a real embedding.
+    """
     essential = _essential_cycles(d, None, None)
     clashes, witnesses = _pair_scan(d.graph.n, essential)
     return _warning_texts(essential, clashes), witnesses

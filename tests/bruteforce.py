@@ -14,7 +14,7 @@ from math import gcd
 
 import networkx as nx
 
-from torlink import Graph, canonical_form, empty_graph
+from torlink import Graph, canonical_form
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -111,7 +111,7 @@ def _brute_refine(adj: tuple[int, ...], cells: list[tuple[int, ...]]):
 def brute_isomorphism_classes(n: int) -> list[Graph]:
     """All order-n graphs up to isomorphism, by edge-adding closure that
     canonizes every child of every class."""
-    level = {canonical_form(empty_graph(n)): empty_graph(n)}
+    level = {canonical_form(Graph(n)): Graph(n)}
     out = list(level.values())
     while level:
         nxt: dict[bytes, Graph] = {}

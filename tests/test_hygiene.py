@@ -1,8 +1,9 @@
 """Hygiene of the package's modules: every imported name is used, no
 private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
-function is referenced somewhere; and every Graph, however it is made,
-has every slot set."""
+function is referenced somewhere; the package's __all__ is exactly what
+its __init__ imports; and every Graph, however it is made, has every slot
+set."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import torlink
 from torlink import Graph, canonical_graph, complete_graph, decode_graph6, graphs
 
 PACKAGE = Path(__file__).parent.parent / "src" / "torlink"
@@ -136,6 +138,22 @@ def test_every_function_is_referenced():
         and node.name not in referenced
     ]
     assert not unreferenced, f"functions never referenced: {unreferenced}"
+
+
+def test_all_lists_exactly_the_imported_names():
+    # A name dropped from the imports but left in __all__ fails only on
+    # `from torlink import *`.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exported = torlink.__all__
+    assert exported == sorted(set(exported))
+    assert set(exported) == imported
+    assert all(hasattr(torlink, name) for name in exported)
 
 
 def test_every_constructor_sets_every_graph_slot():

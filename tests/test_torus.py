@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +20,6 @@ from torlink import (
     cycle_graph,
     cycle_slope,
     disjoint_union,
-    embedding_warnings,
     enumerate_cycles,
     find_links,
     format_embedding,
@@ -138,6 +138,18 @@ def test_duplicate_crossing_rejected():
         TorusDiagram(g, [(1, 2), (2, 1)], [])
     # The same edge may cross both boundaries.
     TorusDiagram(g, [(1, 2)], [(1, 2)])
+
+
+def test_diagram_is_a_hashable_frozen_value():
+    g = Graph(3, [(1, 2), (2, 3), (1, 3)])
+    from_lists = TorusDiagram(g, [[1, 2]], [[2, 3]])
+    from_tuples = TorusDiagram(g, ((1, 2),), ((2, 3),))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    assert len({from_lists, from_tuples}) == 1
+    assert from_lists != TorusDiagram(g, [(2, 1)], [(2, 3)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        from_lists.graph = Graph(3)
 
 
 # -- crossing matrix ----------------------------------------------------------
@@ -363,15 +375,15 @@ def test_linking_number_consistency_with_found_links():
 
 def test_warning_on_disjoint_slope_disagreement():
     d = two_triangles([(1, 2)], [(2, 3)], [], [(5, 6)])
-    warnings = embedding_warnings(d, max_len=3)
+    warnings, _ = verify_embedding(d)
     assert len(warnings) == 1
     assert "not a valid embedding" in warnings[0]
 
 
 def test_no_warnings_on_genuine_embeddings():
-    assert embedding_warnings(k6_minus_e_diagram()) == []
-    assert embedding_warnings(k6_diagram()) == []
-    assert embedding_warnings(k7_diagram()) == []
+    assert verify_embedding(k6_minus_e_diagram())[0] == []
+    assert verify_embedding(k6_diagram())[0] == []
+    assert verify_embedding(k7_diagram())[0] == []
 
 
 def _link_scan_cases():
@@ -400,14 +412,13 @@ def test_link_scans_match_bruteforce_random():
         links, clashes = brute_link_scan(d, lo or 3, hi)
         found = find_links(d, lo, hi)
         assert [(w.cycle_a, w.cycle_b, str(w.slope)) for w in found] == links, index
-        expected = [
-            f"disjoint essential cycles [{' '.join(map(str, a))}] and "
-            f"[{' '.join(map(str, b))}] have slopes {sa} and {sb}; "
-            "not a valid embedding"
-            for a, b, sa, sb in clashes
-        ]
-        assert embedding_warnings(d, lo, hi) == expected, index
         if lo is None and hi is None:
+            expected = [
+                f"disjoint essential cycles [{' '.join(map(str, a))}] and "
+                f"[{' '.join(map(str, b))}] have slopes {sa} and {sb}; "
+                "not a valid embedding"
+                for a, b, sa, sb in clashes
+            ]
             assert verify_embedding(d) == (expected, found), index
         counts = totals.setdefault(kind, [0, 0])
         counts[0] += len(links)
