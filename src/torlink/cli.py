@@ -213,8 +213,9 @@ def _cmd_certify(args, out) -> int:
     if not emb_dir.is_dir():
         raise TorlinkError(f"{emb_dir}: not a directory")
     paths = sorted(emb_dir.glob("*.emb"))
-    diagrams = [load_embedding_file(p) for p in paths]
-    report = certify_order(graphs, diagrams, [p.name for p in paths])
+    report = certify_order(
+        graphs, [(p.name, load_embedding_file(p)) for p in paths]
+    )
     out.write(report.to_text())
     return PASS if report.overall_pass else FAIL
 

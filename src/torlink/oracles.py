@@ -173,6 +173,8 @@ class ObstructionDB:
 
     Orders below 8 are implicitly empty. A query of order n needs every
     order 8..n present; ``max_supported_order`` is the largest such n.
+    ``patterns`` holds every order's graphs, lowest order first, and
+    ``memo`` the minor-query cache that ``is_toroidal`` shares over them.
     """
 
     def __init__(self, by_order: dict[int, tuple[Graph, ...]]):
@@ -191,10 +193,10 @@ class ObstructionDB:
         while limit < MAX_ORDER and limit + 1 in self.by_order:
             limit += 1
         self.max_supported_order = limit
-        self._patterns = tuple(
+        self.patterns = tuple(
             g for k in sorted(self.by_order) for g in self.by_order[k]
         )
-        self._memo: dict[bytes, bool] = {}
+        self.memo: dict[bytes, bool] = {}
 
     @classmethod
     def builtin(cls) -> "ObstructionDB":
@@ -241,7 +243,7 @@ class ObstructionDB:
 def is_toroidal(g: Graph, db: ObstructionDB) -> bool:
     """True iff g has no obstruction minor; only valid for supported orders."""
     db.check_supported(g.n)
-    return not contains_any_minor(g, db._patterns, db._memo)
+    return not contains_any_minor(g, db.patterns, db.memo)
 
 
 def is_tn(g: Graph, db: ObstructionDB) -> bool:

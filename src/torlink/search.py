@@ -461,34 +461,30 @@ class CertificationReport:
         return "\n".join(lines) + "\n"
 
 
-def certify_order(mtn_graphs, embeddings, names) -> CertificationReport:
+def certify_order(mtn_graphs, embeddings) -> CertificationReport:
     """Match each graph to an embedding diagram of the same isomorphism
-    class and verify the diagram is linkless; names[i] names embeddings[i].
-    Failures are report entries, never exceptions; only a names list of
-    the wrong length raises ValueError."""
-    diagrams: list[TorusDiagram] = list(embeddings)
-    names = list(names)
-    if len(names) != len(diagrams):
-        raise ValueError(f"{len(names)} name(s) for {len(diagrams)} embedding(s)")
+    class and verify the diagram is linkless. embeddings holds
+    (name, diagram) pairs; failures are report entries, never exceptions."""
     entries = []
     unmatched = []
     # The first diagram of each class is the one used.
-    index_of: dict[bytes, int] = {}
-    for i, d in enumerate(diagrams):
-        index_of.setdefault(canonical_form(d.graph), i)
+    named_by_form: dict[bytes, tuple[str, TorusDiagram]] = {}
+    for name, d in embeddings:
+        named_by_form.setdefault(canonical_form(d.graph), (name, d))
     ordered = sorted(
         (canonical_graph(g) for g in mtn_graphs), key=canonical_form
     )
     for g in ordered:
-        index = index_of.get(canonical_form(g))
-        if index is None:
+        named = named_by_form.get(canonical_form(g))
+        if named is None:
             unmatched.append(g)
             continue
-        witnesses = tuple(find_links(diagrams[index]))
+        name, diagram = named
+        witnesses = tuple(find_links(diagram))
         entries.append(
             CertificationEntry(
                 graph=g,
-                embedding_name=names[index],
+                embedding_name=name,
                 linkless=not witnesses,
                 witnesses=witnesses,
             )

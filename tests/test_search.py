@@ -561,7 +561,7 @@ def k6_minus_e() -> Graph:
 
 def test_certify_bundled_embedding_passes():
     diagram = parse_embedding(FIXTURE.read_text())
-    report = certify_order([k6_minus_e()], [diagram], ["k6_minus_e.emb"])
+    report = certify_order([k6_minus_e()], [("k6_minus_e.emb", diagram)])
     assert report.overall_pass
     assert report.unmatched == ()
     assert report.entries[0].linkless
@@ -579,7 +579,7 @@ def test_certify_flags_linked_embedding():
     diagram = parse_embedding(
         "order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2 4->5\nright 2->3 5->6\n"
     )
-    report = certify_order([g], [diagram], ["two.emb"])
+    report = certify_order([g], [("two.emb", diagram)])
     assert not report.overall_pass
     assert not report.entries[0].linkless
     assert report.entries[0].witnesses
@@ -594,7 +594,7 @@ def test_certify_flags_linked_embedding():
 
 
 def test_certify_empty_set_vacuous_pass():
-    report = certify_order([], [], [])
+    report = certify_order([], [])
     assert report.overall_pass
     assert "overall=pass" in report.to_text()
 
@@ -606,14 +606,17 @@ def test_certify_first_isomorphic_diagram_wins():
     )
     # The same two triangles, relabeled and drawn without crossings.
     unlinked = parse_embedding("order 6\nedges 1-4 4-6 1-6 2-3 3-5 2-5\nup\nright\n")
-    names = ["a.emb", "b.emb"]
-    report = certify_order([g, k6_minus_e()], [linked, unlinked], names)
+    report = certify_order(
+        [g, k6_minus_e()], [("a.emb", linked), ("b.emb", unlinked)]
+    )
     (entry,) = report.entries
     assert entry.embedding_name == "a.emb"
     assert not entry.linkless
     assert report.unmatched == (canonical_graph(k6_minus_e()),)
     assert "unmatched -> MISSING" in report.to_text()
-    report = certify_order([g, k6_minus_e()], [unlinked, linked], names)
+    report = certify_order(
+        [g, k6_minus_e()], [("a.emb", unlinked), ("b.emb", linked)]
+    )
     (entry,) = report.entries
     assert entry.embedding_name == "a.emb"
     assert entry.linkless
@@ -621,17 +624,7 @@ def test_certify_first_isomorphic_diagram_wins():
 
 
 def test_certify_reports_unmatched():
-    report = certify_order([k6_minus_e()], [], [])
+    report = certify_order([k6_minus_e()], [])
     assert not report.overall_pass
     assert len(report.unmatched) == 1
     assert "MISSING" in report.to_text()
-
-
-@pytest.mark.parametrize("names", [[], ["a.emb", "b.emb"]])
-def test_certify_rejects_names_of_the_wrong_length(names):
-    # The graph matches the one diagram, so a short list would be read past
-    # its end.
-    diagram = parse_embedding(FIXTURE.read_text())
-    with pytest.raises(ValueError) as info:
-        certify_order([k6_minus_e()], [diagram], names)
-    assert str(info.value) == f"{len(names)} name(s) for 1 embedding(s)"
