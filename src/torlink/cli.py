@@ -62,6 +62,13 @@ def _data_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
+def _required_data_dir(args) -> Path:
+    d = _data_dir(args)
+    if d is None:
+        raise TorlinkError("--data-dir (or TORLINK_DATA_DIR) is required")
+    return d
+
+
 def _obstruction_db(args) -> ObstructionDB:
     d = _data_dir(args)
     return ObstructionDB.from_dir(d) if d else ObstructionDB.builtin()
@@ -81,49 +88,51 @@ def _input_graphs(spec: str) -> list[Graph]:
     return [decode_graph6(spec)]
 
 
+# The `check` predicates, in output order: (flag, output label, help text,
+# evaluator, whether it needs the obstruction database). An evaluator is
+# called as evaluator(g, db), with db None unless its row needs one; each
+# names its predicate at call time, so a rebound module name is used.
+_CHECKS = (
+    ("--nil", "nIL", "linkless-embeddable test", lambda g, db: is_nil(g), False),
+    ("--toroidal", "toroidal", None, lambda g, db: is_toroidal(g, db), True),
+    ("--tn", "TN", "toroidal and nIL", lambda g, db: is_tn(g, db), True),
+    ("--maxnil", "maxnIL", "maximally nIL", lambda g, db: is_maxnil(g), False),
+    ("--mtn", "MTN", "maximally TN", lambda g, db: is_mtn(g, db), True),
+    ("--connected", "connected", None, lambda g, db: g.is_connected(), False),
+)
+
+
 def _cmd_check(args, out) -> int:
     graphs = _input_graphs(args.graph)
     wanted = [
-        (name, flag)
-        for name, flag in (
-            ("nIL", args.nil),
-            ("toroidal", args.toroidal),
-            ("TN", args.tn),
-            ("maxnIL", args.maxnil),
-            ("MTN", args.mtn),
-            ("connected", args.connected),
-        )
-        if flag
+        (label, evaluate, needs_db)
+        for flag, label, _, evaluate, needs_db in _CHECKS
+        if getattr(args, flag[2:])
     ]
     if not wanted:
         raise TorlinkError("no predicate requested (try --nil)")
-    needs_db = {"toroidal", "TN", "MTN"}
-    db = _obstruction_db(args) if any(n in needs_db for n, _ in wanted) else None
-    evaluators = {
-        "nIL": is_nil,
-        "toroidal": lambda g: is_toroidal(g, db),
-        "TN": lambda g: is_tn(g, db),
-        "maxnIL": is_maxnil,
-        "MTN": lambda g: is_mtn(g, db),
-        "connected": Graph.is_connected,
-    }
+    db = _obstruction_db(args) if any(row[2] for row in wanted) else None
     all_true = True
     for i, g in enumerate(graphs, start=1):
         prefix = "" if len(graphs) == 1 else f"graph {i} "
-        for name, _ in wanted:
-            value = evaluators[name](g)
+        for label, evaluate, _ in wanted:
+            value = evaluate(g, db)
             all_true = all_true and value
-            out.write(f"{prefix}{name}: {str(value).lower()}\n")
+            out.write(f"{prefix}{label}: {str(value).lower()}\n")
     return PASS if all_true else FAIL
 
 
-def _cmd_petersen(args, out) -> int:
-    lines = [encode_graph6(g) for g in petersen_family()]
+def _write_report(args, out, lines) -> None:
+    """The report's lines to the --out file if one is given, else to out."""
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         out.write(text)
+
+
+def _cmd_petersen(args, out) -> int:
+    _write_report(args, out, [encode_graph6(g) for g in petersen_family()])
     return PASS
 
 
@@ -182,19 +191,12 @@ def _cmd_census_maxnil(args, out) -> int:
     graphs = census_maxnil(args.order)
     lines = [f"count: {len(graphs)}"]
     lines += [encode_graph6(g) for g in graphs]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        out.write(text)
+    _write_report(args, out, lines)
     return PASS
 
 
 def _cmd_mtn_census(args, out) -> int:
-    d = _data_dir(args)
-    if d is None:
-        raise TorlinkError("--data-dir (or TORLINK_DATA_DIR) is required")
-    ctx = load_search_context(d)
+    ctx = load_search_context(_required_data_dir(args))
     hits = extract_obstruction_set(ctx)
     sizes = ",".join(str(g.size) for g in hits.subgraphs)
     out.write(f"obstruction_subgraphs {len(hits.subgraphs)} sizes={sizes}\n")
@@ -221,9 +223,7 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_validate_data(args, out) -> int:
-    d = _data_dir(args)
-    if d is None:
-        raise TorlinkError("--data-dir (or TORLINK_DATA_DIR) is required")
+    d = _required_data_dir(args)
     # Load and validate everything before writing, so a rejected data
     # directory leaves stdout empty.
     ctx = None
@@ -278,12 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate predicates on graph6 input")
     p.add_argument("graph", help="graph6 string or path to a graph6 file")
-    p.add_argument("--nil", action="store_true", help="linkless-embeddable test")
-    p.add_argument("--toroidal", action="store_true")
-    p.add_argument("--tn", action="store_true", help="toroidal and nIL")
-    p.add_argument("--maxnil", action="store_true", help="maximally nIL")
-    p.add_argument("--mtn", action="store_true", help="maximally TN")
-    p.add_argument("--connected", action="store_true")
+    for flag, _, help_text, _, _ in _CHECKS:
+        p.add_argument(flag, action="store_true", help=help_text)
     add_data_dir(p)
     p.set_defaults(handler=_cmd_check)
 

@@ -33,6 +33,7 @@ import re
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
+from types import MappingProxyType
 
 from .canonical import canonical_form, canonical_graph
 from .containment import contains_any_minor
@@ -174,7 +175,8 @@ class ObstructionDB:
     Orders below 8 are implicitly empty. A query of order n needs every
     order 8..n present; ``max_supported_order`` is the largest such n.
     ``patterns`` holds every order's graphs, lowest order first, and
-    ``memo`` the minor-query cache that ``is_toroidal`` shares over them.
+    ``memo`` the minor-query cache that ``is_toroidal`` shares over them;
+    ``by_order`` is read-only, so nothing derived from it can drift.
     """
 
     def __init__(self, by_order: dict[int, tuple[Graph, ...]]):
@@ -188,7 +190,9 @@ class ObstructionDB:
                     raise DataValidationError(
                         f"order-{g.n} graph in the order-{k} obstruction set"
                     )
-        self.by_order = {k: tuple(v) for k, v in sorted(by_order.items())}
+        self.by_order = MappingProxyType(
+            {k: tuple(v) for k, v in sorted(by_order.items())}
+        )
         limit = SMALLEST_OBSTRUCTION_ORDER - 1
         while limit < MAX_ORDER and limit + 1 in self.by_order:
             limit += 1
@@ -254,7 +258,6 @@ def is_tn(g: Graph, db: ObstructionDB) -> bool:
 
 def is_mtn(g: Graph, db: ObstructionDB) -> bool:
     """TN, and every single-edge addition leaves the TN family."""
-    db.check_supported(g.n)
     if not is_tn(g, db):
         return False
     return all(not is_tn(g.add_edge(e), db) for e in g.non_edges())

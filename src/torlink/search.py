@@ -28,13 +28,14 @@ SEARCH_ORDER = 9
 DEFAULT_SIZE_FLOOR = 19
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SearchContext:
     """Partitioned order-9 maximal-nIL graphs plus the obstruction data
     backing toroidality queries. ``size_floor`` is the edge-count guard of
     the search (candidates must have strictly more edges). ``cache`` maps
     canonical forms of the states above the floor to search results for
-    the context's lifetime; states at or below it are never keyed."""
+    the context's lifetime; states at or below it are never keyed. The
+    context is frozen, so no field the cache was filled from can change."""
 
     toroidal_maxnil: tuple[Graph, ...]
     nontoroidal_maxnil: tuple[Graph, ...]
@@ -432,8 +433,11 @@ def census_maxnil(n: int) -> tuple[Graph, ...]:
 class CertificationEntry:
     graph: Graph
     embedding_name: str
-    linkless: bool
     witnesses: tuple
+
+    @property
+    def linkless(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
@@ -480,13 +484,5 @@ def certify_order(mtn_graphs, embeddings) -> CertificationReport:
             unmatched.append(g)
             continue
         name, diagram = named
-        witnesses = tuple(find_links(diagram))
-        entries.append(
-            CertificationEntry(
-                graph=g,
-                embedding_name=name,
-                linkless=not witnesses,
-                witnesses=witnesses,
-            )
-        )
+        entries.append(CertificationEntry(g, name, tuple(find_links(diagram))))
     return CertificationReport(tuple(entries), tuple(unmatched))

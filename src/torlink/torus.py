@@ -12,7 +12,7 @@ when they share a slope class with both components nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -32,18 +32,21 @@ class _CrossingError(ValueError):
 @dataclass(frozen=True)
 class TorusDiagram:
     """A graph plus its oriented boundary-crossing edge lists, stored as
-    tuples of (u, v) pairs."""
+    tuples of (u, v) pairs, and ``weights``, the packed crossing table
+    built from the lists (see CrossingMatrix, its entry view)."""
 
     graph: Graph
     up_list: tuple[tuple[int, int], ...]
     right_list: tuple[tuple[int, int], ...]
+    weights: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for attr in ("up_list", "right_list"):
-            pairs = tuple(tuple(p) for p in getattr(self, attr))
-            object.__setattr__(self, attr, pairs)
+        n = self.graph.n
         edges = set(self.graph.edges)
-        for name, pairs in (("up", self.up_list), ("right", self.right_list)):
+        rows = [[0] * n for _ in range(n)]
+        for name, step in (("up", _Q_SPAN), ("right", 1)):
+            pairs = tuple(tuple(p) for p in getattr(self, f"{name}_list"))
+            object.__setattr__(self, f"{name}_list", pairs)
             seen = set()
             for u, v in pairs:
                 key = (min(u, v), max(u, v))
@@ -56,6 +59,9 @@ class TorusDiagram:
                         name, f"edge ({u},{v}) crosses the {name} boundary twice"
                     )
                 seen.add(key)
+                rows[u - 1][v - 1] += step
+                rows[v - 1][u - 1] -= step
+        object.__setattr__(self, "weights", tuple(tuple(r) for r in rows))
 
 
 # Every crossing sum is the one int P * _Q_SPAN + Q. An edge crosses the
@@ -86,13 +92,7 @@ class CrossingMatrix:
 
 
 def crossing_matrix(d: TorusDiagram) -> CrossingMatrix:
-    n = d.graph.n
-    rows = [[0] * n for _ in range(n)]
-    for pairs, step in ((d.up_list, _Q_SPAN), (d.right_list, 1)):
-        for u, v in pairs:
-            rows[u - 1][v - 1] += step
-            rows[v - 1][u - 1] -= step
-    return CrossingMatrix(tuple(tuple(r) for r in rows))
+    return CrossingMatrix(d.weights)
 
 
 @dataclass(frozen=True)
@@ -144,15 +144,12 @@ class LinkWitness:
         return f"{a} {b} slope={self.slope}"
 
 
-def cycle_crossing_sums(
-    d: TorusDiagram, cycle: tuple[int, ...], m: CrossingMatrix | None = None
-) -> tuple[int, int]:
+def cycle_crossing_sums(d: TorusDiagram, cycle: tuple[int, ...]) -> tuple[int, int]:
     """Componentwise sum of crossing entries along the cycle traversal."""
     if not is_cycle_of(d.graph, tuple(cycle)):
         raise ValueError(f"{cycle!r} is not a cycle of the diagram's graph")
-    weights = (crossing_matrix(d) if m is None else m).weights
     steps = zip(cycle, cycle[1:] + cycle[:1])
-    return _unpack(sum(weights[u - 1][v - 1] for u, v in steps))
+    return _unpack(sum(d.weights[u - 1][v - 1] for u, v in steps))
 
 
 def cycle_slope(d: TorusDiagram, cycle: tuple[int, ...]) -> SlopeClass:
@@ -180,7 +177,7 @@ def _essential_cycles(
     slopes: dict[int, SlopeClass] = {}
     classes: dict[SlopeClass, SlopeClass] = {}
     essential = []
-    for cycle, total, mask in cycle_walk(d.graph, lo, hi, crossing_matrix(d).weights):
+    for cycle, total, mask in cycle_walk(d.graph, lo, hi, d.weights):
         if total:
             slope = slopes.get(total)
             if slope is None:

@@ -168,13 +168,13 @@ def test_criterion_5_slope_calculus_properties():
                 pv, qv = m.entry(v, u)
                 ok = ok and (pu, qu) == (-pv, -qv)
         for cyc in enumerate_cycles(d.graph, 3, n):
-            p, q = cycle_crossing_sums(d, cyc, m)
+            p, q = cycle_crossing_sums(d, cyc)
             k = len(cyc)
             rot = rng.randrange(k)
             rotated = cyc[rot:] + cyc[:rot]
-            ok = ok and cycle_crossing_sums(d, rotated, m) == (p, q)
+            ok = ok and cycle_crossing_sums(d, rotated) == (p, q)
             rev = tuple(reversed(cyc))
-            ok = ok and cycle_crossing_sums(d, rev, m) == (-p, -q)
+            ok = ok and cycle_crossing_sums(d, rev) == (-p, -q)
             ok = ok and cycle_slope(d, rev) == cycle_slope(d, cyc)
             cases += 1
     record_criterion(

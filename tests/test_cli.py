@@ -56,20 +56,43 @@ def test_check_nil_false_exit_one():
     assert text == "nIL: false\n"
 
 
+ALL_CHECKS_ON_K6_MINUS_E = [
+    "nIL: true",
+    "toroidal: true",
+    "TN: true",
+    "maxnIL: true",
+    "MTN: true",
+    "connected: true",
+]
+
+
 def test_check_multiple_predicates():
     status, text = invoke(
         ["check", "--nil", "--toroidal", "--tn", "--maxnil", "--mtn",
          "--connected", K6_MINUS_E_G6]
     )
     assert status == 0
-    assert text.splitlines() == [
-        "nIL: true",
-        "toroidal: true",
-        "TN: true",
-        "maxnIL: true",
-        "MTN: true",
-        "connected: true",
-    ]
+    assert text.splitlines() == ALL_CHECKS_ON_K6_MINUS_E
+
+
+def test_check_loads_no_database_unless_a_predicate_needs_one(
+    tmp_path, monkeypatch, capsys
+):
+    # A missing data directory is a usage error only once it is loaded, and
+    # only --toroidal, --tn and --mtn load it.
+    monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+    missing = str(tmp_path / "no_such_dir")
+    argv = ["check", "--nil", "--maxnil", "--connected", K6_MINUS_E_G6]
+    assert invoke(argv + ["--data-dir", missing]) == (
+        0, "nIL: true\nmaxnIL: true\nconnected: true\n"
+    )
+    # --help lists the predicate flags in the order check prints them.
+    with pytest.raises(SystemExit):
+        invoke(["check", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = re.findall(r"\[--([\w-]+)\]", usage)
+    labels = [line.split(":")[0].lower() for line in ALL_CHECKS_ON_K6_MINUS_E]
+    assert flags == labels
 
 
 def test_check_file_input(tmp_path):

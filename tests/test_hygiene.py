@@ -1,9 +1,9 @@
 """Hygiene of the package's modules: every imported name is used, no
 private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
-function is referenced somewhere; the package's __all__ is exactly what
-its __init__ imports; and every Graph, however it is made, has every slot
-set."""
+function is referenced somewhere; every dataclass is frozen; the
+package's __all__ is exactly what its __init__ imports; and every Graph,
+however it is made, has every slot set."""
 
 import ast
 import sys
@@ -138,6 +138,55 @@ def test_every_function_is_referenced():
         and node.name not in referenced
     ]
     assert not unreferenced, f"functions never referenced: {unreferenced}"
+
+
+def unfrozen_dataclasses(source: str) -> list[str]:
+    """`line: class` for each class of the source decorated with
+    `dataclass` or `dataclasses.dataclass` without `frozen=True`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name != "dataclass":
+                continue
+            frozen = call is not None and any(
+                kw.arg == "frozen"
+                and isinstance(kw.value, ast.Constant)
+                and kw.value.value is True
+                for kw in call.keywords
+            )
+            if not frozen:
+                found.append(f"{node.lineno}: {node.name}")
+    return found
+
+
+@each_module
+def test_every_dataclass_is_frozen(path):
+    # A derived field or memo is filled from the other fields once, so none
+    # of them may be reassigned afterwards.
+    unfrozen = unfrozen_dataclasses(path.read_text())
+    assert not unfrozen, f"{path.name} has dataclasses that are not frozen: {unfrozen}"
+
+
+def test_frozen_dataclass_check_catches_planted_classes():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class A: pass\n"
+        "@dataclass\n"
+        "class B: pass\n"
+        "@dataclass(eq=False)\n"
+        "class C: pass\n"
+        "@dataclass(frozen=False)\n"
+        "class D: pass\n"
+        "@dataclasses.dataclass\n"
+        "class E: pass\n"
+    )
+    assert unfrozen_dataclasses(source) == ["5: B", "7: C", "9: D", "11: E"]
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -340,6 +340,16 @@ def test_db_from_dir(tmp_path):
     assert len(db.by_order[8]) == 3
 
 
+def test_db_by_order_is_read_only():
+    # patterns, max_supported_order and memo are derived from by_order
+    # once, so by_order must not change under them.
+    db = ObstructionDB.builtin()
+    with pytest.raises(TypeError):
+        db.by_order[10] = ()
+    assert list(db.by_order) == [8]
+    assert db.patterns == db.by_order[8]
+
+
 def test_db_from_dir_checks_order8_agreement(tmp_path):
     (tmp_path / "obstructions_order8.g6").write_text(
         encode_graph6(complete_graph(8)) + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -33,7 +34,7 @@ from torlink import (
 from torlink.canonical import canonical_form, canonical_graph
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
-from torlink.search import _invariant, _levels, isomorphism_classes
+from torlink.search import CertificationEntry, _invariant, _levels, isomorphism_classes
 
 from bruteforce import brute_isomorphism_classes, random_graph
 from test_canonical import cube_graph
@@ -210,6 +211,16 @@ def test_search_at_workload_scale():
     assert facts <= set(text.splitlines())
     # One entry per distinct state above the floor that the search reached.
     assert len(ctx.cache) == 4441
+
+
+def test_context_fields_are_frozen():
+    # The cache is keyed on the floor and the database it was filled
+    # under, so neither may be swapped afterwards.
+    ctx = make_ctx()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.size_floor = 18
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.db = fake_db()
 
 
 def test_search_outputs_satisfy_guards():
@@ -568,17 +579,16 @@ def test_certify_bundled_embedding_passes():
     assert "overall=pass" in report.to_text()
 
 
+TWO_TRIANGLES = (
+    "order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2 4->5\nright 2->3 5->6\n"
+)
+
+
 def test_certify_flags_linked_embedding():
     g = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-    linked = find_links(
-        parse_embedding(
-            "order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2 4->5\nright 2->3 5->6\n"
-        )
-    )
+    linked = find_links(parse_embedding(TWO_TRIANGLES))
     assert linked
-    diagram = parse_embedding(
-        "order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2 4->5\nright 2->3 5->6\n"
-    )
+    diagram = parse_embedding(TWO_TRIANGLES)
     report = certify_order([g], [("two.emb", diagram)])
     assert not report.overall_pass
     assert not report.entries[0].linkless
@@ -591,6 +601,16 @@ def test_certify_flags_linked_embedding():
         "  link: [1 2 3] [4 5 6] slope=1/1\n"
         "overall=fail\n"
     )
+
+
+def test_certification_verdict_is_read_from_witnesses():
+    entry = CertificationEntry(k6_minus_e(), "k6_minus_e.emb", ())
+    assert entry.linkless
+    linked = find_links(parse_embedding(TWO_TRIANGLES))
+    assert not dataclasses.replace(entry, witnesses=tuple(linked)).linkless
+    assert [f.name for f in dataclasses.fields(CertificationEntry)] == [
+        "graph", "embedding_name", "witnesses"
+    ]
 
 
 def test_certify_empty_set_vacuous_pass():

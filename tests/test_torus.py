@@ -155,6 +155,16 @@ def test_diagram_is_a_hashable_frozen_value():
 # -- crossing matrix ----------------------------------------------------------
 
 
+def test_diagram_builds_its_crossing_table():
+    g = Graph(3, [(1, 2), (2, 3), (1, 3)])
+    d = TorusDiagram(g, [(1, 2)], [(2, 3)])
+    assert crossing_matrix(d).weights is d.weights
+    assert d.weights[0][1] == -d.weights[1][0] != 0
+    assert "weights" not in repr(d)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.weights = ()
+
+
 def test_empty_lists_zero_matrix():
     g = complete_graph(4)
     m = crossing_matrix(TorusDiagram(g, [], []))
@@ -204,7 +214,7 @@ def test_packed_sums_exact_at_the_order_bound():
         m = crossing_matrix(d)
         assert all(m.entry(u, v) == (sp, sq) for u, v in steps)
         assert all(m.entry(v, u) == (-sp, -sq) for u, v in steps)
-        assert cycle_crossing_sums(d, cycle, m) == (12 * sp, 12 * sq)
+        assert cycle_crossing_sums(d, cycle) == (12 * sp, 12 * sq)
         assert cycle_crossing_sums(d, cycle) == brute_crossing_sums(d, cycle)
         reverse = cycle[::-1]
         assert cycle_crossing_sums(d, reverse) == (-12 * sp, -12 * sq)
@@ -252,16 +262,15 @@ def test_slope_rotation_and_reflection_invariance_randomized():
         cycles = enumerate_cycles(d.graph, 3, d.graph.n)
         if not cycles:
             continue
-        m = crossing_matrix(d)
         for cyc in cycles:
-            p, q = cycle_crossing_sums(d, cyc, m)
+            p, q = cycle_crossing_sums(d, cyc)
             base = cycle_slope(d, cyc)
             k = len(cyc)
             rot = rng.randrange(k)
             rotated = cyc[rot:] + cyc[:rot]
-            assert cycle_crossing_sums(d, rotated, m) == (p, q)
+            assert cycle_crossing_sums(d, rotated) == (p, q)
             reversed_cyc = tuple(reversed(cyc))
-            assert cycle_crossing_sums(d, reversed_cyc, m) == (-p, -q)
+            assert cycle_crossing_sums(d, reversed_cyc) == (-p, -q)
             assert cycle_slope(d, rotated) == base
             assert cycle_slope(d, reversed_cyc) == base
             cases += 1
