@@ -21,18 +21,20 @@ neither which vertices group together nor the order of the subcells, and
 the partitions, labelings and keys are those of counting against every
 cell (``tests/bruteforce.py`` keeps that refinement as the reference).
 
-The search is depth-first and prunes with automorphisms (McKay and
-Piperno, Practical graph isomorphism II, 2014, section 3). Two leaves
-with the same adjacency bitstring give an automorphism of the graph.
-At a node reached by individualizing the vertices of ``path``, a child
-vertex is skipped when an automorphism fixing every vertex of ``path``
-maps an already explored sibling onto it; the orbits come from a
-union-find over the automorphisms found so far. Refinement and the
-choice of target cell are label-equivariant, so the skipped subtree is
-the image of an explored one under that automorphism and holds the same
-set of bitstrings. The minimum, and with it every key, is therefore the
-same as from visiting every leaf; ``tests/bruteforce.py`` keeps that
-exhaustive walk as the reference.
+The search is depth-first and prunes by backjumping (McKay and Piperno,
+Practical graph isomorphism II, 2014, section 3). Individualizing v puts
+(v,) first in its cell's positions and refinement splits cells in place,
+so an individualized vertex keeps its position down to the leaf. Two
+leaves with equal bitstrings give an automorphism gamma: best_order[i]
+-> order[i]. It fixes their common path prefix and, as both branch
+vertices start the same target cell, maps the best leaf's branch onto
+the current one. Refinement and the choice of target cell are
+label-equivariant as an ordered partition into sets, so the current
+branch holds the gamma-images of the leaves of that branch, which was
+finished or skipped by the same argument, with the same bitstrings and
+later in search order. So the search resumes at the common ancestor's
+next child, and every key and labeling is that of visiting every leaf;
+``tests/bruteforce.py`` keeps that exhaustive walk as the reference.
 
 Adequate for n <= 12; not a general-purpose canonizer.
 """
@@ -173,61 +175,40 @@ def _core_min_labeling(n: int, adj: tuple[int, ...]):
         return _leaf_key(n, adj, order), order
     best_key = None
     best_order: list[int] = []
-    # Automorphisms found as pairs of leaves with equal keys, each stored
-    # as a list mapping v to its image.
-    autos: list[list[int]] = []
+    best_path: list[int] = []
 
-    def search(cells: list[tuple[int, ...]], path: list[int]) -> None:
-        nonlocal best_key, best_order
+    def search(cells: list[tuple[int, ...]], path: list[int]) -> int:
+        """Visit the subtree at path; return the depth to resume at."""
+        nonlocal best_key, best_order, best_path
         target = -1
         target_len = n + 1
         for i, c in enumerate(cells):
             if 1 < len(c) < target_len:
                 target = i
                 target_len = len(c)
+        depth = len(path)
         if target < 0:
             order = [c[0] for c in cells]
             key = _leaf_key(n, adj, order)
             if best_key is None or key < best_key:
                 best_key = key
                 best_order = order
+                best_path = path
             elif key == best_key:
-                gamma = [0] * n
-                for b, o in zip(best_order, order):
-                    gamma[b] = o
-                autos.append(gamma)
-            return
+                # An automorphism: back to the two leaves' common ancestor.
+                k = 0
+                while path[k] == best_path[k]:
+                    k += 1
+                return k
+            return depth
         cell = cells[target]
-        # Orbits of the automorphisms found so far that fix path pointwise,
-        # as a union-find forest built once the first automorphism arrives.
-        parent: list[int] = []
-        used = 0
-        explored: list[int] = []
         for v in cell:
-            if used < len(autos):
-                if not parent:
-                    parent = list(range(n))
-                for gamma in autos[used:]:
-                    if all(gamma[p] == p for p in path):
-                        for w, x in enumerate(gamma):
-                            a, b = _find(parent, w), _find(parent, x)
-                            if a != b:
-                                parent[a] = b
-                used = len(autos)
-            if parent:
-                root_v = _find(parent, v)
-                if any(_find(parent, u) == root_v for u in explored):
-                    continue
-            explored.append(v)
             rest = tuple(w for w in cell if w != v)
             split = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            search(_refine(n, adj, split, [(v,), rest]), path + [v])
+            resume = search(_refine(n, adj, split, [(v,), rest]), path + [v])
+            if resume < depth:
+                return resume
+        return depth
 
     search(root, [])
     return best_key, best_order
-
-
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = v = parent[parent[v]]
-    return v

@@ -63,10 +63,12 @@ def decode_graph6(line: str) -> Graph:
 
 
 def read_graph6_file(path) -> list[Graph]:
-    """Parse a one-graph-per-line file; blank lines are skipped."""
+    """Parse a one-graph-per-line file; blank lines and the optional
+    ``>>graph6<<`` header that may open the file are skipped."""
     path = Path(path)
     graphs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    lines = path.read_text().removeprefix(">>graph6<<").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

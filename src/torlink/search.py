@@ -21,7 +21,7 @@ from .graph6 import encode_graph6, read_graph6_file
 from .graphs import Graph
 from .oracles import ObstructionDB, is_maxnil, is_mtn, is_nil, is_tn, is_toroidal
 from .containment import has_minor, is_subgraph_iso
-from .torus import TorusDiagram, find_links
+from .torus import TorusDiagram, verify_embedding
 
 MAXNIL_ORDER9_FILE = "maxnil_order9.g6"
 SEARCH_ORDER = 9
@@ -434,10 +434,18 @@ class CertificationEntry:
     graph: Graph
     embedding_name: str
     witnesses: tuple
+    warnings: tuple
 
     @property
     def linkless(self) -> bool:
         return not self.witnesses
+
+    @property
+    def verdict(self) -> str:
+        """INVALID when the diagram is not an embedding, else LINKED or ok."""
+        if self.warnings:
+            return "INVALID"
+        return "ok" if self.linkless else "LINKED"
 
 
 @dataclass(frozen=True)
@@ -447,16 +455,17 @@ class CertificationReport:
 
     @property
     def overall_pass(self) -> bool:
-        return not self.unmatched and all(e.linkless for e in self.entries)
+        return not self.unmatched and all(e.verdict == "ok" for e in self.entries)
 
     def to_text(self) -> str:
         lines = [f"certify graphs={len(self.entries) + len(self.unmatched)}"]
         for e in self.entries:
-            verdict = "ok" if e.linkless else "LINKED"
             lines.append(
                 f"graph {encode_graph6(e.graph)} embedding={e.embedding_name} "
-                f"linkless={str(e.linkless).lower()} -> {verdict}"
+                f"linkless={str(e.linkless).lower()} -> {e.verdict}"
             )
+            for w in e.warnings:
+                lines.append(f"  warning: {w}")
             for w in e.witnesses:
                 lines.append(f"  link: {w}")
         for g in self.unmatched:
@@ -467,7 +476,7 @@ class CertificationReport:
 
 def certify_order(mtn_graphs, embeddings) -> CertificationReport:
     """Match each graph to an embedding diagram of the same isomorphism
-    class and verify the diagram is linkless. embeddings holds
+    class and verify the diagram is a linkless embedding. embeddings holds
     (name, diagram) pairs; failures are report entries, never exceptions."""
     entries = []
     unmatched = []
@@ -484,5 +493,6 @@ def certify_order(mtn_graphs, embeddings) -> CertificationReport:
             unmatched.append(g)
             continue
         name, diagram = named
-        entries.append(CertificationEntry(g, name, tuple(find_links(diagram))))
+        warnings, links = verify_embedding(diagram)
+        entries.append(CertificationEntry(g, name, tuple(links), tuple(warnings)))
     return CertificationReport(tuple(entries), tuple(unmatched))

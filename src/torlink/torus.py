@@ -166,12 +166,12 @@ def _essential_cycles(
     Cycles of one slope class share one SlopeClass object, built once per
     distinct crossing sum, so slopes compare by identity.
     """
+    for name, bound in (("minimum", min_len), ("maximum", max_len)):
+        if bound is not None and bound < 3:
+            raise ValueError(f"invalid {name} cycle length {bound}; must be >= 3")
     n = d.graph.n
     lo = 3 if min_len is None else min_len
-    hi = n - 3 if max_len is None else max_len
-    if any(k is not None and k < 3 for k in (min_len, max_len)):
-        raise ValueError(f"invalid cycle length range [{lo}, {hi}]")
-    hi = min(hi, n)
+    hi = min(n - 3 if max_len is None else max_len, n)
     if hi < lo:
         return []
     slopes: dict[int, SlopeClass] = {}

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from torlink import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    decode_graph6,
     disjoint_union,
     is_isomorphic,
     path_graph,
@@ -185,6 +187,13 @@ SYMMETRIC = {
                          (3, 6), (3, 7), (3, 8), (4, 7), (4, 8), (4, 9), (5, 6),
                          (5, 7), (5, 9), (5, 10), (6, 8), (6, 10), (7, 8), (7, 10),
                          (8, 9), (9, 10)]),
+    # Backjumping short of the two leaves' common ancestor misses the
+    # minimum on these two.
+    "jump10a": decode_graph6("I@TPASe_?"),
+    "jump10b": decode_graph6("ITR?zO??G"),
+    # The inputs on which backjumping visits the most leaves.
+    "C4+C8": decode_graph6("Kl?GGC@?G?`@"),
+    "co-(C5+C7)": decode_graph6("KUZ~vz}~v~^]"),
 }
 
 
@@ -205,6 +214,59 @@ def test_canonical_form_matches_exhaustive_walk_on_random_graphs():
 def test_canonical_form_matches_exhaustive_walk_on_symmetric_graphs(name):
     g = SYMMETRIC[name]
     assert canonical_form(g) == brute_canonical_key(g)
+
+
+def circulant(n: int, jumps) -> Graph:
+    return Graph(n, {tuple(sorted((v % n + 1, (v + j) % n + 1)))
+                     for v in range(n) for j in jumps})
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, g.non_edges())
+
+
+def union(*parts: Graph) -> Graph:
+    out = parts[0]
+    for p in parts[1:]:
+        out = disjoint_union(out, p)
+    return out
+
+
+def worst_case_graphs() -> list[Graph]:
+    """Every circulant on 8..12 vertices (one per nonempty jump set) and
+    the symmetric unions 3K4, 4K3, 2K6, 6K2, 3C4, 2C6, C5+C7, C4+C8 with
+    their complements."""
+    graphs = [
+        circulant(n, [j for j in range(1, n // 2 + 1) if bits >> (j - 1) & 1])
+        for n in range(8, 13)
+        for bits in range(1, 1 << (n // 2))
+    ]
+    k, c = complete_graph, cycle_graph
+    unions = [
+        union(k(4), k(4), k(4)),
+        union(k(3), k(3), k(3), k(3)),
+        union(k(6), k(6)),
+        union(*[k(2)] * 6),
+        union(c(4), c(4), c(4)),
+        union(c(6), c(6)),
+        union(c(5), c(7)),
+        union(c(4), c(8)),
+    ]
+    return graphs + unions + [complement(g) for g in unions]
+
+
+def test_worst_case_sweep_relabeling_and_time():
+    rng = random.Random(37)
+    graphs = worst_case_graphs()
+    assert len(graphs) == 155 + 16
+    for g in graphs:
+        h = shuffled(g, rng)
+        start = time.perf_counter()
+        key, rep = canonical_form(g), canonical_graph(h)
+        elapsed = time.perf_counter() - start
+        assert canonical_form(h) == key
+        assert canonical_graph(g) == rep
+        assert elapsed < 0.25, (g.edges, elapsed)
 
 
 def test_refine_matches_full_signature_refinement():

@@ -474,6 +474,29 @@ def test_certify_fail_unmatched(tmp_path):
     assert "overall=fail" in text
 
 
+def test_certify_rejects_diagram_that_is_not_an_embedding(tmp_path):
+    g6file = tmp_path / "mtn.g6"
+    g6file.write_text("EJaG\n")
+    embdir = tmp_path / "embeddings"
+    embdir.mkdir()
+    emb = embdir / "clash.emb"
+    emb.write_text(
+        "order 6\nedges 1-2 2-3 1-3 4-5 5-6 4-6\nup 1->2\nright 4->5\n"
+    )
+    _, verified = invoke(["verify-embedding", str(emb)])
+    warning = verified.splitlines()[0]
+    assert warning.endswith("not a valid embedding")
+    assert invoke(
+        ["certify", "--mtn", str(g6file), "--embeddings", str(embdir)]
+    ) == (
+        1,
+        "certify graphs=1\n"
+        "graph EJaG embedding=clash.emb linkless=true -> INVALID\n"
+        f"  {warning}\n"
+        "overall=fail\n",
+    )
+
+
 def test_certify_missing_inputs_are_usage_errors(tmp_path, capsys):
     status, _ = invoke(
         ["certify", "--mtn", str(tmp_path / "no.g6"), "--embeddings", str(tmp_path)]
@@ -504,7 +527,7 @@ def test_certify_graph6_file_without_graphs_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: EMPTY.g6: no graphs\n"
 
 
-def test_find_links_bad_cycle_window(tmp_path):
+def test_find_links_bad_cycle_window(tmp_path, capsys):
     path = tmp_path / "d.emb"
     path.write_text(TWO_TRIANGLES_LINKED)
     status, _ = invoke(["find-links", str(path), "--min-cycle", "2"])
@@ -514,8 +537,15 @@ def test_find_links_bad_cycle_window(tmp_path):
     small = tmp_path / "small.emb"
     small.write_text("order 4\nedges 1-2 2-3 1-3 3-4\nup 1->2\nright 2->3\n")
     for emb in (path, small):
-        for flags in (["--min-cycle", "2"], ["--max-cycle", "2"]):
+        for flags, name in (
+            (["--min-cycle", "2"], "minimum"),
+            (["--max-cycle", "2"], "maximum"),
+        ):
+            capsys.readouterr()
             assert invoke(["find-links", str(emb), *flags]) == (2, ""), (emb, flags)
+            assert capsys.readouterr().err == (
+                f"error: invalid {name} cycle length 2; must be >= 3\n"
+            )
 
 
 def test_find_links_inverted_window_is_usage_error(tmp_path, capsys):

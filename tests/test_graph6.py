@@ -91,6 +91,21 @@ def test_read_graph6_file(tmp_path):
     assert read_graph6_file(path) == graphs
 
 
+def test_read_graph6_file_skips_header_on_first_line_only(tmp_path):
+    graphs = [complete_graph(5), complete_graph(4).delete_edge((1, 2))]
+    path = tmp_path / "h.g6"
+    path.write_bytes(
+        nx.to_graph6_bytes(to_nx(graphs[0]), header=True)
+        + nx.to_graph6_bytes(to_nx(graphs[1]), header=False)
+    )
+    assert path.read_text().startswith(">>graph6<<")
+    assert read_graph6_file(path) == graphs
+    g6 = [encode_graph6(g) for g in graphs]
+    path.write_text(f"{g6[0]}\n>>graph6<<{g6[1]}\n")
+    with pytest.raises(ParseError, match="line 2"):
+        read_graph6_file(path)
+
+
 def test_read_graph6_file_empty(tmp_path):
     path = tmp_path / "empty.g6"
     path.write_text("")

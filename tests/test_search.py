@@ -604,12 +604,16 @@ def test_certify_flags_linked_embedding():
 
 
 def test_certification_verdict_is_read_from_witnesses():
-    entry = CertificationEntry(k6_minus_e(), "k6_minus_e.emb", ())
-    assert entry.linkless
-    linked = find_links(parse_embedding(TWO_TRIANGLES))
-    assert not dataclasses.replace(entry, witnesses=tuple(linked)).linkless
+    entry = CertificationEntry(k6_minus_e(), "k6_minus_e.emb", (), ())
+    assert entry.linkless and entry.verdict == "ok"
+    linked = dataclasses.replace(
+        entry, witnesses=tuple(find_links(parse_embedding(TWO_TRIANGLES)))
+    )
+    assert not linked.linkless and linked.verdict == "LINKED"
+    invalid = dataclasses.replace(entry, warnings=("clash",))
+    assert invalid.linkless and invalid.verdict == "INVALID"
     assert [f.name for f in dataclasses.fields(CertificationEntry)] == [
-        "graph", "embedding_name", "witnesses"
+        "graph", "embedding_name", "witnesses", "warnings"
     ]
 
 
