@@ -170,9 +170,6 @@ def _core_min_labeling(n: int, adj: tuple[int, ...]):
     """Smallest adjacency key over refined labelings, with its vertex order."""
     unit = [tuple(range(n))]
     root = _refine(n, adj, unit, unit)
-    if len(root) == n:
-        order = [c[0] for c in root]
-        return _leaf_key(n, adj, order), order
     best_key = None
     best_order: list[int] = []
     best_path: list[int] = []

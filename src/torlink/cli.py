@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import TorlinkError
+from .errors import TorlinkError, UnsupportedOrderError
 from .graph6 import decode_graph6, encode_graph6, read_graph6_file
 from .graphs import Graph
 from .oracles import (
@@ -112,6 +112,14 @@ def _cmd_check(args, out) -> int:
     if not wanted:
         raise TorlinkError("no predicate requested (try --nil)")
     db = _obstruction_db(args) if any(row[2] for row in wanted) else None
+    if db is not None:
+        # Every order is checked before the first line is written.
+        for i, g in enumerate(graphs, start=1):
+            try:
+                db.check_supported(g.n)
+            except UnsupportedOrderError as exc:
+                where = "" if len(graphs) == 1 else f"graph {i}: "
+                raise type(exc)(f"{where}{exc}") from None
     all_true = True
     for i, g in enumerate(graphs, start=1):
         prefix = "" if len(graphs) == 1 else f"graph {i} "

@@ -60,8 +60,6 @@ def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
     hdeg = [m.bit_count() for m in hadj]
     if any(p > h for p, h in zip(pd, sorted(hdeg, reverse=True))):
         return False
-    if pn == 0:
-        return True
 
     deg_ok = [sum(1 << u for u in range(hn) if hdeg[u] >= d) for d in pdeg]
     images = [0] * pn
@@ -161,8 +159,6 @@ def contains_any_minor(
     memoized. The rule must be exact on every graph, since a wrong verdict
     would reach the memo through the states above it.
     """
-    if not patterns:
-        return False
     # fewest[k]: the fewest edges of any pattern with at most k vertices, or
     # more edges than g has when no pattern is that small. A minor has no
     # more vertices or edges than its host, so a state with k vertices and
@@ -188,7 +184,7 @@ def _contains_any(g, patterns, memo, fewest, settle) -> bool:
         return cached
     result = False
     for p in patterns:
-        if p.n <= g.n and p.size <= g.size and is_subgraph_iso(p, g):
+        if is_subgraph_iso(p, g):
             result = True
             break
     # Every reduction has one vertex fewer and no more edges.

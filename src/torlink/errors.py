@@ -14,10 +14,9 @@ class DataValidationError(TorlinkError):
 
 
 class ParseError(TorlinkError):
-    """A file could not be parsed; carries a line number when known."""
+    """A file could not be parsed; the message names the line when known."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line

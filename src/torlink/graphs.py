@@ -23,11 +23,11 @@ class Graph:
     new graph. Equality and hashing are on the labeled structure.
     """
 
-    # _canon, _size and _plan are caches, filled on first use by
-    # canonical_form, size and containment.is_subgraph_iso.
+    # _from_masks sets every slot. _canon, _size and _plan are caches,
+    # filled on first use by canonical_form, size and is_subgraph_iso.
     __slots__ = ("n", "_adj", "_canon", "_size", "_plan")
 
-    def __init__(self, n: int, edges: Iterable[EdgePair] = ()):
+    def __new__(cls, n: int, edges: Iterable[EdgePair] = ()):
         if not 0 <= n <= MAX_ORDER:
             raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {n}")
         adj = [0] * n
@@ -38,11 +38,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
             adj[u - 1] |= 1 << (v - 1)
             adj[v - 1] |= 1 << (u - 1)
-        self.n = n
-        self._adj = tuple(adj)
-        self._canon = None
-        self._size = None
-        self._plan = None
+        return cls._from_masks(adj)
 
     @classmethod
     def _from_masks(cls, masks: Iterable[int]) -> "Graph":
@@ -177,6 +173,10 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self._adj))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a graph by calling __new__ with these.
+        return self.n, self.edges
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {list(self.edges)!r})"

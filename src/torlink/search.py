@@ -41,7 +41,9 @@ class SearchContext:
     nontoroidal_maxnil: tuple[Graph, ...]
     db: ObstructionDB
     size_floor: int = DEFAULT_SIZE_FLOOR
-    cache: dict[bytes, frozenset[Graph]] = field(default_factory=dict, repr=False)
+    cache: dict[bytes, frozenset[Graph]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
 
 def classify_maxnil(maxnil_order9, db: ObstructionDB) -> SearchContext:
@@ -54,7 +56,9 @@ def classify_maxnil(maxnil_order9, db: ObstructionDB) -> SearchContext:
         )
     for i, g in enumerate(graphs, start=1):
         if g.n != SEARCH_ORDER:
-            raise DataValidationError(f"graph {i} has order {g.n}, expected 9")
+            raise DataValidationError(
+                f"graph {i} has order {g.n}, expected {SEARCH_ORDER}"
+            )
         if not is_maxnil(g):
             raise DataValidationError(f"graph {i} is not maximally nIL")
     reps = [canonical_graph(g) for g in graphs]
@@ -78,7 +82,13 @@ def load_search_context(data_dir) -> SearchContext:
     if not path.exists():
         raise DataValidationError(f"missing data file {path}")
     db = ObstructionDB.from_dir(data_dir)
-    return classify_maxnil(read_graph6_file(path), db)
+    graphs = read_graph6_file(path)
+    try:
+        return classify_maxnil(graphs, db)
+    except UnsupportedOrderError:
+        # Raised only past the maxnIL checks, by the first toroidality query.
+        missing = data_dir / f"obstructions_order{SEARCH_ORDER}.g6"
+        raise DataValidationError(f"missing data file {missing}") from None
 
 
 def mtn_search(g: Graph, ctx: SearchContext) -> frozenset[Graph]:
@@ -154,13 +164,13 @@ class ObstructionHits:
 
 def extract_obstruction_set(ctx: SearchContext) -> ObstructionHits:
     """All obstructions contained in some non-toroidal maxnIL graph."""
-    if 9 not in ctx.db.by_order:
+    if SEARCH_ORDER not in ctx.db.by_order:
         raise UnsupportedOrderError(
             "order-9 obstruction data is required to extract the embedded set"
         )
     subgraphs = {
         canonical_graph(obs)
-        for obs in ctx.db.by_order[9]
+        for obs in ctx.db.by_order[SEARCH_ORDER]
         if any(is_subgraph_iso(obs, host) for host in ctx.nontoroidal_maxnil)
     }
     order8 = {

@@ -105,6 +105,25 @@ def test_check_file_input(tmp_path):
     assert text.splitlines() == ["graph 1 nIL: true", "graph 2 nIL: false"]
 
 
+def test_check_rejects_an_unsupported_order_before_writing(
+    tmp_path, monkeypatch, capsys
+):
+    # Every order is checked against the database before the first line,
+    # and in a file of several graphs the error names the graph by the
+    # index stdout uses.
+    monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+    path = tmp_path / "graphs.g6"
+    path.write_text("G~zf^g\nH~^edb~\n")
+    assert invoke(["check", "--toroidal", str(path)]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: graph 2: order 9 exceeds the database's supported maximum 8\n"
+    )
+    assert invoke(["check", "--toroidal", "H~^edb~"]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: order 9 exceeds the database's supported maximum 8\n"
+    )
+
+
 def test_check_requires_predicate():
     status, _ = invoke(["check", K6_MINUS_E_G6])
     assert status == 2
@@ -603,6 +622,33 @@ def test_validate_data_rejects_isomorphic_maxnil_graphs(tmp_path, monkeypatch, c
         assert status == 2
         assert text == ""
         assert capsys.readouterr().err == "error: graphs 1 and 2 are isomorphic\n"
+
+
+# The 20 order-9 maxnIL graphs, as `census-maxnil 9` prints them.
+MAXNIL_ORDER9 = (
+    "Hsa}~^v Hse}v^v Hsm}mvn Hsm}nNz Htm}]nZ Hsfd}~n HtnC~^v HsnVF~} Htqu\\~^ "
+    "Htq}~Zr H}rMnfn H}rVUzn H}ve]vf H~zfNVs HHT{~Nz HHU^F~} HJ]\\]^v HJ`|}~n "
+    "H`]u~^{ Hjeh}vf"
+).split()
+
+
+def test_maxnil_order9_list_is_the_census():
+    text = "\n".join(["count: 20", *MAXNIL_ORDER9]) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_SHA[9]
+
+
+def test_data_dir_without_order9_obstructions_names_the_file(
+    tmp_path, monkeypatch, capsys
+):
+    # The maxnIL graphs pass their checks; toroidality then needs the
+    # order-9 obstruction file, and the error names it.
+    monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+    (tmp_path / "maxnil_order9.g6").write_text("\n".join(MAXNIL_ORDER9) + "\n")
+    missing = tmp_path / "obstructions_order9.g6"
+    for command in ("validate-data", "mtn-census"):
+        capsys.readouterr()
+        assert invoke([command, "--data-dir", str(tmp_path)]) == (2, "")
+        assert capsys.readouterr().err == f"error: missing data file {missing}\n"
 
 
 def test_readme_cli_block_lists_every_subcommand_and_option():

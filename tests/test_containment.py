@@ -247,3 +247,17 @@ def test_minor_via_contraction_not_subgraph():
 def test_empty_pattern_minors():
     assert has_minor(complete_graph(3), Graph(2))
     assert not has_minor(complete_graph(3), Graph(4))
+
+
+@pytest.mark.parametrize(
+    "g", [Graph(0), complete_graph(3), petersen_graph()], ids=["empty", "K3", "P"]
+)
+def test_no_pattern_is_no_minor_and_memoizes_nothing(g):
+    memo: dict[bytes, bool] = {}
+    assert not contains_any_minor(g, (), memo)
+    assert memo == {}
+
+
+@pytest.mark.parametrize("host", [Graph(0), complete_graph(3)], ids=["empty", "K3"])
+def test_empty_pattern_is_a_subgraph_of_every_host(host):
+    assert is_subgraph_iso(Graph(0), host)

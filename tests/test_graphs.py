@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -32,6 +34,13 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(1, 4)])
     with pytest.raises(ValueError):
         Graph(13)
+
+
+def test_copy_and_pickle_give_equal_graphs():
+    g = complete_bipartite(3, 4)
+    assert g.size == 12
+    for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h == g and h.size == 12 and h.edges == g.edges
 
 
 def test_duplicate_edges_collapse():

@@ -1,9 +1,10 @@
 """Hygiene of the package's modules: every imported name is used, no
 private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
-function is referenced somewhere; every dataclass is frozen; the
-package's __all__ is exactly what its __init__ imports; and every Graph,
-however it is made, has every slot set."""
+function is referenced somewhere; every dataclass is frozen; every
+attribute a class stores is read; the package's __all__ is exactly what
+its __init__ imports; and every Graph, however it is made, has every slot
+set."""
 
 import ast
 import sys
@@ -140,6 +141,12 @@ def test_every_function_is_referenced():
     assert not unreferenced, f"functions never referenced: {unreferenced}"
 
 
+def is_dataclass_decorator(dec: ast.expr) -> bool:
+    """True for `dataclass` or `dataclasses.dataclass`, called or not."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass"
+
+
 def unfrozen_dataclasses(source: str) -> list[str]:
     """`line: class` for each class of the source decorated with
     `dataclass` or `dataclasses.dataclass` without `frozen=True`."""
@@ -148,11 +155,9 @@ def unfrozen_dataclasses(source: str) -> list[str]:
         if not isinstance(node, ast.ClassDef):
             continue
         for dec in node.decorator_list:
-            call = dec if isinstance(dec, ast.Call) else None
-            target = call.func if call else dec
-            name = getattr(target, "id", None) or getattr(target, "attr", None)
-            if name != "dataclass":
+            if not is_dataclass_decorator(dec):
                 continue
+            call = dec if isinstance(dec, ast.Call) else None
             frozen = call is not None and any(
                 kw.arg == "frozen"
                 and isinstance(kw.value, ast.Constant)
@@ -189,6 +194,80 @@ def test_frozen_dataclass_check_catches_planted_classes():
     assert unfrozen_dataclasses(source) == ["5: B", "7: C", "9: D", "11: E"]
 
 
+def unread_state(sources: dict[str, str]) -> list[str]:
+    """`file:line: Class.name` for each attribute that a class of the
+    sources stores and that no source reads as `.name`. A class stores a
+    dataclass field, an attribute assigned in its body (`self.x = ...`,
+    `g.x = ...`) and the name given to `object.__setattr__(obj, "x", ...)`."""
+    stored = set()
+    read = set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(map(is_dataclass_decorator, node.decorator_list)):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(
+                        stmt.target, ast.Name
+                    ):
+                        stored.add((file, stmt.lineno, node.name, stmt.target.id))
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Attribute) and isinstance(
+                    inner.ctx, ast.Store
+                ):
+                    stored.add((file, inner.lineno, node.name, inner.attr))
+                elif (
+                    isinstance(inner, ast.Call)
+                    and getattr(inner.func, "attr", None) == "__setattr__"
+                    and len(inner.args) >= 2
+                    and isinstance(inner.args[1], ast.Constant)
+                ):
+                    stored.add((file, inner.lineno, node.name, inner.args[1].value))
+    return [
+        f"{file}:{line}: {cls}.{name}"
+        for file, line, cls, name in sorted(stored)
+        if name not in read
+    ]
+
+
+def test_every_stored_attribute_is_read():
+    # State that nothing reads is dead weight on every instance and one
+    # more thing a constructor must keep right.
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    unread = unread_state(sources)
+    assert not unread, f"attributes stored but never read: {unread}"
+
+
+def test_unread_state_check_catches_planted_classes():
+    source = (
+        "from dataclasses import dataclass, field\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    kept: int\n"
+        "    dropped: int = field(default=0)\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'memo', {})\n"
+        "class B:\n"
+        "    def __init__(self, a):\n"
+        "        self.used = a.kept\n"
+        "        self.unused = a.used\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        g = object.__new__(cls)\n"
+        "        g.slot = None\n"
+        "        return g\n"
+    )
+    assert unread_state({"m.py": source}) == [
+        "m.py:5: A.dropped",
+        "m.py:7: A.memo",
+        "m.py:11: B.unused",
+        "m.py:15: B.slot",
+    ]
+
+
 def test_all_lists_exactly_the_imported_names():
     # A name dropped from the imports but left in __all__ fails only on
     # `from torlink import *`.
@@ -206,8 +285,7 @@ def test_all_lists_exactly_the_imported_names():
 
 
 def test_every_constructor_sets_every_graph_slot():
-    # _from_masks skips __init__, so a slot it forgets fails only when it
-    # is first read.
+    # A slot that _from_masks forgets fails only when it is first read.
     g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
     made = {
         "Graph": g,

@@ -221,6 +221,10 @@ def test_context_fields_are_frozen():
         ctx.size_floor = 18
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.db = fake_db()
+    # Nor can a filled cache be handed in: the search alone fills it.
+    with pytest.raises(TypeError):
+        SearchContext((), (), fake_db(), 19, {})
+    assert ctx.cache == {}
 
 
 def test_search_outputs_satisfy_guards():
