@@ -25,7 +25,10 @@ class Graph:
 
     # _from_masks sets every slot. _canon, _size and _plan are caches,
     # filled on first use by canonical_form, size and is_subgraph_iso.
-    __slots__ = ("n", "_adj", "_canon", "_size", "_plan")
+    # _apex is is_apex's witness: the 0-based vertex whose deletion leaves
+    # a planar graph, or -1 when there is none; isomorphism_classes also
+    # fills it on children whose witness follows from the parent's.
+    __slots__ = ("n", "_adj", "_canon", "_size", "_plan", "_apex")
 
     def __new__(cls, n: int, edges: Iterable[EdgePair] = ()):
         if not 0 <= n <= MAX_ORDER:
@@ -48,6 +51,7 @@ class Graph:
         g._canon = None
         g._size = None
         g._plan = None
+        g._apex = None
         return g
 
     # -- basic queries ----------------------------------------------------

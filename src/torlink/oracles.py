@@ -140,7 +140,9 @@ def is_maxnil(g: Graph) -> bool:
     not maxnIL. At the bound G is nIL, and each G + e has 4n - 9 edges,
     which for n >= 6 gives a K6 minor by Mader's bound; for n = 4 and 5
     the bound is n(n - 1)/2, so G is complete and has no G + e to test.
-    K3 (n = 3) takes the general path.
+    K3 (n = 3) takes the general path. `is_apex` answers from g's apex
+    witness when one is there, as on the barren classes of
+    `census_maxnil` that its `is_nil` call tested for apex.
     """
     if g.n >= 4 and is_apex(g):
         return g.size == 4 * g.n - 10

@@ -35,21 +35,26 @@ def is_apex(g: Graph) -> bool:
 
     Vertices are tried by decreasing degree, and the search stops at the
     first whose deletion leaves more edges than Euler's bound allows, since
-    every later deletion leaves at least as many.
+    every later deletion leaves at least as many. The outcome is kept on g
+    as its witness (see `Graph`): the vertex found, or -1 for none. A
+    witness already there is the answer.
     """
     n = g.n
     if n == 0:
         return True
-    adj = g._adj
-    m = sum(a.bit_count() for a in adj) // 2
-    full = (1 << n) - 1
-    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
-        if n > 3 and m - adj[v].bit_count() > 3 * (n - 1) - 6:
-            break
-        bit = 1 << v
-        if _planar([a & ~bit for a in adj], full & ~bit):
-            return True
-    return False
+    if g._apex is None:
+        g._apex = -1
+        adj = g._adj
+        m = sum(a.bit_count() for a in adj) // 2
+        full = (1 << n) - 1
+        for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
+            if n > 3 and m - adj[v].bit_count() > 3 * (n - 1) - 6:
+                break
+            bit = 1 << v
+            if _planar([a & ~bit for a in adj], full & ~bit):
+                g._apex = v
+                break
+    return g._apex >= 0
 
 
 def _planar(adj: list[int], alive: int) -> bool:

@@ -295,6 +295,30 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     in the argument above H - e is a subgraph of H, so if keep accepts H
     it accepted the class of H - e, and P was extended.
 
+    Not every non-edge of a parent P is tried; automorphisms of P already
+    decide which of its children are isomorphic (McKay's observation).
+    Two vertices are twins when their neighbourhoods agree apart from each
+    other. Twinhood is an equivalence (see `containment`), and swapping
+    two twins is an automorphism of P. Between two twin classes P has
+    every possible edge or none, and within one class every pair or none,
+    so the non-edges between two classes, and those within one class, each
+    form one orbit of the twin swaps. Only one non-edge per orbit is
+    tried: the first members of the two classes, or the first two members
+    of the class. An automorphism phi of P that maps e to e' is an
+    isomorphism from P + e to P + e' that maps e to e', and f is an
+    isomorphism invariant, so e is a top edge of P + e iff e' is one of
+    P + e'. A skipped child is therefore isomorphic to a tried one with
+    the same parent and passes the filter with it: no class is lost, and
+    no parent's fertility changes.
+
+    A parent also hands down its apex witness (see `Graph`), which
+    `keep=is_nil` leaves on each class it accepts with as many edges as a
+    Petersen-family graph (it settles sparser ones by size alone), so the
+    child's `keep` needs no apex test. If P - a is planar and e has a as an end, then
+    (P + e) - a = P - a, and a is an apex vertex of the child. If P is not
+    apex, then (P + e) - w contains the non-planar P - w for every w, and
+    the child is not apex either.
+
     The kept children of a level are grouped by `_invariant`, and only a
     group that holds two or more of them is deduplicated by canonical
     form. The invariant is an isomorphism invariant, so isomorphic
@@ -318,7 +342,8 @@ def _levels(n: int, keep):
 
     `keep` runs once per class, on its representative. When a class
     passes, the parent of each of its top-edge children becomes fertile,
-    not only the parent of the representative.
+    not only the parent of the representative. A barren class is that
+    representative, with the apex witness its `keep` call left on it.
     """
     level = [Graph(n)]
     if keep is not None and not keep(level[0]):
@@ -328,25 +353,8 @@ def _levels(n: int, keep):
         # Children grouped by invariant, each with its parent's index.
         groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
         for i, g in enumerate(level):
-            adj = g._adj
-            deg = [m.bit_count() for m in adj]
-            # The child's top edge needs an endpoint of degree at least the
-            # parent's maximum, so one endpoint must have degree >= low.
-            low = max(deg, default=0) - 1
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if adj[u] >> v & 1 or deg[u] < low and deg[v] < low:
-                        continue
-                    masks = list(adj)
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-                    child_deg = deg.copy()
-                    child_deg[u] += 1
-                    child_deg[v] += 1
-                    if _is_top_edge(masks, child_deg, u, v):
-                        groups.setdefault(
-                            _invariant(masks, child_deg), []
-                        ).append((Graph._from_masks(masks), i))
+            for key, child in _top_children(g):
+                groups.setdefault(key, []).append((child, i))
         fertile = [False] * len(level)
         nxt = []
         for group in groups.values():
@@ -367,6 +375,57 @@ def _levels(n: int, keep):
                     nxt.append(rep)
         yield nxt, [g for g, f in zip(level, fertile) if not f]
         level = nxt
+
+
+def _top_children(g: Graph):
+    """(invariant, child) for the top-edge children g + e of
+    `isomorphism_classes`, with e drawn from one non-edge per orbit of the
+    twin swaps of g, and with the child's apex witness filled when g's
+    decides it."""
+    n = g.n
+    adj = g._adj
+    deg = [m.bit_count() for m in adj]
+    # The child's top edge needs an endpoint of degree at least the
+    # parent's maximum, so one endpoint must have degree >= low.
+    low = max(deg, default=0) - 1
+    # partners[u]: the ends v > u tried with u. The first vertex of each
+    # twin class is tried with the first of every later class and with the
+    # second of its own; every other vertex with none. paired marks the
+    # first vertices whose class already has a second.
+    partners = [0] * n
+    heads: list[int] = []
+    paired = 0
+    for v in range(n):
+        for h in heads:
+            if adj[h] & ~(1 << v) == adj[v] & ~(1 << h):
+                if not paired >> h & 1:
+                    paired |= 1 << h
+                    partners[h] |= 1 << v
+                break
+        else:
+            for h in heads:
+                partners[h] |= 1 << v
+            heads.append(v)
+    apex = g._apex
+    for u in range(n):
+        rest = partners[u] & ~adj[u]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            if deg[u] < low and deg[v] < low:
+                continue
+            masks = list(adj)
+            masks[u] |= bit
+            masks[v] |= 1 << u
+            child_deg = deg.copy()
+            child_deg[u] += 1
+            child_deg[v] += 1
+            if _is_top_edge(masks, child_deg, u, v):
+                child = Graph._from_masks(masks)
+                if apex is not None and (apex < 0 or apex == u or apex == v):
+                    child._apex = apex
+                yield _invariant(masks, child_deg), child
 
 
 def _invariant(masks: list[int], deg: list[int]) -> tuple[int, ...]:
@@ -417,10 +476,11 @@ def census_maxnil(n: int) -> tuple[Graph, ...]:
     """All maximally-nIL graphs of order n up to isomorphism (3 <= n <= 9).
 
     The levels of the nIL classes are walked with `keep=is_nil`, and only
-    the barren ones are tested with `is_maxnil`. That is exact: a maxnIL
-    graph has no nIL one-edge extension, so none of its top-edge children
-    passes and its class is barren. Order 8 has 11,667 nIL classes, 5,097
-    of them barren; order 9 has 227,041 and 100,170.
+    the barren ones are tested with `is_maxnil`, whose apex test reads the
+    witness that `is_nil` left on the class, if any. That is exact: a
+    maxnIL graph has no nIL one-edge extension, so none of its top-edge
+    children passes and its class is barren. Order 8 has 11,667 nIL
+    classes, 5,097 of them barren; order 9 has 227,041 and 100,170.
     """
     if not 3 <= n <= 9:
         raise UnsupportedOrderError(

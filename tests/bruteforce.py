@@ -10,7 +10,7 @@ tiny orders.
 """
 
 from itertools import combinations, permutations
-from math import gcd
+from math import factorial, gcd
 
 import networkx as nx
 
@@ -122,6 +122,53 @@ def brute_isomorphism_classes(n: int) -> list[Graph]:
         out.extend(nxt.values())
         level = nxt
     return out
+
+
+def polya_graph_counts(n: int) -> list[int]:
+    """The number of order-n graphs with m edges up to isomorphism, for
+    m = 0 .. n(n - 1)/2, from the cycle index of S_n acting on vertex
+    pairs (Harary and Palmer, *Graphical Enumeration*, 1973, ch. 4).
+
+    By Burnside's lemma the count is the average, over all permutations,
+    of the edge sets they fix. A permutation fixes exactly the unions of
+    its cycles on pairs, so it contributes the product of (1 + x^len) over
+    those cycles, and the cycles depend only on its cycle type. A k-cycle
+    moves its own pairs in (k - 1) // 2 cycles of length k, plus one of
+    length k/2 when k is even; a k-cycle and an l-cycle move the pairs
+    between them in gcd(k, l) cycles of length lcm(k, l).
+    """
+    pairs = n * (n - 1) // 2
+    total = [0] * (pairs + 1)
+    for parts in _partitions(n, n):
+        lengths = []
+        for i, k in enumerate(parts):
+            lengths += [k] * ((k - 1) // 2)
+            if k % 2 == 0:
+                lengths.append(k // 2)
+            for l in parts[i + 1 :]:
+                lengths += [k * l // gcd(k, l)] * gcd(k, l)
+        poly = [1] + [0] * pairs
+        for c in lengths:
+            for m in range(pairs, c - 1, -1):
+                poly[m] += poly[m - c]
+        # n! / z permutations have this cycle type, z = prod k^c_k c_k!.
+        z = 1
+        for k in set(parts):
+            c = parts.count(k)
+            z *= k**c * factorial(c)
+        for m, fixed in enumerate(poly):
+            total[m] += factorial(n) // z * fixed
+    return [t // factorial(n) for t in total]
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n into parts of at most `largest`, largest first."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k, *rest]
 
 
 def brute_subgraph_iso(pattern: Graph, host: Graph) -> bool:

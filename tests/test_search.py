@@ -1,8 +1,10 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+import torlink.planarity
 import torlink.search
 from torlink import (
     Graph,
@@ -20,6 +22,7 @@ from torlink import (
     extract_obstruction_set,
     find_all_mtn_order9,
     find_links,
+    is_apex,
     is_isomorphic,
     is_maxnil,
     is_mtn,
@@ -34,9 +37,15 @@ from torlink import (
 from torlink.canonical import canonical_form, canonical_graph
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
-from torlink.search import CertificationEntry, _invariant, _levels, isomorphism_classes
+from torlink.search import (
+    CertificationEntry,
+    _invariant,
+    _levels,
+    _top_children,
+    isomorphism_classes,
+)
 
-from bruteforce import brute_isomorphism_classes, random_graph
+from bruteforce import brute_isomorphism_classes, polya_graph_counts, random_graph
 from test_canonical import cube_graph
 from test_torus import FIXTURE
 
@@ -396,6 +405,15 @@ def test_isomorphism_classes_match_bruteforce():
         assert sizes == sorted(sizes)
 
 
+def test_isomorphism_class_levels_match_polya_counts(order8_classes):
+    # An oracle that shares nothing with the generator: every level's
+    # class count is the Polya count of graphs by order and size.
+    for n in range(9):
+        classes = order8_classes if n == 8 else isomorphism_classes(n)
+        sizes = Counter(g.size for g in classes)
+        assert [sizes[m] for m in range(n * (n - 1) // 2 + 1)] == polya_graph_counts(n)
+
+
 def invariant_of(g: Graph) -> tuple[int, ...]:
     return _invariant(list(g._adj), [m.bit_count() for m in g._adj])
 
@@ -443,7 +461,7 @@ def test_cube_and_wagner_share_a_group_and_both_survive(order8_classes):
 def test_grouping_canonizes_only_shared_invariants(monkeypatch):
     # A group of two or more children is the only place isomorphism_classes
     # canonizes, and the brute-force match above runs it at every order from
-    # 3. At these orders no two classes share an invariant; the first such
+    # 4. At these orders no two classes share an invariant; the first such
     # pairs, the cube and the Wagner graph among them, have order 8.
     calls = []
 
@@ -452,7 +470,7 @@ def test_grouping_canonizes_only_shared_invariants(monkeypatch):
         return canonical_form(g)
 
     monkeypatch.setattr(torlink.search, "canonical_form", recorder)
-    for n in range(3, 8):
+    for n in range(4, 8):
         calls.clear()
         classes = isomorphism_classes(n)
         assert calls
@@ -462,7 +480,8 @@ def test_grouping_canonizes_only_shared_invariants(monkeypatch):
 
 def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     # Canonizing every top-edge child made 1,896 calls here; grouping the
-    # children by the invariant makes 1,273.
+    # children by the invariant made 1,273, and trying one non-edge per
+    # twin orbit makes 842.
     calls = []
 
     def recorder(g):
@@ -471,7 +490,7 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
 
     monkeypatch.setattr(torlink.search, "canonical_form", recorder)
     assert len(isomorphism_classes(7)) == 1044
-    assert len(calls) <= 1300
+    assert len(calls) <= 850
 
 
 @pytest.mark.parametrize("keep", [is_nil, is_planar])
@@ -512,6 +531,69 @@ def test_every_maxnil_class_is_barren():
         # whose added edge is not a top edge.
         if n >= 5:
             assert len(barren_keys) > len(maxnil)
+
+
+def apex_witness_holds(g: Graph) -> bool:
+    """g's apex witness, checked from scratch."""
+    if g._apex >= 0:
+        return is_planar(g.delete_vertex(g._apex + 1))
+    return not any(is_planar(g.delete_vertex(w)) for w in range(1, g.n + 1))
+
+
+def test_inherited_apex_witnesses_hold():
+    # A child whose new edge touches its parent's apex vertex inherits it,
+    # and a child of a non-apex parent inherits that. keep sees each class
+    # representative, IL ones included, with the witness it inherited.
+    # Relabeled copies of every graph keep saw move the apex vertex and the
+    # twin classes to other labels, and all their top-edge children are
+    # checked too; the IL copies are the non-apex parents.
+    rng = random.Random(2113)
+    seen = []
+    inherited = []
+
+    def keep(g):
+        seen.append(g)
+        if g._apex is not None:
+            inherited.append(g)
+        return is_nil(g)
+
+    for n in range(1, 8):
+        seen.clear()
+        for _ in _levels(n, keep):
+            pass
+        for g in seen:
+            for _ in range(2):
+                labels = list(range(1, n + 1))
+                rng.shuffle(labels)
+                h = g.relabel(dict(zip(range(1, n + 1), labels)))
+                is_apex(h)
+                inherited += [c for _, c in _top_children(h) if c._apex is not None]
+    assert all(apex_witness_holds(g) for g in inherited)
+    kinds = Counter(g._apex >= 0 for g in inherited)
+    assert kinds[True] > 1000 and kinds[False] > 10
+
+
+def test_is_maxnil_reads_the_witness_keep_left(monkeypatch):
+    # keep=is_nil runs the apex test on every class it accepts that has as
+    # many edges as a Petersen-family graph, and leaves its witness there,
+    # so is_maxnil on such a barren class needs no planarity test at all.
+    # Sparser classes are settled by the size bound alone and carry none.
+    # Every order-7 nIL class is apex.
+    barren = [g for _, level_barren in _levels(7, is_nil) for g in level_barren]
+    witnessed = [g for g in barren if g._apex is not None]
+    assert all(g.size < 15 for g in barren if g._apex is None)
+    assert witnessed and all(g._apex >= 0 for g in witnessed)
+    calls = []
+    planar = torlink.planarity._planar
+
+    def counted(adj, alive):
+        calls.append(alive)
+        return planar(adj, alive)
+
+    monkeypatch.setattr(torlink.planarity, "_planar", counted)
+    verdicts = Counter(is_maxnil(g) for g in witnessed)
+    assert not calls
+    assert verdicts[True] == len(census_maxnil(7))
 
 
 @pytest.mark.slow
