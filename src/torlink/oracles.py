@@ -143,7 +143,14 @@ def is_maxnil(g: Graph) -> bool:
     K3 (n = 3) takes the general path. `is_apex` answers from g's apex
     witness when one is there, as on the barren classes of
     `census_maxnil` that its `is_nil` call tested for apex.
+
+    A graph with a non-edge e whose size + 1 is below the fewest edges of
+    any Petersen-family graph is not maxnIL, with no apex test: g + e has
+    too few edges for a Petersen-family minor, so it is nIL.
     """
+    fewest = min(p.size for p in petersen_family())
+    if g.size + 1 < fewest and g.size < g.n * (g.n - 1) // 2:
+        return False
     if g.n >= 4 and is_apex(g):
         return g.size == 4 * g.n - 10
     if not is_nil(g):

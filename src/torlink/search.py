@@ -279,15 +279,20 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     edge. A child g + e is kept only if e is a top edge of it: f(e) >=
     f(e') for every edge e' of g + e, ties included, where f(a, b) =
     (larger endpoint degree, smaller endpoint degree, number of common
-    neighbours of a and b), compared lexicographically (McKay, *Isomorph-free
-    exhaustive generation*, J. Algorithms 1998, uses the same
-    canonical-deletion idea).
+    neighbours of a and b, larger entry of a and b, smaller entry),
+    compared lexicographically (McKay, *Isomorph-free exhaustive
+    generation*, J. Algorithms 1998, uses the same canonical-deletion idea,
+    with any isomorphism-invariant f). A vertex's entry is its part of the
+    invariant below (`_entries`). The first three parts decide most
+    children; the entries only break their ties, and the finer f is, the
+    fewer parents reach each class, so the fewer children are canonized.
 
     The filter loses no class. Take a class of size m + 1, a member H and
     an edge e of H that maximizes f. H - e is isomorphic, by some map phi,
     to a representative P of level m (by induction over the levels). Then
-    P + phi(e) is isomorphic to H, and since f is an isomorphism invariant,
-    phi(e) maximizes f in P + phi(e), so that child passes the filter.
+    P + phi(e) is isomorphic to H, and since f, entries included, is an
+    isomorphism invariant, phi(e) maximizes f in P + phi(e), so that child
+    passes the filter.
 
     `keep`, if given, must be an isomorphism invariant and closed under
     subgraphs: a graph it accepts has every subgraph accepted. A class it
@@ -307,9 +312,10 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     of the class. An automorphism phi of P that maps e to e' is an
     isomorphism from P + e to P + e' that maps e to e', and f is an
     isomorphism invariant, so e is a top edge of P + e iff e' is one of
-    P + e'. A skipped child is therefore isomorphic to a tried one with
-    the same parent and passes the filter with it: no class is lost, and
-    no parent's fertility changes.
+    P + e', under the first three parts of f and under all of it alike.
+    A skipped child is therefore isomorphic to a tried one with the same
+    parent and passes the filter with it: no class is lost, and no
+    parent's fertility changes.
 
     A parent also hands down its apex witness (see `Graph`), which
     `keep=is_nil` leaves on each class it accepts with as many edges as a
@@ -319,9 +325,10 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     apex, then (P + e) - w contains the non-planar P - w for every w, and
     the child is not apex either.
 
-    The kept children of a level are grouped by `_invariant`, and only a
-    group that holds two or more of them is deduplicated by canonical
-    form. The invariant is an isomorphism invariant, so isomorphic
+    The kept children of a level are grouped by `_invariant`, the sorted
+    entries that the tie-break already computed, and only a group that
+    holds two or more of them is deduplicated by canonical form. The
+    invariant is an isomorphism invariant, so isomorphic
     children always share a group: a child alone in its group is
     isomorphic to no other child and is a new class without being
     canonized, and children in different groups are never isomorphic.
@@ -337,51 +344,89 @@ def _levels(n: int, keep):
     """Walk the levels of `isomorphism_classes(n, keep)`, yielding for each
     edge count m the pair (classes with m edges, barren classes with
     m - 1 edges); the last pair holds no classes. A class is barren when
-    none of its top-edge children passed `keep`. Only two levels are held
-    at a time.
+    none of its children g + e passes `keep` whose e is a top edge under
+    the first three parts of f (degrees and common neighbours), ties
+    included. The entries choose which children are grouped, not which
+    classes are barren. Only two levels are held at a time.
 
-    `keep` runs once per class, on its representative. When a class
-    passes, the parent of each of its top-edge children becomes fertile,
-    not only the parent of the representative. A barren class is that
-    representative, with the apex witness its `keep` call left on it.
+    `keep` runs once per class, on its representative, which is a member
+    with an inherited apex witness when the class has one. A barren class
+    is that representative, with the apex witness its `keep` call left on
+    it.
     """
     level = [Graph(n)]
     if keep is not None and not keep(level[0]):
         level = []
     yield level, []
     while level:
-        # Children grouped by invariant, each with its parent's index.
-        groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
-        for i, g in enumerate(level):
-            for key, child in _top_children(g):
-                groups.setdefault(key, []).append((child, i))
-        fertile = [False] * len(level)
-        nxt = []
-        for group in groups.values():
-            if len(group) > 1:
-                by_form: dict[bytes, list[tuple[Graph, int]]] = {}
-                for child in group:
-                    by_form.setdefault(canonical_form(child[0]), []).append(
-                        child
-                    )
-                classes = by_form.values()
-            else:
-                classes = (group,)
-            for members in classes:
-                rep = members[-1][0]
-                if keep is None or keep(rep):
-                    for _, i in members:
-                        fertile[i] = True
-                    nxt.append(rep)
+        nxt, fertile = _next_level(level, keep)
         yield nxt, [g for g, f in zip(level, fertile) if not f]
         level = nxt
 
 
+def _next_level(level: list[Graph], keep) -> tuple[list[Graph], list[bool]]:
+    """The classes with one edge more than those of `level`, and for each
+    class of `level` whether it is fertile, the opposite of barren in
+    `_levels`.
+
+    When a class passes `keep`, the parent of each of its top-edge
+    children becomes fertile, not only the parent of the representative.
+    A spare child c of a parent P (one that ties on the three-part f and
+    loses on the entries) is neither grouped nor canonized. After the
+    classes are decided, a P that is still not fertile becomes fertile
+    when some spare c has the invariant of a kept class and passes
+    `keep`. That is exact: if keep accepts c, it accepts the deletion of
+    c's top edge, so c's class was generated and kept, and a c whose
+    invariant no kept class has is not accepted. The level's groups and
+    keys die with this call, before `_levels` yields.
+    """
+    # Top-edge children grouped by invariant, and the spare children, each
+    # with its parent's index.
+    groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
+    spares: list[tuple[Graph, int]] = []
+    for i, g in enumerate(level):
+        for key, child in _top_children(g):
+            if key is None:
+                spares.append((child, i))
+            else:
+                groups.setdefault(key, []).append((child, i))
+    fertile = [False] * len(level)
+    kept: set[tuple[int, ...]] = set()
+    nxt = []
+    for key, group in groups.items():
+        if len(group) > 1:
+            by_form: dict[bytes, list[tuple[Graph, int]]] = {}
+            for child in group:
+                by_form.setdefault(canonical_form(child[0]), []).append(child)
+            classes = by_form.values()
+        else:
+            classes = (group,)
+        for members in classes:
+            rep = next(
+                (c for c, _ in members if c._apex is not None), members[-1][0]
+            )
+            if keep is None or keep(rep):
+                for _, i in members:
+                    fertile[i] = True
+                nxt.append(rep)
+                kept.add(key)
+    for child, i in spares:
+        if (
+            not fertile[i]
+            and _invariant(child._adj) in kept
+            and (keep is None or keep(child))
+        ):
+            fertile[i] = True
+    return nxt, fertile
+
+
 def _top_children(g: Graph):
-    """(invariant, child) for the top-edge children g + e of
-    `isomorphism_classes`, with e drawn from one non-edge per orbit of the
-    twin swaps of g, and with the child's apex witness filled when g's
-    decides it."""
+    """(key, child) for the children g + e of `isomorphism_classes` whose e
+    is a top edge under the three-part f, with e drawn from one non-edge
+    per orbit of the twin swaps of g, and with the child's apex witness
+    filled when g's decides it. key is the child's invariant when e is a
+    top edge under the whole f, and None when e loses on the entries (a
+    spare child)."""
     n = g.n
     adj = g._adj
     deg = [m.bit_count() for m in adj]
@@ -421,21 +466,65 @@ def _top_children(g: Graph):
             child_deg = deg.copy()
             child_deg[u] += 1
             child_deg[v] += 1
-            if _is_top_edge(masks, child_deg, u, v):
-                child = Graph._from_masks(masks)
-                if apex is not None and (apex < 0 or apex == u or apex == v):
-                    child._apex = apex
-                yield _invariant(masks, child_deg), child
+            ties = _ties(masks, child_deg, u, v)
+            if ties is None:
+                continue
+            # The ends' (larger, smaller) entry breaks the ties, packed as
+            # larger << 20 | smaller (entries are below 2**20).
+            entries = _entries(masks, child_deg)
+            eu, ev = entries[u], entries[v]
+            mine = max(eu, ev) << 20 | min(eu, ev)
+            key = None
+            for a, b in ties:
+                ea, eb = entries[a], entries[b]
+                if max(ea, eb) << 20 | min(ea, eb) > mine:
+                    break
+            else:
+                entries.sort()
+                key = tuple(entries)
+            child = Graph._from_masks(masks)
+            if apex is not None and (apex < 0 or apex == u or apex == v):
+                child._apex = apex
+            yield key, child
 
 
-def _invariant(masks: list[int], deg: list[int]) -> tuple[int, ...]:
-    """Isomorphism invariant of the graph with these 0-based adjacency
-    masks and vertex degrees: the sorted tuple, over vertices v, of
-    (deg v, sum of the degrees of v's neighbours, sum over neighbours w of
-    |N(v) & N(w)|), packed as deg << 16 | degree sum << 8 | common sum.
-    The packing is exact for n <= 12: degrees are below 16 and both sums
-    at most 11 * 11 < 256. Packed or not, each entry is a function of its
-    vertex's triple, so the tuple is an isomorphism invariant for any n."""
+def _ties(masks: list[int], deg: list[int], u: int, v: int):
+    """The head of f, (larger endpoint degree, smaller endpoint degree,
+    common neighbours), for edge (u, v) of the graph with these 0-based
+    adjacency masks and vertex degrees: None when some edge has a larger
+    head, else the edges (a, b), a of the maximum degree, whose head
+    equals it, (u, v) itself among them."""
+    hi = max(deg)
+    if max(deg[u], deg[v]) < hi:
+        return None
+    # The head packed as lo << 4 | common (both < 16 for n <= 12); hi is
+    # fixed.
+    mine = min(deg[u], deg[v]) << 4 | (masks[u] & masks[v]).bit_count()
+    ties = []
+    for a, mask in enumerate(masks):
+        if deg[a] != hi:
+            continue
+        rest = mask
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            head = deg[b] << 4 | (mask & masks[b]).bit_count()
+            if head > mine:
+                return None
+            if head == mine:
+                ties.append((a, b))
+            rest ^= low
+    return ties
+
+
+def _entries(masks, deg: list[int]) -> list[int]:
+    """The entry of each vertex v of the graph with these 0-based adjacency
+    masks and vertex degrees: (deg v, sum of the degrees of v's
+    neighbours, sum over neighbours w of |N(v) & N(w)|), packed as
+    deg << 16 | degree sum << 8 | common sum. The packing is exact for
+    n <= 12: degrees are below 16 and both sums at most 11 * 11 < 256.
+    Packed or not, an entry is a function of its vertex's triple, so it is
+    an isomorphism invariant of the vertex for any n."""
     out = []
     for mask, d in zip(masks, deg):
         s = 0
@@ -446,30 +535,13 @@ def _invariant(masks: list[int], deg: list[int]) -> tuple[int, ...]:
             s += deg[w] << 8 | (mask & masks[w]).bit_count()
             rest ^= low
         out.append(d << 16 | s)
-    out.sort()
-    return tuple(out)
+    return out
 
 
-def _is_top_edge(masks: list[int], deg: list[int], u: int, v: int) -> bool:
-    """True iff edge (u, v) of the graph with these 0-based adjacency masks
-    and vertex degrees maximizes f of `isomorphism_classes` over all its
-    edges."""
-    hi = max(deg)
-    if max(deg[u], deg[v]) < hi:
-        return False
-    # f packed as lo << 4 | common (both < 16 for n <= 12); hi is fixed.
-    mine = min(deg[u], deg[v]) << 4 | (masks[u] & masks[v]).bit_count()
-    for a, mask in enumerate(masks):
-        if deg[a] != hi:
-            continue
-        rest = mask
-        while rest:
-            low = rest & -rest
-            b = low.bit_length() - 1
-            if deg[b] << 4 | (mask & masks[b]).bit_count() > mine:
-                return False
-            rest ^= low
-    return True
+def _invariant(masks) -> tuple[int, ...]:
+    """The invariant that groups the children of a level: the sorted
+    entries of the graph with these 0-based adjacency masks."""
+    return tuple(sorted(_entries(masks, [m.bit_count() for m in masks])))
 
 
 def census_maxnil(n: int) -> tuple[Graph, ...]:

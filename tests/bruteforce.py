@@ -124,6 +124,23 @@ def brute_isomorphism_classes(n: int) -> list[Graph]:
     return out
 
 
+def brute_fertile(g: Graph, keep) -> bool:
+    """Whether some non-edge e of g, every one tried, gives a child g + e
+    that keep accepts and in which e maximizes (larger endpoint degree,
+    smaller endpoint degree, common neighbours) over all edges."""
+
+    def head(h: Graph, a: int, b: int) -> tuple[int, int, int]:
+        da, db = len(h.neighbors(a)), len(h.neighbors(b))
+        common = len(set(h.neighbors(a)) & set(h.neighbors(b)))
+        return (max(da, db), min(da, db), common)
+
+    for e in g.non_edges():
+        h = g.add_edge(e)
+        if keep(h) and head(h, *e) == max(head(h, a, b) for a, b in h.edges):
+            return True
+    return False
+
+
 def polya_graph_counts(n: int) -> list[int]:
     """The number of order-n graphs with m edges up to isomorphism, for
     m = 0 .. n(n - 1)/2, from the cycle index of S_n acting on vertex

@@ -112,6 +112,58 @@ MUTANTS = (
             "tests/test_search.py::test_isomorphism_classes_match_bruteforce",
         ),
     ),
+    Mutant(
+        "top-edge-tie-break-drops-ties",
+        "search.py",
+        (
+            (
+                "if max(ea, eb) << 20 | min(ea, eb) > mine:",
+                "if max(ea, eb) << 20 | min(ea, eb) >= mine:",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_isomorphism_class_counts",
+            "tests/test_search.py::test_isomorphism_class_levels_match_polya_counts",
+        ),
+    ),
+    Mutant(
+        "fertility-without-spare-children",
+        "search.py",
+        (("and _invariant(child._adj) in kept", "and False"),),
+        (
+            "tests/test_search.py::test_barren_counts_orders_6_and_7",
+            "tests/test_search.py::test_barren_classes_match_bruteforce_fertility",
+        ),
+    ),
+    Mutant(
+        "sparse-maxnil-rule-off-by-one",
+        "oracles.py",
+        (
+            (
+                "if g.size + 1 < fewest and g.size < g.n * (g.n - 1) // 2:",
+                "if g.size + 1 <= fewest and g.size < g.n * (g.n - 1) // 2:",
+            ),
+        ),
+        ("tests/test_cli.py::test_census_maxnil_stdout_is_pinned[6]",),
+    ),
+    Mutant(
+        "three-part-tie-rejected",
+        "search.py",
+        (("if head > mine:", "if head >= mine:"),),
+        (
+            "tests/test_search.py::test_isomorphism_class_counts",
+            "tests/test_search.py::test_isomorphism_class_levels_match_polya_counts",
+        ),
+    ),
+    Mutant(
+        "entry-packing-shift",
+        "search.py",
+        (("out.append(d << 16 | s)", "out.append(d << 12 | s)"),),
+        (
+            "tests/test_search.py::"
+            "test_invariant_survives_relabeling_and_packs_exactly",
+        ),
+    ),
 )
 
 

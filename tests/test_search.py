@@ -39,13 +39,19 @@ from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
 from torlink.search import (
     CertificationEntry,
+    _entries,
     _invariant,
     _levels,
     _top_children,
     isomorphism_classes,
 )
 
-from bruteforce import brute_isomorphism_classes, polya_graph_counts, random_graph
+from bruteforce import (
+    brute_fertile,
+    brute_isomorphism_classes,
+    polya_graph_counts,
+    random_graph,
+)
 from test_canonical import cube_graph
 from test_torus import FIXTURE
 
@@ -415,7 +421,7 @@ def test_isomorphism_class_levels_match_polya_counts(order8_classes):
 
 
 def invariant_of(g: Graph) -> tuple[int, ...]:
-    return _invariant(list(g._adj), [m.bit_count() for m in g._adj])
+    return _invariant(g._adj)
 
 
 def wagner_graph() -> Graph:
@@ -432,16 +438,19 @@ def test_invariant_survives_relabeling_and_packs_exactly():
     graphs += [complete_graph(12), complete_bipartite(1, 11)]
     for g in graphs:
         expected = invariant_of(g)
-        # Unpacked, the invariant is the sorted per-vertex triples.
-        triples = sorted(
+        # Unpacked, each vertex's entry is its triple, and the invariant is
+        # the sorted entries.
+        triples = [
             (
                 len(g.neighbors(v)),
                 sum(len(g.neighbors(w)) for w in g.neighbors(v)),
                 sum(len(set(g.neighbors(v)) & set(g.neighbors(w))) for w in g.neighbors(v)),
             )
             for v in range(1, g.n + 1)
-        )
-        assert [(x >> 16, x >> 8 & 255, x & 255) for x in expected] == triples
+        ]
+        entries = _entries(g._adj, [m.bit_count() for m in g._adj])
+        assert [(x >> 16, x >> 8 & 255, x & 255) for x in entries] == triples
+        assert expected == tuple(sorted(entries))
         for _ in range(3):
             labels = list(range(1, g.n + 1))
             rng.shuffle(labels)
@@ -480,8 +489,8 @@ def test_grouping_canonizes_only_shared_invariants(monkeypatch):
 
 def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     # Canonizing every top-edge child made 1,896 calls here; grouping the
-    # children by the invariant made 1,273, and trying one non-edge per
-    # twin orbit makes 842.
+    # children by the invariant made 1,273, trying one non-edge per twin
+    # orbit made 842, and breaking top-edge ties by the entries makes 556.
     calls = []
 
     def recorder(g):
@@ -490,7 +499,7 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
 
     monkeypatch.setattr(torlink.search, "canonical_form", recorder)
     assert len(isomorphism_classes(7)) == 1044
-    assert len(calls) <= 850
+    assert len(calls) <= 560
 
 
 @pytest.mark.parametrize("keep", [is_nil, is_planar])
@@ -531,6 +540,27 @@ def test_every_maxnil_class_is_barren():
         # whose added edge is not a top edge.
         if n >= 5:
             assert len(barren_keys) > len(maxnil)
+
+
+def test_barren_classes_match_bruteforce_fertility():
+    # A class is barren iff no non-edge, every one tried, gives a nIL child
+    # whose new edge is a top edge under the three-part f. Spare children,
+    # which lose on the entries, are never grouped, so only the fallback
+    # over them keeps the barren sets exact.
+    for n in range(1, 8):
+        barren = set()
+        classes = []
+        for level, level_barren in _levels(n, is_nil):
+            classes += level
+            barren |= {canonical_form(g) for g in level_barren}
+        assert barren == {
+            canonical_form(g) for g in classes if not brute_fertile(g, is_nil)
+        }
+
+
+def test_barren_counts_orders_6_and_7():
+    assert len(nil_walk(6)[1]) == 65
+    assert len(nil_walk(7)[1]) == 448
 
 
 def apex_witness_holds(g: Graph) -> bool:
@@ -594,6 +624,26 @@ def test_is_maxnil_reads_the_witness_keep_left(monkeypatch):
     verdicts = Counter(is_maxnil(g) for g in witnessed)
     assert not calls
     assert verdicts[True] == len(census_maxnil(7))
+
+
+def test_is_maxnil_decides_sparse_graphs_by_size(monkeypatch):
+    # A graph with a non-edge and fewer than 14 edges has a one-edge
+    # extension below the 15 edges of every Petersen-family graph, which
+    # is nIL, so is_maxnil rejects it with no planarity test, even on the
+    # sparse barren classes that carry no apex witness.
+    barren = [g for _, level_barren in _levels(7, is_nil) for g in level_barren]
+    sparse = [g for g in barren if g.size < 14]
+    assert any(g._apex is None for g in sparse)
+    calls = []
+    planar = torlink.planarity._planar
+
+    def counted(adj, alive):
+        calls.append(alive)
+        return planar(adj, alive)
+
+    monkeypatch.setattr(torlink.planarity, "_planar", counted)
+    assert not any(is_maxnil(g) for g in sparse)
+    assert not calls
 
 
 @pytest.mark.slow
