@@ -78,18 +78,24 @@ class Graph:
         return self._size
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adj[u - 1] >> (v - 1) & 1)
+        """True iff u and v are vertices joined by an edge, so False when
+        either is outside 1..n."""
+        n = self.n
+        return 1 <= u <= n and 1 <= v <= n and self._adj[u - 1] >> (v - 1) & 1 == 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v} out of range")
         m = self._adj[v - 1]
         return tuple(i + 1 for i in range(self.n) if m >> i & 1)
 
     def non_edges(self) -> tuple[EdgePair, ...]:
         """Vertex pairs not joined by an edge, in lexicographic order."""
+        adj = self._adj
         return tuple(
-            (u, v)
-            for u, v in combinations(range(1, self.n + 1), 2)
-            if not self.has_edge(u, v)
+            (u + 1, v + 1)
+            for u, v in combinations(range(self.n), 2)
+            if not adj[u] >> v & 1
         )
 
     # -- mutation-style operations (value semantics) ----------------------
@@ -109,7 +115,7 @@ class Graph:
     def delete_edge(self, e: EdgePair) -> "Graph":
         """New graph with edge e removed; e must be present."""
         u, v = e
-        if not (1 <= u <= self.n and 1 <= v <= self.n) or not self.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) not present")
         masks = list(self._adj)
         masks[u - 1] &= ~(1 << (v - 1))
@@ -123,7 +129,7 @@ class Graph:
         vertices are relabeled to 1..n-1 preserving their order.
         """
         u, v = e
-        if not (1 <= u <= self.n and 1 <= v <= self.n) or not self.has_edge(u, v):
+        if not self.has_edge(u, v):
             raise ValueError(f"edge ({u},{v}) not present")
         keep, gone = (u - 1, v - 1) if u < v else (v - 1, u - 1)
         masks = list(self._adj)
@@ -312,7 +318,5 @@ def is_cycle_of(g: Graph, vertices: tuple[int, ...]) -> bool:
     """True iff the vertex tuple traces a simple cycle of g."""
     k = len(vertices)
     if k < 3 or len(set(vertices)) != k:
-        return False
-    if not all(1 <= v <= g.n for v in vertices):
         return False
     return all(g.has_edge(vertices[i], vertices[(i + 1) % k]) for i in range(k))

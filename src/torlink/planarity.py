@@ -43,7 +43,9 @@ def is_apex(g: Graph) -> bool:
     if n == 0:
         return True
     if g._apex is None:
-        g._apex = -1
+        # Set once, when decided, so a concurrent call never reads a
+        # provisional witness.
+        apex = -1
         adj = g._adj
         m = sum(a.bit_count() for a in adj) // 2
         full = (1 << n) - 1
@@ -52,8 +54,9 @@ def is_apex(g: Graph) -> bool:
                 break
             bit = 1 << v
             if _planar([a & ~bit for a in adj], full & ~bit):
-                g._apex = v
+                apex = v
                 break
+        g._apex = apex
     return g._apex >= 0
 
 

@@ -282,8 +282,8 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     neighbours of a and b, larger entry of a and b, smaller entry),
     compared lexicographically (McKay, *Isomorph-free exhaustive
     generation*, J. Algorithms 1998, uses the same canonical-deletion idea,
-    with any isomorphism-invariant f). A vertex's entry is its part of the
-    invariant below (`_entries`). The first three parts decide most
+    with any isomorphism-invariant f). A vertex's entry is the packed
+    triple of `_entries`. The first three parts decide most
     children; the entries only break their ties, and the finer f is, the
     fewer parents reach each class, so the fewer children are canonized.
 
@@ -325,10 +325,10 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     apex, then (P + e) - w contains the non-planar P - w for every w, and
     the child is not apex either.
 
-    The kept children of a level are grouped by `_invariant`, the sorted
-    entries that the tie-break already computed, and only a group that
-    holds two or more of them is deduplicated by canonical form. The
-    invariant is an isomorphism invariant, so isomorphic
+    The kept children of a level are grouped by the sorted entries that
+    the tie-break already computed, and only a group that holds two or
+    more of them is deduplicated by canonical form. The sorted entries are
+    an isomorphism invariant, so isomorphic
     children always share a group: a child alone in its group is
     isomorphic to no other child and is a new class without being
     canonized, and children in different groups are never isomorphic.
@@ -346,8 +346,9 @@ def _levels(n: int, keep):
     m - 1 edges); the last pair holds no classes. A class is barren when
     none of its children g + e passes `keep` whose e is a top edge under
     the first three parts of f (degrees and common neighbours), ties
-    included. The entries choose which children are grouped, not which
-    classes are barren. Only two levels are held at a time.
+    included. The entries choose which children are grouped, and the
+    group key is the sorted entries, but neither decides which classes are
+    barren. Only two levels are held at a time.
 
     `keep` runs once per class, on its representative, which is a member
     with an inherited apex witness when the class has one. A barren class
@@ -374,22 +375,22 @@ def _next_level(level: list[Graph], keep) -> tuple[list[Graph], list[bool]]:
     A spare child c of a parent P (one that ties on the three-part f and
     loses on the entries) is neither grouped nor canonized. After the
     classes are decided, a P that is still not fertile becomes fertile
-    when some spare c has the invariant of a kept class and passes
+    when some spare c has the sorted entries of a kept class and passes
     `keep`. That is exact: if keep accepts c, it accepts the deletion of
     c's top edge, so c's class was generated and kept, and a c whose
-    invariant no kept class has is not accepted. The level's groups and
+    sorted entries no kept class has is not accepted. The level's groups and
     keys die with this call, before `_levels` yields.
     """
-    # Top-edge children grouped by invariant, and the spare children, each
-    # with its parent's index.
+    # Top-edge children grouped by key, and the spare children with their
+    # keys, each with its parent's index.
     groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
-    spares: list[tuple[Graph, int]] = []
+    spares: list[tuple[tuple[int, ...], Graph, int]] = []
     for i, g in enumerate(level):
-        for key, child in _top_children(g):
-            if key is None:
-                spares.append((child, i))
-            else:
+        for key, top, child in _top_children(g):
+            if top:
                 groups.setdefault(key, []).append((child, i))
+            else:
+                spares.append((key, child, i))
     fertile = [False] * len(level)
     kept: set[tuple[int, ...]] = set()
     nxt = []
@@ -410,23 +411,19 @@ def _next_level(level: list[Graph], keep) -> tuple[list[Graph], list[bool]]:
                     fertile[i] = True
                 nxt.append(rep)
                 kept.add(key)
-    for child, i in spares:
-        if (
-            not fertile[i]
-            and _invariant(child._adj) in kept
-            and (keep is None or keep(child))
-        ):
+    for key, child, i in spares:
+        if not fertile[i] and key in kept and (keep is None or keep(child)):
             fertile[i] = True
     return nxt, fertile
 
 
 def _top_children(g: Graph):
-    """(key, child) for the children g + e of `isomorphism_classes` whose e
-    is a top edge under the three-part f, with e drawn from one non-edge
-    per orbit of the twin swaps of g, and with the child's apex witness
-    filled when g's decides it. key is the child's invariant when e is a
-    top edge under the whole f, and None when e loses on the entries (a
-    spare child)."""
+    """(key, top, child) for the children g + e of `isomorphism_classes`
+    whose e is a top edge under the three-part f, with e drawn from one
+    non-edge per orbit of the twin swaps of g, and with the child's apex
+    witness filled when g's decides it. key is the child's sorted entries;
+    top is True when e is a top edge under the whole f, and False when e
+    loses on the entries (a spare child)."""
     n = g.n
     adj = g._adj
     deg = [m.bit_count() for m in adj]
@@ -474,18 +471,16 @@ def _top_children(g: Graph):
             entries = _entries(masks, child_deg)
             eu, ev = entries[u], entries[v]
             mine = max(eu, ev) << 20 | min(eu, ev)
-            key = None
-            for a, b in ties:
-                ea, eb = entries[a], entries[b]
-                if max(ea, eb) << 20 | min(ea, eb) > mine:
-                    break
-            else:
-                entries.sort()
-                key = tuple(entries)
+            top = all(
+                max(entries[a], entries[b]) << 20 | min(entries[a], entries[b])
+                <= mine
+                for a, b in ties
+            )
+            entries.sort()
             child = Graph._from_masks(masks)
             if apex is not None and (apex < 0 or apex == u or apex == v):
                 child._apex = apex
-            yield key, child
+            yield tuple(entries), top, child
 
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):
@@ -493,10 +488,9 @@ def _ties(masks: list[int], deg: list[int], u: int, v: int):
     common neighbours), for edge (u, v) of the graph with these 0-based
     adjacency masks and vertex degrees: None when some edge has a larger
     head, else the edges (a, b), a of the maximum degree, whose head
-    equals it, (u, v) itself among them."""
+    equals it, (u, v) itself among them. An end of (u, v) must have the
+    graph's maximum degree; `_top_children` tries no other edge."""
     hi = max(deg)
-    if max(deg[u], deg[v]) < hi:
-        return None
     # The head packed as lo << 4 | common (both < 16 for n <= 12); hi is
     # fixed.
     mine = min(deg[u], deg[v]) << 4 | (masks[u] & masks[v]).bit_count()
@@ -536,12 +530,6 @@ def _entries(masks, deg: list[int]) -> list[int]:
             rest ^= low
         out.append(d << 16 | s)
     return out
-
-
-def _invariant(masks) -> tuple[int, ...]:
-    """The invariant that groups the children of a level: the sorted
-    entries of the graph with these 0-based adjacency masks."""
-    return tuple(sorted(_entries(masks, [m.bit_count() for m in masks])))
 
 
 def census_maxnil(n: int) -> tuple[Graph, ...]:

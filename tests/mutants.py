@@ -2,20 +2,24 @@
 
 Each mutant is a small edit of one file under src/: a list of (exact
 source line, replacement) pairs, plus the test node ids expected to kill
-it. For each one the script copies src/, tests/, data/ and the project
-files into a temporary directory, makes the edit there, runs only the
-named tests against the copy, and prints `killed` when some of them fail
-or `survived` when they all pass. A source line is matched with its
-indentation stripped and must occur exactly once in its file, so an entry
-whose line has changed is an error, not a quiet survivor. The replacement
-keeps the line's indentation.
+it. The script copies src/, tests/, data/ and the project files into a
+temporary directory and first runs each distinct set of killers there,
+unmutated: a set that already fails would count every mutant as killed,
+so it is reported as `BROKEN` and nothing more runs. Then, for each
+mutant, it makes the edit in a fresh copy, runs only the named tests
+against it, and prints `killed` when some of them fail or `survived` when
+they all pass. A source line is matched with its indentation stripped and
+must occur exactly once in its file, so an entry whose line has changed
+is an error, not a quiet survivor; `tests/test_mutants.py` checks that in
+tier-1. The replacement keeps the line's indentation.
 
 Run from anywhere, with the names of the mutants to try (default: all):
 
     python3 tests/mutants.py [NAME ...]
 
 The exit status is 0 when every mutant's outcome is the expected one,
-1 when some outcome differs, and 2 when an entry no longer matches.
+1 when some outcome differs, and 2 when an entry no longer matches or a
+set of killers fails on the unmutated copy.
 Standard library only; pytest runs in a child process.
 """
 
@@ -117,8 +121,8 @@ MUTANTS = (
         "search.py",
         (
             (
-                "if max(ea, eb) << 20 | min(ea, eb) > mine:",
-                "if max(ea, eb) << 20 | min(ea, eb) >= mine:",
+                "<= mine",
+                "< mine",
             ),
         ),
         (
@@ -129,7 +133,12 @@ MUTANTS = (
     Mutant(
         "fertility-without-spare-children",
         "search.py",
-        (("and _invariant(child._adj) in kept", "and False"),),
+        (
+            (
+                "if not fertile[i] and key in kept and (keep is None or keep(child)):",
+                "if False:",
+            ),
+        ),
         (
             "tests/test_search.py::test_barren_counts_orders_6_and_7",
             "tests/test_search.py::test_barren_classes_match_bruteforce_fertility",
@@ -164,6 +173,71 @@ MUTANTS = (
             "test_invariant_survives_relabeling_and_packs_exactly",
         ),
     ),
+    Mutant(
+        "maders-bound-off-by-one",
+        "oracles.py",
+        (
+            (
+                "if g.n >= 6 and g.size >= 4 * g.n - 9:",
+                "if g.n >= 6 and g.size >= 4 * g.n - 10:",
+            ),
+        ),
+        (
+            "tests/test_oracles.py::test_is_nil_matches_minor_dag_on_small_classes",
+            "tests/test_oracles.py::test_maximality_implies_membership",
+        ),
+    ),
+    Mutant(
+        "apex-settle-on-non-apex-graph",
+        "oracles.py",
+        (("if is_apex(g):", "if True:"),),
+        (
+            "tests/test_oracles.py::test_is_nil_examples",
+            "tests/test_oracles.py::test_bipartite_k44_minus_e_is_il",
+        ),
+    ),
+    Mutant(
+        "q-span-too-narrow",
+        "torus.py",
+        (("_Q_SPAN = 32", "_Q_SPAN = 24"),),
+        ("tests/test_torus.py::test_packed_sums_exact_at_the_order_bound",),
+    ),
+    Mutant(
+        "twin-chain-admits-equal-image",
+        "containment.py",
+        (("cand &= -2 << images[t]", "cand &= -1 << images[t]"),),
+        (
+            "tests/test_containment.py::test_subgraph_iso_matches_bruteforce",
+            "tests/test_containment.py::test_twin_pruning_matches_bruteforce",
+        ),
+        survives=(
+            "the previous twin's image is already in `used`, so admitting it "
+            "admits nothing; the two lines are equivalent"
+        ),
+    ),
+    Mutant(
+        "fewest-bound-off-by-one",
+        "containment.py",
+        (("if g.size < fewest[g.n]:", "if g.size <= fewest[g.n]:"),),
+        (
+            "tests/test_containment.py::test_has_minor_reflexive_examples",
+            "tests/test_oracles.py::test_is_nil_examples",
+        ),
+    ),
+    Mutant(
+        "search-stops-above-floor-plus-one",
+        "search.py",
+        (
+            (
+                "elif g.size > ctx.size_floor + 1:",
+                "elif g.size > ctx.size_floor + 2:",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_search_matches_bruteforce_depth2",
+            "tests/test_search.py::test_find_all_mtn_synthetic_pipeline",
+        ),
+    ),
 )
 
 
@@ -186,9 +260,8 @@ def mutate(source: str, edits: tuple[tuple[str, str], ...]) -> str:
     return "\n".join(lines)
 
 
-def run(mutant: Mutant, scratch: Path) -> bool:
-    """True iff some named test fails on the mutated copy."""
-    work = scratch / mutant.name
+def copy_project(work: Path) -> None:
+    """Copy what the tests need into the directory work."""
     for name in COPIED:
         src = ROOT / name
         if src.is_dir():
@@ -197,18 +270,29 @@ def run(mutant: Mutant, scratch: Path) -> bool:
             )
         else:
             shutil.copy2(src, work / name)
-    target = work / "src" / "torlink" / mutant.path
-    target.write_text(mutate(target.read_text(), mutant.edits))
+
+
+def fails(work: Path, killers: tuple[str, ...]) -> bool:
+    """True iff some of the named tests fail in the copy at work."""
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *mutant.killers],
+         *killers],
         cwd=work,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     if done.returncode not in (0, 1):
-        raise RuntimeError(f"{mutant.name}: pytest exited {done.returncode}")
+        raise RuntimeError(f"{' '.join(killers)}: pytest exited {done.returncode}")
     return done.returncode == 1
+
+
+def run(mutant: Mutant, scratch: Path) -> bool:
+    """True iff some named test fails on the mutated copy."""
+    work = scratch / mutant.name
+    copy_project(work)
+    target = work / "src" / "torlink" / mutant.path
+    target.write_text(mutate(target.read_text(), mutant.edits))
+    return fails(work, mutant.killers)
 
 
 def main(names: list[str]) -> int:
@@ -219,6 +303,12 @@ def main(names: list[str]) -> int:
         return 2
     status = 0
     with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "unmutated"
+        copy_project(clean)
+        for killers in dict.fromkeys(m.killers for m in chosen):
+            if fails(clean, killers):
+                print(f"BROKEN    {' '.join(killers)}")
+                return 2
         for mutant in chosen:
             try:
                 killed = run(mutant, Path(scratch))

@@ -84,6 +84,37 @@ def test_delete_edge_error():
         path_graph(3).delete_edge((1, 3))
 
 
+def test_vertices_outside_the_range_are_not_adjacent():
+    # 0 and -1 once wrapped round to vertex n, and n + 1 raised IndexError.
+    g = path_graph(4)
+    for u, v in [(0, 3), (3, 0), (-1, 3), (5, 4), (4, 5), (0, 0), (5, 5)]:
+        assert not g.has_edge(u, v)
+    assert g.has_edge(3, 4) and g.has_edge(4, 3)
+    for v in (0, -1, 5):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            g.neighbors(v)
+    for e in [(0, 3), (3, 0), (4, 5), (-1, 3)]:
+        with pytest.raises(ValueError, match=r"not present"):
+            g.delete_edge(e)
+        with pytest.raises(ValueError, match=r"not present"):
+            g.contract_edge(e)
+    assert not is_cycle_of(complete_graph(4), (0, 1, 2))
+    assert not is_cycle_of(complete_graph(4), (2, 3, 5))
+
+
+def test_non_edges_are_the_missing_pairs_in_order():
+    rng = random.Random(92)
+    for n in range(8):
+        g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+        expected = tuple(
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if (u, v) not in set(g.edges)
+        )
+        assert g.non_edges() == expected
+
+
 def test_contract_k3_gives_k2():
     assert is_isomorphic(complete_graph(3).contract_edge((2, 3)), complete_graph(2))
 

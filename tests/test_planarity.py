@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torlink.planarity
 from torlink import (
     Graph,
     complete_bipartite,
@@ -125,6 +126,23 @@ def _random_cases():
             g = subdivided(rng, base, rng.randint(9, 12))
             yield "subdivision", relabeled(rng, g)
             yield "subdivision+", relabeled(rng, near_planar_union(rng, g))
+
+
+def test_is_apex_publishes_no_witness_before_it_decides(monkeypatch):
+    # Another thread may read g's witness while is_apex is testing; until
+    # the answer is known it must find none there, never a provisional -1.
+    g = complete_graph(5)
+    seen = []
+    planar = torlink.planarity._planar
+
+    def spy(adj, alive):
+        seen.append(g._apex)
+        return planar(adj, alive)
+
+    monkeypatch.setattr(torlink.planarity, "_planar", spy)
+    assert is_apex(g)
+    assert seen and all(w is None for w in seen)
+    assert g._apex >= 0
 
 
 def test_planarity_matches_networkx_on_random_orders_9_to_12():

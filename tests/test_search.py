@@ -40,7 +40,6 @@ from torlink.oracles import order8_obstructions
 from torlink.search import (
     CertificationEntry,
     _entries,
-    _invariant,
     _levels,
     _top_children,
     isomorphism_classes,
@@ -421,7 +420,7 @@ def test_isomorphism_class_levels_match_polya_counts(order8_classes):
 
 
 def invariant_of(g: Graph) -> tuple[int, ...]:
-    return _invariant(g._adj)
+    return tuple(sorted(_entries(g._adj, [m.bit_count() for m in g._adj])))
 
 
 def wagner_graph() -> Graph:
@@ -500,6 +499,31 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     monkeypatch.setattr(torlink.search, "canonical_form", recorder)
     assert len(isomorphism_classes(7)) == 1044
     assert len(calls) <= 560
+
+
+@pytest.mark.parametrize(
+    "n, children", [(7, 1546), pytest.param(8, 17282, marks=pytest.mark.slow)]
+)
+def test_census_computes_each_child_key_once(monkeypatch, n, children):
+    # _top_children computes a child's entries once, for the tie-break and
+    # for its key, and the spare children's fallback reuses that key.
+    # Recomputing the spares' keys made 1,595 and 18,119 _entries calls.
+    calls = Counter()
+    entries, top_children = torlink.search._entries, torlink.search._top_children
+
+    def counted_entries(masks, deg):
+        calls["entries"] += 1
+        return entries(masks, deg)
+
+    def counted_children(g):
+        for item in top_children(g):
+            calls["children"] += 1
+            yield item
+
+    monkeypatch.setattr(torlink.search, "_entries", counted_entries)
+    monkeypatch.setattr(torlink.search, "_top_children", counted_children)
+    census_maxnil(n)
+    assert calls["entries"] == calls["children"] == children
 
 
 @pytest.mark.parametrize("keep", [is_nil, is_planar])
@@ -597,7 +621,7 @@ def test_inherited_apex_witnesses_hold():
                 rng.shuffle(labels)
                 h = g.relabel(dict(zip(range(1, n + 1), labels)))
                 is_apex(h)
-                inherited += [c for _, c in _top_children(h) if c._apex is not None]
+                inherited += [c for _, _, c in _top_children(h) if c._apex is not None]
     assert all(apex_witness_holds(g) for g in inherited)
     kinds = Counter(g._apex >= 0 for g in inherited)
     assert kinds[True] > 1000 and kinds[False] > 10
