@@ -20,7 +20,9 @@ included, before that state is canonized:
    minor-closed class, and no Petersen-family graph is apex.
 
 Only states that neither settles are canonized, pattern-tested, expanded
-and memoized; the DAG stays the one decision procedure for them.
+and memoized; the DAG stays the one decision procedure for them. Before
+the DAG, `is_nil` answers an input that carries an apex witness naming a
+vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
 `is_toroidal` answers for the database it is given, with no shortcut: a
 database may hold stand-in obstructions, for which neither "planar implies
@@ -118,12 +120,27 @@ def _settle_nil(g: Graph) -> bool | None:
     return None
 
 
+@lru_cache(maxsize=1)
+def _petersen_fewest_edges() -> int:
+    """The fewest edges of any Petersen-family graph: a graph with fewer
+    has none of them as a minor, since a minor has no more edges than its
+    host."""
+    return min(p.size for p in petersen_family())
+
+
 def is_nil(g: Graph) -> bool:
     """True iff g has no Petersen-family minor (linkless embeddings exist).
 
-    The minor DAG, with Mader's bound and the apex certificate settling
-    its states; see the module docstring.
+    Two answers need no minor search: g is nIL when it carries an apex
+    witness that names a vertex (see `Graph`), since apex graphs are
+    nIL, and when it has fewer edges than every Petersen-family graph.
+    Every other graph goes to the minor DAG, with Mader's bound and the
+    apex certificate settling its states; see the module docstring.
     """
+    if g._apex is not None and g._apex >= 0:
+        return True
+    if g.size < _petersen_fewest_edges():
+        return True
     return not contains_any_minor(g, petersen_family(), _nil_memo, _settle_nil)
 
 
@@ -148,8 +165,7 @@ def is_maxnil(g: Graph) -> bool:
     any Petersen-family graph is not maxnIL, with no apex test: g + e has
     too few edges for a Petersen-family minor, so it is nIL.
     """
-    fewest = min(p.size for p in petersen_family())
-    if g.size + 1 < fewest and g.size < g.n * (g.n - 1) // 2:
+    if g.size + 1 < _petersen_fewest_edges() and g.size < g.n * (g.n - 1) // 2:
         return False
     if g.n >= 4 and is_apex(g):
         return g.size == 4 * g.n - 10

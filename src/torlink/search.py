@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 from .canonical import canonical_form, canonical_graph
@@ -287,6 +288,14 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     children; the entries only break their ties, and the finer f is, the
     fewer parents reach each class, so the fewer children are canonized.
 
+    A child is tested from what its parent knows. Most non-edges fail on
+    degrees alone: when the parent's degrees, and the largest degree
+    among each vertex's neighbours, already show an edge of g + e whose
+    first two parts of f beat e's, e is no top edge, and g + e is never
+    built. A child's entries are its parent's with fixed increments on
+    the ends of e and their neighbours, since no other vertex's triple
+    changes. Both are derived in `_top_children`.
+
     The filter loses no class. Take a class of size m + 1, a member H and
     an edge e of H that maximizes f. H - e is isomorphic, by some map phi,
     to a representative P of level m (by induction over the levels). Then
@@ -348,7 +357,10 @@ def _levels(n: int, keep):
     the first three parts of f (degrees and common neighbours), ties
     included. The entries choose which children are grouped, and the
     group key is the sorted entries, but neither decides which classes are
-    barren. Only two levels are held at a time.
+    barren. Only two levels are held at a time, each class beside its
+    entries, packed into one int at 20 bits per vertex (vertex x's entry
+    is bits 20x and up), from which `_top_children` derives its
+    children's.
 
     `keep` runs once per class, on its representative, which is a member
     with an inherited apex witness when the class has one. A barren class
@@ -358,17 +370,22 @@ def _levels(n: int, keep):
     level = [Graph(n)]
     if keep is not None and not keep(level[0]):
         level = []
+    # Every entry of the empty graph is 0.
+    packs = [0] * len(level)
     yield level, []
     while level:
-        nxt, fertile = _next_level(level, keep)
+        nxt, packs, fertile = _next_level(level, packs, keep)
         yield nxt, [g for g, f in zip(level, fertile) if not f]
         level = nxt
 
 
-def _next_level(level: list[Graph], keep) -> tuple[list[Graph], list[bool]]:
-    """The classes with one edge more than those of `level`, and for each
-    class of `level` whether it is fertile, the opposite of barren in
-    `_levels`.
+def _next_level(
+    level: list[Graph], packs: list[int], keep
+) -> tuple[list[Graph], list[int], list[bool]]:
+    """The classes with one edge more than those of `level`, their packed
+    entries, and for each class of `level` whether it is fertile, the
+    opposite of barren in `_levels`. packs[i] holds the packed entries of
+    level[i].
 
     When a class passes `keep`, the parent of each of its top-edge
     children becomes fertile, not only the parent of the representative.
@@ -381,55 +398,125 @@ def _next_level(level: list[Graph], keep) -> tuple[list[Graph], list[bool]]:
     sorted entries no kept class has is not accepted. The level's groups and
     keys die with this call, before `_levels` yields.
     """
-    # Top-edge children grouped by key, and the spare children with their
-    # keys, each with its parent's index.
-    groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
+    # Top-edge children grouped by key, each with its parent's index and
+    # its packed entries, and the spare children with their keys, each
+    # with its parent's index. Keys, and the entries in them, are interned
+    # through `keys`, so equal keys are one tuple, whether a group's or a
+    # spare's, and equal entries one int. (An int never equals a tuple.)
+    keys: dict = {}
+    groups: dict[tuple[int, ...], list[tuple[Graph, int, int]]] = {}
     spares: list[tuple[tuple[int, ...], Graph, int]] = []
     for i, g in enumerate(level):
-        for key, top, child in _top_children(g):
+        for key, top, child, packed in _top_children(g, packs[i]):
+            shared = keys.get(key)
+            if shared is None:
+                shared = tuple([keys.setdefault(x, x) for x in key])
+                keys[shared] = shared
+            key = shared
             if top:
-                groups.setdefault(key, []).append((child, i))
+                groups.setdefault(key, []).append((child, i, packed))
             else:
                 spares.append((key, child, i))
     fertile = [False] * len(level)
     kept: set[tuple[int, ...]] = set()
     nxt = []
+    nxt_packs = []
     for key, group in groups.items():
         if len(group) > 1:
-            by_form: dict[bytes, list[tuple[Graph, int]]] = {}
-            for child in group:
-                by_form.setdefault(canonical_form(child[0]), []).append(child)
+            by_form: dict[bytes, list[tuple[Graph, int, int]]] = {}
+            for member in group:
+                by_form.setdefault(canonical_form(member[0]), []).append(member)
             classes = by_form.values()
         else:
             classes = (group,)
         for members in classes:
-            rep = next(
-                (c for c, _ in members if c._apex is not None), members[-1][0]
+            rep, _, packed = next(
+                (m for m in members if m[0]._apex is not None), members[-1]
             )
             if keep is None or keep(rep):
-                for _, i in members:
+                for _, i, _ in members:
                     fertile[i] = True
                 nxt.append(rep)
+                nxt_packs.append(packed)
                 kept.add(key)
     for key, child, i in spares:
         if not fertile[i] and key in kept and (keep is None or keep(child)):
             fertile[i] = True
-    return nxt, fertile
+    return nxt, nxt_packs, fertile
 
 
-def _top_children(g: Graph):
-    """(key, top, child) for the children g + e of `isomorphism_classes`
-    whose e is a top edge under the three-part f, with e drawn from one
-    non-edge per orbit of the twin swaps of g, and with the child's apex
-    witness filled when g's decides it. key is the child's sorted entries;
-    top is True when e is a top edge under the whole f, and False when e
-    loses on the entries (a spare child)."""
+@lru_cache(maxsize=None)
+def _spread(n: int) -> tuple[int, ...]:
+    """_spread(n)[m] has bit 20x set for each bit x of the n-bit mask m,
+    so adding k * _spread(n)[m] to packed entries adds k to the entry of
+    every vertex in m."""
+    table = [0]
+    for x in range(n):
+        table += [t + (1 << 20 * x) for t in table]
+    return tuple(table)
+
+
+def _top_children(g: Graph, packed: int):
+    """(key, top, child, entries) for the children g + e of
+    `isomorphism_classes` whose e is a top edge under the three-part f,
+    with e drawn from one non-edge per orbit of the twin swaps of g, and
+    with the child's apex witness filled when g's decides it. `packed`
+    holds g's entries, packed as in `_levels`, and `entries` the child's.
+    key is the child's sorted entries; top is True when e is a top edge
+    under the whole f, and False when e loses on the entries (a spare
+    child).
+
+    A non-edge e = (u, v) is rejected on degrees alone, before g + e is
+    built, when some edge of g + e beats e on the first two parts of f,
+    which is when `_ties` would return None. Let H be g's largest degree,
+    hi the larger end degree of e in g, lo the smaller one in g + e, and
+    nd[x] the largest degree among x's neighbours in g. No degree falls
+    from g to g + e.
+
+    - If hi < H - 1, both ends stay below H, and an edge at a vertex of
+      degree H beats e on the first part.
+    - Otherwise an end x of degree hi has the largest degree of g + e,
+      hi + 1. Its neighbour of degree nd[x] is not the other end, since e
+      is a non-edge, so when nd[x] > lo their edge ties e on the first
+      part and beats it on the second.
+    - If hi = H - 1, a vertex of degree H keeps the largest degree of
+      g + e, and beats e the same way through a neighbour of degree above
+      lo, whose degree can only have grown: far is the largest nd of such
+      a vertex.
+
+    `_ties` decides every non-edge left. The child is given its size,
+    g's plus one.
+
+    The child's entries are g's, changed only at three kinds of vertex. A
+    vertex adjacent to exactly one of u and v gains 1 in its neighbours'
+    degree sum (+0x100). A common neighbour x of u and v gains 2 there,
+    and 1 in each of |N(x) & N(u)| and |N(x) & N(v)| (+0x202). u gains 1
+    in degree, deg v + 1 in its neighbours' degree sum, and 2c in its
+    common sum, where c = |N(u) & N(v)|: c through its new neighbour v
+    and c through the old neighbours that v joins; the same holds for v.
+    No other vertex's neighbourhood, or its neighbours' degrees or
+    neighbourhoods, changes.
+    """
     n = g.n
     adj = g._adj
     deg = [m.bit_count() for m in adj]
-    # The child's top edge needs an endpoint of degree at least the
-    # parent's maximum, so one endpoint must have degree >= low.
-    low = max(deg, default=0) - 1
+    peak = max(deg, default=0)
+    # nd[x]: the largest degree among x's neighbours, or -1 for none, read
+    # off the masks of the vertices of each degree; far: the largest nd of
+    # a vertex of degree peak.
+    by_deg = [0] * (peak + 1)
+    for x, d in enumerate(deg):
+        by_deg[d] |= 1 << x
+    nd = []
+    for mask in adj:
+        d = peak
+        while d >= 0 and not mask & by_deg[d]:
+            d -= 1
+        nd.append(d)
+    far = max((nd[x] for x in range(n) if deg[x] == peak), default=-1)
+    spread = _spread(n)
+    shifts = range(0, 20 * n, 20)
+    size = g.size + 1
     # partners[u]: the ends v > u tried with u. The first vertex of each
     # twin class is tried with the first of every later class and with the
     # second of its own; every other vertex with none. paired marks the
@@ -455,7 +542,14 @@ def _top_children(g: Graph):
             bit = rest & -rest
             rest ^= bit
             v = bit.bit_length() - 1
-            if deg[u] < low and deg[v] < low:
+            du, dv = deg[u], deg[v]
+            hi, lo = (du, dv + 1) if du >= dv else (dv, du + 1)
+            if (
+                hi < peak - 1
+                or hi < peak and far > lo
+                or du == hi and nd[u] > lo
+                or dv == hi and nd[v] > lo
+            ):
                 continue
             masks = list(adj)
             masks[u] |= bit
@@ -466,9 +560,18 @@ def _top_children(g: Graph):
             ties = _ties(masks, child_deg, u, v)
             if ties is None:
                 continue
+            common = adj[u] & adj[v]
+            c2 = 2 * common.bit_count()
+            carried = (
+                packed
+                + 0x100 * spread[adj[u] ^ adj[v]]
+                + 0x202 * spread[common]
+                + ((0x10000 | dv + 1 << 8 | c2) << 20 * u)
+                + ((0x10000 | du + 1 << 8 | c2) << 20 * v)
+            )
+            entries = [carried >> s & 0xFFFFF for s in shifts]
             # The ends' (larger, smaller) entry breaks the ties, packed as
             # larger << 20 | smaller (entries are below 2**20).
-            entries = _entries(masks, child_deg)
             eu, ev = entries[u], entries[v]
             mine = max(eu, ev) << 20 | min(eu, ev)
             top = all(
@@ -478,9 +581,10 @@ def _top_children(g: Graph):
             )
             entries.sort()
             child = Graph._from_masks(masks)
+            child._size = size
             if apex is not None and (apex < 0 or apex == u or apex == v):
                 child._apex = apex
-            yield tuple(entries), top, child
+            yield tuple(entries), top, child, carried
 
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):
@@ -518,7 +622,11 @@ def _entries(masks, deg: list[int]) -> list[int]:
     deg << 16 | degree sum << 8 | common sum. The packing is exact for
     n <= 12: degrees are below 16 and both sums at most 11 * 11 < 256.
     Packed or not, an entry is a function of its vertex's triple, so it is
-    an isomorphism invariant of the vertex for any n."""
+    an isomorphism invariant of the vertex for any n.
+
+    This is the definition, computed from scratch. The census walk never
+    calls it: `_top_children` carries each child's entries from its
+    parent's, and the tests check them against this."""
     out = []
     for mask, d in zip(masks, deg):
         s = 0

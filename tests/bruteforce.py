@@ -15,6 +15,7 @@ from math import factorial, gcd
 import networkx as nx
 
 from torlink import Graph, canonical_form
+from torlink.search import _entries, _ties
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -139,6 +140,62 @@ def brute_fertile(g: Graph, keep) -> bool:
         if keep(h) and head(h, *e) == max(head(h, a, b) for a, b in h.edges):
             return True
     return False
+
+
+def reference_top_children(g: Graph):
+    """`torlink.search._top_children` as first written: (key, top, child)
+    for the same children, in the same order, with every non-edge of the
+    twin rule copied into a full child, tested by `_ties`, and given
+    entries computed from scratch by `_entries`."""
+    n = g.n
+    adj = g._adj
+    deg = [m.bit_count() for m in adj]
+    low = max(deg, default=0) - 1
+    partners = [0] * n
+    heads: list[int] = []
+    paired = 0
+    for v in range(n):
+        for h in heads:
+            if adj[h] & ~(1 << v) == adj[v] & ~(1 << h):
+                if not paired >> h & 1:
+                    paired |= 1 << h
+                    partners[h] |= 1 << v
+                break
+        else:
+            for h in heads:
+                partners[h] |= 1 << v
+            heads.append(v)
+    apex = g._apex
+    for u in range(n):
+        rest = partners[u] & ~adj[u]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            if deg[u] < low and deg[v] < low:
+                continue
+            masks = list(adj)
+            masks[u] |= bit
+            masks[v] |= 1 << u
+            child_deg = deg.copy()
+            child_deg[u] += 1
+            child_deg[v] += 1
+            ties = _ties(masks, child_deg, u, v)
+            if ties is None:
+                continue
+            entries = _entries(masks, child_deg)
+            eu, ev = entries[u], entries[v]
+            mine = max(eu, ev) << 20 | min(eu, ev)
+            top = all(
+                max(entries[a], entries[b]) << 20 | min(entries[a], entries[b])
+                <= mine
+                for a, b in ties
+            )
+            entries.sort()
+            child = Graph._from_masks(masks)
+            if apex is not None and (apex < 0 or apex == u or apex == v):
+                child._apex = apex
+            yield tuple(entries), top, child
 
 
 def polya_graph_counts(n: int) -> list[int]:

@@ -149,8 +149,8 @@ MUTANTS = (
         "oracles.py",
         (
             (
-                "if g.size + 1 < fewest and g.size < g.n * (g.n - 1) // 2:",
-                "if g.size + 1 <= fewest and g.size < g.n * (g.n - 1) // 2:",
+                "if g.size + 1 < _petersen_fewest_edges() and g.size < g.n * (g.n - 1) // 2:",
+                "if g.size + 1 <= _petersen_fewest_edges() and g.size < g.n * (g.n - 1) // 2:",
             ),
         ),
         ("tests/test_cli.py::test_census_maxnil_stdout_is_pinned[6]",),
@@ -236,6 +236,47 @@ MUTANTS = (
         (
             "tests/test_search.py::test_search_matches_bruteforce_depth2",
             "tests/test_search.py::test_find_all_mtn_synthetic_pipeline",
+        ),
+    ),
+    Mutant(
+        "prefilter-rejects-equal-neighbour-degree",
+        "search.py",
+        (("or du == hi and nd[u] > lo", "or du == hi and nd[u] >= lo"),),
+        ("tests/test_search.py::test_top_children_match_reference",),
+    ),
+    Mutant(
+        "common-neighbour-entry-increment",
+        "search.py",
+        (("+ 0x202 * spread[common]", "+ 0x201 * spread[common]"),),
+        ("tests/test_search.py::test_top_children_match_reference",),
+    ),
+    Mutant(
+        "nil-trusts-missing-apex-witness",
+        "oracles.py",
+        (
+            (
+                "if g._apex is not None and g._apex >= 0:",
+                "if g._apex is not None and g._apex >= -1:",
+            ),
+        ),
+        (
+            "tests/test_oracles.py::"
+            "test_is_nil_trusts_only_a_witness_that_names_a_vertex",
+        ),
+    ),
+    Mutant(
+        "nil-size-answer-off-by-one",
+        "oracles.py",
+        (
+            (
+                "if g.size < _petersen_fewest_edges():",
+                "if g.size <= _petersen_fewest_edges():",
+            ),
+        ),
+        (
+            "tests/test_oracles.py::test_is_nil_examples",
+            "tests/test_oracles.py::"
+            "test_is_nil_trusts_only_a_witness_that_names_a_vertex",
         ),
     ),
 )

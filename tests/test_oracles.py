@@ -31,7 +31,7 @@ from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import delta_y, order8_obstructions, y_delta
 from torlink.search import isomorphism_classes
 
-from bruteforce import all_graphs_of_order, random_graph, to_nx
+from bruteforce import all_graphs_of_order, complete_multipartite, random_graph, to_nx
 
 # The one nIL class of order 8 that is not apex: a maxnIL graph of size 21.
 NON_APEX_MAXNIL = "G~qkz{"
@@ -217,6 +217,44 @@ def test_only_non_apex_inputs_reach_the_minor_dag(monkeypatch):
     g = decode_graph6(NON_APEX_MAXNIL)
     assert is_nil(g)
     assert memo[canonical_form(g)] is False
+
+
+def test_is_nil_answers_witnessed_and_sparse_graphs_without_the_dag(monkeypatch):
+    # An apex witness that names a vertex answers nIL, and so does having
+    # fewer edges than every Petersen-family graph; contains_any_minor is
+    # never called for either.
+    calls = []
+
+    def counted(g, *rest):
+        calls.append(g)
+        return contains_any_minor(g, *rest)
+
+    monkeypatch.setattr(oracles, "contains_any_minor", counted)
+    assert oracles._petersen_fewest_edges() == min(p.size for p in petersen_family()) == 15
+    # K1,2,2,2: a vertex joined to the octahedron, apex with 18 edges.
+    witnessed = complete_multipartite(1, 2, 2, 2)
+    assert witnessed.size == 18 and is_apex(witnessed) and witnessed._apex >= 0
+    rng = random.Random(43)
+    sparse = [random_graph(rng, n, 0.5) for n in range(6, 13)]
+    sparse = [g for g in sparse if g.size < 15] + [cycle_graph(12), k6_minus_e()]
+    assert len(sparse) > 4
+    assert is_nil(witnessed) and all(is_nil(g) for g in sparse)
+    assert calls == []
+    # The same graph without its witness goes to the minor DAG.
+    fresh = Graph(witnessed.n, witnessed.edges)
+    assert is_nil(fresh) and calls == [fresh]
+
+
+def test_is_nil_trusts_only_a_witness_that_names_a_vertex():
+    # Every Petersen-family graph has exactly the fewest edges, and the
+    # apex test leaves -1 on it: neither early answer may call it nIL.
+    rng = random.Random(47)
+    for p in petersen_family():
+        g = relabeled(p, rng)
+        assert g._apex is None and g.size == 15
+        assert not is_nil(g)
+        assert not is_apex(g) and g._apex == -1
+        assert not is_nil(g)
 
 
 def test_certificates_settle_every_minor_dag_state(monkeypatch):

@@ -50,6 +50,7 @@ from bruteforce import (
     brute_isomorphism_classes,
     polya_graph_counts,
     random_graph,
+    reference_top_children,
 )
 from test_canonical import cube_graph
 from test_torus import FIXTURE
@@ -501,29 +502,92 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     assert len(calls) <= 560
 
 
+def packed_entries(g: Graph) -> int:
+    """g's entries packed as `_levels` carries them, 20 bits per vertex."""
+    entries = _entries(g._adj, [m.bit_count() for m in g._adj])
+    return sum(x << 20 * v for v, x in enumerate(entries))
+
+
+def assert_children_match_reference(classes, rng):
+    # Each class and 3 relabelings of it, two of them with their apex witness,
+    # so that the twin classes, the apex vertex and the prefilter's ends
+    # move to other labels.
+    for g in classes:
+        parents = [g]
+        for k in range(3):
+            labels = list(range(1, g.n + 1))
+            rng.shuffle(labels)
+            h = g.relabel(dict(zip(range(1, g.n + 1), labels)))
+            if k:
+                is_apex(h)
+            parents.append(h)
+        for h in parents:
+            children = list(_top_children(h, packed_entries(h)))
+            assert [(key, top, c, c._apex) for key, top, c, _ in children] == [
+                (key, top, c, c._apex) for key, top, c in reference_top_children(h)
+            ], h.edges
+            for _, _, c, carried in children:
+                assert carried == packed_entries(c), c.edges
+                assert c.size == sum(m.bit_count() for m in c._adj) // 2
+
+
+def test_top_children_match_reference():
+    # The degree-only prefilter drops only children that _ties rejects,
+    # and the entries carried from the parent are those of the child.
+    rng = random.Random(2417)
+    assert_children_match_reference(
+        [g for n in range(8) for g in isomorphism_classes(n)], rng
+    )
+
+
+@pytest.mark.slow
+def test_top_children_match_reference_order8(order8_classes):
+    assert_children_match_reference(order8_classes, random.Random(2418))
+
+
+# Per order: _ties calls, canonizations. _ties made 4,957 and 75,286
+# calls before the degree-only prefilter.
+CENSUS_WORK = {7: (1995, 556), 8: (24367, 4096)}
+
+
 @pytest.mark.parametrize(
     "n, children", [(7, 1546), pytest.param(8, 17282, marks=pytest.mark.slow)]
 )
 def test_census_computes_each_child_key_once(monkeypatch, n, children):
-    # _top_children computes a child's entries once, for the tie-break and
-    # for its key, and the spare children's fallback reuses that key.
-    # Recomputing the spares' keys made 1,595 and 18,119 _entries calls.
+    # A child's entries come from its parent's, with no _entries call:
+    # the walk made one per child before they were carried. The
+    # prefilter leaves _ties only the children it cannot reject by
+    # degrees, and neither changes which children are yielded or
+    # canonized.
     calls = Counter()
-    entries, top_children = torlink.search._entries, torlink.search._top_children
+    entries, ties = torlink.search._entries, torlink.search._ties
+    top_children, form = torlink.search._top_children, torlink.search.canonical_form
 
     def counted_entries(masks, deg):
         calls["entries"] += 1
         return entries(masks, deg)
 
-    def counted_children(g):
-        for item in top_children(g):
+    def counted_ties(masks, deg, u, v):
+        calls["ties"] += 1
+        return ties(masks, deg, u, v)
+
+    def counted_children(g, packed):
+        for item in top_children(g, packed):
             calls["children"] += 1
             yield item
 
+    def counted_form(g):
+        calls["forms"] += 1
+        return form(g)
+
     monkeypatch.setattr(torlink.search, "_entries", counted_entries)
+    monkeypatch.setattr(torlink.search, "_ties", counted_ties)
     monkeypatch.setattr(torlink.search, "_top_children", counted_children)
+    monkeypatch.setattr(torlink.search, "canonical_form", counted_form)
     census_maxnil(n)
-    assert calls["entries"] == calls["children"] == children
+    assert calls["entries"] == 0
+    assert calls["children"] == children
+    assert (calls["ties"], calls["forms"]) == CENSUS_WORK[n]
 
 
 @pytest.mark.parametrize("keep", [is_nil, is_planar])
@@ -621,7 +685,11 @@ def test_inherited_apex_witnesses_hold():
                 rng.shuffle(labels)
                 h = g.relabel(dict(zip(range(1, n + 1), labels)))
                 is_apex(h)
-                inherited += [c for _, _, c in _top_children(h) if c._apex is not None]
+                inherited += [
+                    c
+                    for _, _, c, _ in _top_children(h, packed_entries(h))
+                    if c._apex is not None
+                ]
     assert all(apex_witness_holds(g) for g in inherited)
     kinds = Counter(g._apex >= 0 for g in inherited)
     assert kinds[True] > 1000 and kinds[False] > 10
