@@ -64,6 +64,27 @@ def canonical_graph(g: Graph) -> Graph:
     return rep
 
 
+def automorphisms(g: Graph) -> list[list[int]]:
+    """Automorphisms of g that the canonical labeling search meets, each as
+    a list p that maps 0-based vertex v to p[v]; fills g's canonical form.
+
+    Each is read off two leaves with equal keys, or swaps two isolated or
+    two universal vertices, which are stripped before the search. They
+    need not generate the whole group, since backjumping skips leaves that
+    could give more; on every graph the tests compare them with, their
+    vertex and edge orbits are the group's.
+    """
+    pairs: list[tuple[list[int], list[int]]] = []
+    g._canon = _canon(g.n, g._adj, pairs)[0]
+    out = []
+    for src, dst in pairs:
+        p = list(range(g.n))
+        for s, t in zip(src, dst):
+            p[s] = t
+        out.append(p)
+    return out
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """True iff an edge-preserving bijection of vertex sets exists."""
     if g.n != h.n or g.size != h.size:
@@ -93,19 +114,31 @@ def _induce(adj: tuple[int, ...], keep: list[int]) -> tuple[int, tuple[int, ...]
     return len(keep), tuple(out)
 
 
-def _canon(n: int, adj: tuple[int, ...]) -> tuple[bytes, list[int]]:
+def _canon(n: int, adj: tuple[int, ...], pairs: list | None = None):
     """Canonical key, and the vertices in canonical position order
-    (universal, core, isolated)."""
+    (universal, core, isolated). When `pairs` is a list, the automorphisms
+    met are appended to it, each as a pair (src, dst) of vertex lists:
+    src[i] -> dst[i], every other vertex fixed."""
     if n <= 1:
         return bytes([n]), list(range(n))
     iso, univ = _split_extremes(n, adj)
     if iso or univ:
         drop = set(iso) | set(univ)
         keep = [v for v in range(n) if v not in drop]
-        key, inner = _canon(*_induce(adj, keep))
+        inner_pairs = None if pairs is None else []
+        key, inner = _canon(*_induce(adj, keep), inner_pairs)
         head = bytes([n, len(iso), len(univ)])
+        if pairs is not None:
+            for s, t in inner_pairs:
+                pairs.append(([keep[i] for i in s], [keep[i] for i in t]))
+            # Any permutation of the isolated, or of the universal,
+            # vertices is one: swaps of neighbours in each list generate
+            # them.
+            pairs += [
+                ([a, b], [b, a]) for part in (iso, univ) for a, b in zip(part, part[1:])
+            ]
         return head + key, univ + [keep[i] for i in inner] + iso
-    key, order = _core_min_labeling(n, adj)
+    key, order = _core_min_labeling(n, adj, pairs)
     nbytes = (n * (n - 1) // 2 + 7) // 8
     return bytes([n, 255]) + key.to_bytes(nbytes, "big"), order
 
@@ -166,8 +199,10 @@ def _leaf_key(n: int, adj: tuple[int, ...], order: list[int]) -> int:
     return key
 
 
-def _core_min_labeling(n: int, adj: tuple[int, ...]):
-    """Smallest adjacency key over refined labelings, with its vertex order."""
+def _core_min_labeling(n: int, adj: tuple[int, ...], pairs: list | None):
+    """Smallest adjacency key over refined labelings, with its vertex order;
+    the automorphisms met go to `pairs`, when it is a list, as (best_order,
+    order) pairs of leaves with equal keys."""
     unit = [tuple(range(n))]
     root = _refine(n, adj, unit, unit)
     best_key = None
@@ -187,6 +222,9 @@ def _core_min_labeling(n: int, adj: tuple[int, ...]):
         if target < 0:
             order = [c[0] for c in cells]
             key = _leaf_key(n, adj, order)
+            if pairs is not None and key == best_key:
+                # best_order[i] -> order[i] maps edges to edges both ways.
+                pairs.append((best_order, order))
             if best_key is None or key < best_key:
                 best_key = key
                 best_order = order

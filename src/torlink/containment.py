@@ -37,40 +37,62 @@ the host vertices above the image of the last twin placed before it
 and symmetry-breaking*, RECOMB 2007, break symmetry with such
 conditions). K6 is one twin class, so the search tries each set of six
 host vertices in one order instead of 720.
+
+A pinned test asks only for copies through one host edge ab: some pattern
+edge xy goes to ab, as (x, y) -> (a, b) or (b, a). Composing a copy with
+a pattern automorphism sigma gives a copy that maps sigma^-1(x, y) onto
+(a, b), so one arc per orbit of the pattern's automorphisms on its arcs
+(ordered adjacent pairs) is enough; the orbits come from the canonical
+search of the pattern (`canonical.automorphisms`) and are kept in its
+plan once first needed. Any set of automorphisms is sound here: one that
+misses part of the group splits orbits and only adds arcs to try. With
+x on a and y on b, every neighbour of x may go only to a neighbour of a,
+and likewise for y and b, and the search runs in the plan's order with
+those candidate sets. The twin chains are off in a pinned search: sorting
+a copy's twins may move its pinned arc off the orbit's representative.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .canonical import canonical_form
+from .canonical import automorphisms, canonical_form
 from .graphs import Graph
 
 
-def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
-    """True iff some injective vertex map sends pattern edges into host edges."""
+def is_subgraph_iso(
+    pattern: Graph, host: Graph, pin: tuple[int, int] | None = None
+) -> bool:
+    """True iff some injective vertex map sends pattern edges into host edges.
+
+    With pin = (a, b), 0-based host vertices, True iff some such map sends
+    a pattern edge onto ab: the pattern copies through edge ab.
+    """
     pn, hn = pattern.n, host.n
     if pn > hn or pattern.size > host.size:
         return False
     plan = pattern._plan
     if plan is None:
         plan = pattern._plan = _plan(pn, pattern._adj)
-    pd, pdeg, back_edges, twin_prev = plan
+    pd, pdeg, back_edges, twin_prev, order, pinned = plan
     hadj = host._adj
     hdeg = [m.bit_count() for m in hadj]
     if any(p > h for p, h in zip(pd, sorted(hdeg, reverse=True))):
         return False
 
-    deg_ok = [sum(1 << u for u in range(hn) if hdeg[u] >= d) for d in pdeg]
+    # ok[i]: the host vertices position i may take; chain[i]: the previous
+    # twin's position, whose image position i must exceed (-1 for none).
+    ok = [sum(1 << u for u in range(hn) if hdeg[u] >= d) for d in pdeg]
+    chain = twin_prev
     images = [0] * pn
 
     def place(i: int, used: int) -> bool:
         if i == pn:
             return True
-        cand = deg_ok[i] & ~used
+        cand = ok[i] & ~used
         for j in back_edges[i]:
             cand &= hadj[images[j]]
-        t = twin_prev[i]
+        t = chain[i]
         if t >= 0:
             cand &= -2 << images[t]
         while cand:
@@ -81,13 +103,37 @@ def is_subgraph_iso(pattern: Graph, host: Graph) -> bool:
                 return True
         return False
 
-    return place(0, 0)
+    if pin is None:
+        return place(0, 0)
+    # One arc (x, y) per orbit, x on a and y on b, without twin chains; see
+    # the module docstring.
+    if pinned is None:
+        pinned = plan[5] = _pinned_plan(pattern, order)
+    nbrs, arcs = pinned
+    a, b = pin
+    deg_ok = ok
+    free = [m & ~(1 << a | 1 << b) for m in deg_ok]
+    chain = [-1] * pn
+    for x, y in arcs:
+        if deg_ok[x] >> a & 1 and deg_ok[y] >> b & 1:
+            ok = free.copy()
+            ok[x] = 1 << a
+            ok[y] = 1 << b
+            for k in nbrs[x]:
+                ok[k] &= hadj[a]
+            for k in nbrs[y]:
+                ok[k] &= hadj[b]
+            if all(ok) and place(0, 0):
+                return True
+    return False
 
 
-def _plan(n: int, adj: tuple[int, ...]):
+def _plan(n: int, adj: tuple[int, ...]) -> list:
     """The pattern-only part of `is_subgraph_iso`, by search position: the
-    sorted degree sequence, the degrees, the earlier-placed neighbours and
-    the previous twin's position (-1 for none)."""
+    sorted degree sequence, the degrees, the earlier-placed neighbours, the
+    previous twin's position (-1 for none) and the vertex at each position;
+    last the part only a pinned test reads, None until `_pinned_plan`
+    fills it."""
     degs = [m.bit_count() for m in adj]
     # Greedy max-connectivity order: keeps the backtrack tree narrow.
     order: list[int] = []
@@ -114,12 +160,41 @@ def _plan(n: int, adj: tuple[int, ...]):
             if adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
         ]
         twin_prev.append(twins[-1] if twins else -1)
-    return (
+    return [
         sorted(degs, reverse=True),
         [degs[v] for v in order],
         back_edges,
         twin_prev,
-    )
+        order,
+        None,
+    ]
+
+
+def _pinned_plan(pattern: Graph, order: list[int]):
+    """The neighbours of each position, and one arc (x, y), a pair of
+    adjacent positions, per orbit of the pattern automorphisms that
+    `canonical.automorphisms` finds, each the first of its orbit in
+    position order, so that the pinned positions come early."""
+    adj = pattern._adj
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [[pos[w] for w in order if adj[v] >> w & 1] for v in order]
+    moves = [[pos[p[v]] for v in order] for p in automorphisms(pattern)]
+    arcs = []
+    seen: set[tuple[int, int]] = set()
+    for x, nb in enumerate(nbrs):
+        for y in nb:
+            if (x, y) in seen:
+                continue
+            arcs.append((x, y))
+            seen.add((x, y))
+            todo = [(x, y)]
+            for s, t in todo:
+                for q in moves:
+                    arc = (q[s], q[t])
+                    if arc not in seen:
+                        seen.add(arc)
+                        todo.append(arc)
+    return nbrs, arcs
 
 
 def has_minor(g: Graph, h: Graph) -> bool:
@@ -130,13 +205,22 @@ def has_minor(g: Graph, h: Graph) -> bool:
     return contains_any_minor(g, (h,), {})
 
 
-def _reductions(g: Graph):
+def _reductions(g: Graph, edge: tuple[int, int] | None = None):
     """Every order-reducing single step: each vertex deletion, then each
-    edge contraction."""
-    for v in range(1, g.n + 1):
-        yield g.delete_vertex(v)
+    edge contraction; with `edge`, less those that `contains_any_minor`
+    skips for it."""
+    gone: tuple[int, ...] = ()
+    merged: set = set()
+    if edge is not None:
+        common = g._adj[edge[0]] & g._adj[edge[1]]
+        gone = (edge[0] + 1, edge[1] + 1)
+        merged = {tuple(sorted((w, x + 1))) for w in gone for x in range(g.n) if common >> x & 1}
+    for x in range(1, g.n + 1):
+        if x not in gone:
+            yield g.delete_vertex(x)
     for e in g.edges:
-        yield g.contract_edge(e)
+        if e not in merged:
+            yield g.contract_edge(e)
 
 
 def contains_any_minor(
@@ -144,6 +228,7 @@ def contains_any_minor(
     patterns: tuple[Graph, ...],
     memo: dict[bytes, bool],
     settle: Callable[[Graph], bool | None] | None = None,
+    edge: tuple[int, int] | None = None,
 ) -> bool:
     """Does g contain any of the given graphs as a minor?
 
@@ -158,6 +243,17 @@ def contains_any_minor(
     state is answered by the rule alone: it is never canonized, tested or
     memoized. The rule must be exact on every graph, since a wrong verdict
     would reach the memo through the states above it.
+
+    ``edge`` = (u, v), an edge of g by its 0-based ends, tells the engine
+    that g - uv has none of the patterns as a minor and that none is a
+    subgraph of g through uv (`is_subgraph_iso` with ``pin``), so none is a
+    subgraph of g at all. The input then skips its subgraph test, and the
+    reductions whose results are minors of g - uv: deleting u or v, and
+    contracting an edge from u or v to a common neighbour x of both, which
+    merges uv into the old edge xv or xu (g / ux = (g - uv) / ux). Those
+    minors hold no pattern, so skipping them changes no answer. g / uv is
+    searched, as it need not be a minor of g - uv, and so is every state
+    below the input.
     """
     # fewest[k]: the fewest edges of any pattern with at most k vertices, or
     # more edges than g has when no pattern is that small. A minor has no
@@ -168,10 +264,10 @@ def contains_any_minor(
         for k in range(p.n, g.n + 1):
             if p.size < fewest[k]:
                 fewest[k] = p.size
-    return _contains_any(g, patterns, memo, fewest, settle)
+    return _contains_any(g, patterns, memo, fewest, settle, edge)
 
 
-def _contains_any(g, patterns, memo, fewest, settle) -> bool:
+def _contains_any(g, patterns, memo, fewest, settle, edge=None) -> bool:
     if g.size < fewest[g.n]:
         return False
     if settle is not None:
@@ -183,13 +279,14 @@ def _contains_any(g, patterns, memo, fewest, settle) -> bool:
     if cached is not None:
         return cached
     result = False
-    for p in patterns:
-        if is_subgraph_iso(p, g):
-            result = True
-            break
+    if edge is None:
+        for p in patterns:
+            if is_subgraph_iso(p, g):
+                result = True
+                break
     # Every reduction has one vertex fewer and no more edges.
     if not result and g.size >= fewest[g.n - 1]:
-        for child in _reductions(g):
+        for child in _reductions(g, edge):
             if _contains_any(child, patterns, memo, fewest, settle):
                 result = True
                 break

@@ -27,8 +27,10 @@ class Graph:
     # filled on first use by canonical_form, size and is_subgraph_iso.
     # _apex is is_apex's witness: the 0-based vertex whose deletion leaves
     # a planar graph, or -1 when there is none; isomorphism_classes also
-    # fills it on children whose witness follows from the parent's.
-    __slots__ = ("n", "_adj", "_canon", "_size", "_plan", "_apex")
+    # fills it on children whose witness follows from the parent's. _grown
+    # is set only on such a child g + uv whose parent g has an apex vertex w
+    # other than u and v: w << 8 | u << 4 | v, 0-based, which is_nil reads.
+    __slots__ = ("n", "_adj", "_canon", "_size", "_plan", "_apex", "_grown")
 
     def __new__(cls, n: int, edges: Iterable[EdgePair] = ()):
         if not 0 <= n <= MAX_ORDER:
@@ -52,6 +54,7 @@ class Graph:
         g._size = None
         g._plan = None
         g._apex = None
+        g._grown = None
         return g
 
     # -- basic queries ----------------------------------------------------

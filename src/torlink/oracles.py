@@ -24,6 +24,19 @@ and memoized; the DAG stays the one decision procedure for them. Before
 the DAG, `is_nil` answers an input that carries an apex witness naming a
 vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
+A census child C = P + uv whose parent P is apex through a vertex w other
+than u and v is decided from what P proved, before C is canonized. First
+C is apex through w when C - w = (P - w) + uv is planar: one planarity
+test, which almost every such nIL child passes. Otherwise, since P is nIL,
+every Petersen-family minor of C uses uv. A family graph that is a
+subgraph of C is then one through uv, so the subgraph test is pinned to
+that edge (`is_subgraph_iso` with ``pin``); a copy found means IL. If none
+is found, the rest of the apex scan runs, skipping w, and a graph that is
+not apex goes to the minor DAG with ``edge`` = uv, which skips C's own
+subgraph test and the reductions of C that are minors of P. Each step is
+exact on its own, so the verdict and the witness left on C are those of
+the plain route, up to which apex vertex is named.
+
 `is_toroidal` answers for the database it is given, with no shortcut: a
 database may hold stand-in obstructions, for which neither "planar implies
 toroidal" nor an Euler bound holds.
@@ -38,11 +51,11 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .canonical import canonical_form, canonical_graph
-from .containment import contains_any_minor
+from .containment import contains_any_minor, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
 from .graphs import MAX_ORDER, Graph, complete_graph
-from .planarity import is_apex
+from .planarity import apex_scan, is_apex, planar_without
 
 # No toroidal obstruction has fewer than 8 vertices.
 SMALLEST_OBSTRUCTION_ORDER = 8
@@ -134,14 +147,29 @@ def is_nil(g: Graph) -> bool:
     Two answers need no minor search: g is nIL when it carries an apex
     witness that names a vertex (see `Graph`), since apex graphs are
     nIL, and when it has fewer edges than every Petersen-family graph.
-    Every other graph goes to the minor DAG, with Mader's bound and the
-    apex certificate settling its states; see the module docstring.
+    A census child g = P + uv whose parent P has an apex vertex w other
+    than u and v (`Graph._grown`) is decided through its new edge; see
+    the module docstring. Every other graph goes to the minor DAG, with
+    Mader's bound and the apex certificate settling its states.
     """
     if g._apex is not None and g._apex >= 0:
         return True
     if g.size < _petersen_fewest_edges():
         return True
-    return not contains_any_minor(g, petersen_family(), _nil_memo, _settle_nil)
+    family = petersen_family()
+    edge = None
+    if g._grown is not None:
+        w, u, v = g._grown >> 8, g._grown >> 4 & 15, g._grown & 15
+        if planar_without(g._adj, w):
+            g._apex = w
+            return True
+        edge = (u, v)
+        if any(is_subgraph_iso(p, g, edge) for p in family):
+            return False
+        g._apex = apex_scan(g._adj, w)
+        if g._apex >= 0:
+            return True
+    return not contains_any_minor(g, family, _nil_memo, _settle_nil, edge)
 
 
 def is_maxnil(g: Graph) -> bool:

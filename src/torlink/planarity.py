@@ -33,31 +33,43 @@ def is_planar(g: Graph) -> bool:
 def is_apex(g: Graph) -> bool:
     """True iff deleting at most one vertex of g leaves a planar graph.
 
-    Vertices are tried by decreasing degree, and the search stops at the
-    first whose deletion leaves more edges than Euler's bound allows, since
-    every later deletion leaves at least as many. The outcome is kept on g
-    as its witness (see `Graph`): the vertex found, or -1 for none. A
-    witness already there is the answer.
+    The outcome is kept on g as its witness (see `Graph`): the vertex that
+    `apex_scan` finds, or -1 for none. A witness already there is the
+    answer.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return True
     if g._apex is None:
         # Set once, when decided, so a concurrent call never reads a
         # provisional witness.
-        apex = -1
-        adj = g._adj
-        m = sum(a.bit_count() for a in adj) // 2
-        full = (1 << n) - 1
-        for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
-            if n > 3 and m - adj[v].bit_count() > 3 * (n - 1) - 6:
-                break
-            bit = 1 << v
-            if _planar([a & ~bit for a in adj], full & ~bit):
-                apex = v
-                break
-        g._apex = apex
+        g._apex = apex_scan(g._adj, -1)
     return g._apex >= 0
+
+
+def apex_scan(adj: tuple[int, ...], tried: int) -> int:
+    """The first vertex, by decreasing degree, whose deletion leaves the
+    graph with these 0-based adjacency masks planar, or -1 for none.
+
+    The scan stops at the first vertex whose deletion leaves more edges
+    than Euler's bound allows, since every later deletion leaves at least
+    as many. `tried` is a vertex whose deletion the caller already found
+    to leave a non-planar graph, or -1; it is not tried again.
+    """
+    n = len(adj)
+    m = sum(a.bit_count() for a in adj) // 2
+    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
+        if n > 3 and m - adj[v].bit_count() > 3 * (n - 1) - 6:
+            break
+        if v != tried and planar_without(adj, v):
+            return v
+    return -1
+
+
+def planar_without(adj: tuple[int, ...], v: int) -> bool:
+    """Whether deleting the 0-based vertex v from the graph with these
+    adjacency masks leaves a planar graph."""
+    bit = 1 << v
+    return _planar([a & ~bit for a in adj], (1 << len(adj)) - 1 & ~bit)
 
 
 def _planar(adj: list[int], alive: int) -> bool:

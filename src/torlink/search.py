@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .canonical import canonical_form, canonical_graph
+from .canonical import automorphisms, canonical_form, canonical_graph
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import Graph
@@ -283,9 +283,12 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     neighbours of a and b, larger entry of a and b, smaller entry),
     compared lexicographically (McKay, *Isomorph-free exhaustive
     generation*, J. Algorithms 1998, uses the same canonical-deletion idea,
-    with any isomorphism-invariant f). A vertex's entry is the packed
-    triple of `_entries`. The first three parts decide most
-    children; the entries only break their ties, and the finer f is, the
+    with any isomorphism-invariant f). A vertex's entry is its triple
+    (degree, sum of its neighbours' degrees, sum over its neighbours w of
+    the common neighbours of it and w), packed as degree << 16 | degree
+    sum << 8 | common sum, which is exact for n <= 12: degrees are below
+    16 and both sums at most 11 * 11 < 256. The first three parts decide
+    most children; the entries only break their ties, and the finer f is, the
     fewer parents reach each class, so the fewer children are canonized.
 
     A child is tested from what its parent knows. Most non-edges fail on
@@ -332,7 +335,9 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     child's `keep` needs no apex test. If P - a is planar and e has a as an end, then
     (P + e) - a = P - a, and a is an apex vertex of the child. If P is not
     apex, then (P + e) - w contains the non-planar P - w for every w, and
-    the child is not apex either.
+    the child is not apex either. Otherwise, when P is apex through a
+    vertex w that is not an end of e, the child carries w and e
+    (`Graph._grown`), and `is_nil` decides it through its new edge.
 
     The kept children of a level are grouped by the sorted entries that
     the tie-break already computed, and only a group that holds two or
@@ -341,6 +346,19 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     children always share a group: a child alone in its group is
     isomorphic to no other child and is a new class without being
     canonized, and children in different groups are never isomorphic.
+
+    The twin swaps are not the whole of P's automorphism group, and two
+    of P's children that share a group are often isomorphic through the
+    rest of it. For such a P, the canonical search of P
+    (`canonical.automorphisms`) hands back automorphisms, and of P's
+    children in one group only one per orbit of the group they generate
+    on the new edges is kept. The same argument as for twins applies to
+    any automorphism phi: P + e and P + phi(e) are isomorphic children of
+    P, with the same top status, so a dropped child's class is still
+    generated, by the kept one, and P's fertility does not change. Any set
+    of automorphisms prunes soundly, since it only ever drops a child
+    isomorphic to a kept one; a set that misses part of the group leaves
+    more children in the group, and the canonical forms dedupe them.
 
     Only the set of classes, grouped by size, is guaranteed: within one
     edge count the order of the classes and the labeled representative of
@@ -397,6 +415,9 @@ def _next_level(
     c's top edge, so c's class was generated and kept, and a c whose
     sorted entries no kept class has is not accepted. The level's groups and
     keys die with this call, before `_levels` yields.
+
+    A parent with two top-edge children in one group keeps there only one
+    per orbit of its automorphisms (see `isomorphism_classes`).
     """
     # Top-edge children grouped by key, each with its parent's index and
     # its packed entries, and the spare children with their keys, each
@@ -407,6 +428,8 @@ def _next_level(
     groups: dict[tuple[int, ...], list[tuple[Graph, int, int]]] = {}
     spares: list[tuple[tuple[int, ...], Graph, int]] = []
     for i, g in enumerate(level):
+        # The keys of groups that hold two or more of g's children.
+        twice = []
         for key, top, child, packed in _top_children(g, packs[i]):
             shared = keys.get(key)
             if shared is None:
@@ -414,9 +437,21 @@ def _next_level(
                 keys[shared] = shared
             key = shared
             if top:
-                groups.setdefault(key, []).append((child, i, packed))
+                group = groups.setdefault(key, [])
+                if group and group[-1][1] == i:
+                    twice.append(key)
+                group.append((child, i, packed))
             else:
                 spares.append((key, child, i))
+        if twice:
+            perms = automorphisms(g)
+            for key in dict.fromkeys(twice):
+                group = groups[key]
+                # g's children are the last ones in the group.
+                first = len(group) - 1
+                while first and group[first - 1][1] == i:
+                    first -= 1
+                group[first:] = _one_per_orbit(g, perms, group[first:])
     fertile = [False] * len(level)
     kept: set[tuple[int, ...]] = set()
     nxt = []
@@ -445,6 +480,41 @@ def _next_level(
     return nxt, nxt_packs, fertile
 
 
+def _one_per_orbit(g: Graph, perms: list[list[int]], members: list) -> list:
+    """One member per orbit of the group generated by perms, automorphisms
+    of g, on the new edges of g's children in members: the first one, or
+    the first with an apex witness when there is one."""
+    adj = g._adj
+    kept: list = []  # [orbit of the new edge, member]
+    for member in members:
+        child = member[0]
+        u, v = [x for x, m in enumerate(child._adj) if m != adj[x]]
+        for slot in kept:
+            if (u, v) in slot[0]:
+                if slot[1][0]._apex is None and child._apex is not None:
+                    slot[1] = member
+                break
+        else:
+            orbit = {(u, v)}
+            todo = [(u, v)]
+            for a, b in todo:
+                for p in perms:
+                    e = (p[a], p[b]) if p[a] < p[b] else (p[b], p[a])
+                    if e not in orbit:
+                        orbit.add(e)
+                        todo.append(e)
+            kept.append([orbit, member])
+    return [member for _, member in kept]
+
+
+@lru_cache(maxsize=None)
+def _grow_codes(w: int) -> tuple[int, ...]:
+    """w << 8 | x for each byte x: the `Graph._grown` of each child g + uv,
+    x = u << 4 | v, of a parent g with apex vertex w, made once so that
+    the children share them."""
+    return tuple(w << 8 | x for x in range(256))
+
+
 @lru_cache(maxsize=None)
 def _spread(n: int) -> tuple[int, ...]:
     """_spread(n)[m] has bit 20x set for each bit x of the n-bit mask m,
@@ -460,7 +530,8 @@ def _top_children(g: Graph, packed: int):
     """(key, top, child, entries) for the children g + e of
     `isomorphism_classes` whose e is a top edge under the three-part f,
     with e drawn from one non-edge per orbit of the twin swaps of g, and
-    with the child's apex witness filled when g's decides it. `packed`
+    with the child's apex witness filled when g's decides it, or else its
+    `Graph._grown` when g has an apex vertex. `packed`
     holds g's entries, packed as in `_levels`, and `entries` the child's.
     key is the child's sorted entries; top is True when e is a top edge
     under the whole f, and False when e loses on the entries (a spare
@@ -536,6 +607,8 @@ def _top_children(g: Graph, packed: int):
                 partners[h] |= 1 << v
             heads.append(v)
     apex = g._apex
+    if apex is not None and apex >= 0:
+        codes = _grow_codes(apex)
     for u in range(n):
         rest = partners[u] & ~adj[u]
         while rest:
@@ -584,6 +657,8 @@ def _top_children(g: Graph, packed: int):
             child._size = size
             if apex is not None and (apex < 0 or apex == u or apex == v):
                 child._apex = apex
+            elif apex is not None:
+                child._grown = codes[u << 4 | v]
             yield tuple(entries), top, child, carried
 
 
@@ -613,31 +688,6 @@ def _ties(masks: list[int], deg: list[int], u: int, v: int):
                 ties.append((a, b))
             rest ^= low
     return ties
-
-
-def _entries(masks, deg: list[int]) -> list[int]:
-    """The entry of each vertex v of the graph with these 0-based adjacency
-    masks and vertex degrees: (deg v, sum of the degrees of v's
-    neighbours, sum over neighbours w of |N(v) & N(w)|), packed as
-    deg << 16 | degree sum << 8 | common sum. The packing is exact for
-    n <= 12: degrees are below 16 and both sums at most 11 * 11 < 256.
-    Packed or not, an entry is a function of its vertex's triple, so it is
-    an isomorphism invariant of the vertex for any n.
-
-    This is the definition, computed from scratch. The census walk never
-    calls it: `_top_children` carries each child's entries from its
-    parent's, and the tests check them against this."""
-    out = []
-    for mask, d in zip(masks, deg):
-        s = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            s += deg[w] << 8 | (mask & masks[w]).bit_count()
-            rest ^= low
-        out.append(d << 16 | s)
-    return out
 
 
 def census_maxnil(n: int) -> tuple[Graph, ...]:

@@ -15,7 +15,7 @@ from math import factorial, gcd
 import networkx as nx
 
 from torlink import Graph, canonical_form
-from torlink.search import _entries, _ties
+from torlink.search import _ties
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -142,6 +142,38 @@ def brute_fertile(g: Graph, keep) -> bool:
     return False
 
 
+def _entries(masks, deg: list[int]) -> list[int]:
+    """The entry of each vertex v of the graph with these 0-based adjacency
+    masks and vertex degrees: (deg v, sum of the degrees of v's
+    neighbours, sum over neighbours w of |N(v) & N(w)|), packed as
+    deg << 16 | degree sum << 8 | common sum. The packing is exact for
+    n <= 12: degrees are below 16 and both sums at most 11 * 11 < 256.
+    Packed or not, an entry is a function of its vertex's triple, so it is
+    an isomorphism invariant of the vertex for any n.
+
+    This is the definition, computed from scratch. The census walk never
+    computes it: `torlink.search._top_children` carries each child's
+    entries from its parent's, and the tests check them against this."""
+    out = []
+    for mask, d in zip(masks, deg):
+        s = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            s += deg[w] << 8 | (mask & masks[w]).bit_count()
+            rest ^= low
+        out.append(d << 16 | s)
+    return out
+
+
+def packed_entries(g: Graph) -> int:
+    """g's entries packed as `torlink.search._levels` carries them, 20 bits
+    per vertex."""
+    entries = _entries(g._adj, [m.bit_count() for m in g._adj])
+    return sum(x << 20 * v for v, x in enumerate(entries))
+
+
 def reference_top_children(g: Graph):
     """`torlink.search._top_children` as first written: (key, top, child)
     for the same children, in the same order, with every non-edge of the
@@ -254,6 +286,68 @@ def brute_subgraph_iso(pattern: Graph, host: Graph) -> bool:
         if all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges):
             return True
     return False
+
+
+def brute_copy_edges(pattern: Graph, host: Graph) -> set[tuple[int, int]]:
+    """The host edges (a, b), a < b, onto which some copy of the pattern
+    maps a pattern edge, from every injection of the pattern's vertices."""
+    covered = set()
+    for chosen in permutations(range(1, host.n + 1), pattern.n):
+        images = [
+            tuple(sorted((chosen[u - 1], chosen[v - 1]))) for u, v in pattern.edges
+        ]
+        if all(host.has_edge(a, b) for a, b in images):
+            covered.update(images)
+    return covered
+
+
+def brute_automorphisms(g: Graph) -> list[list[int]]:
+    """Every automorphism of g, as a list p mapping 0-based v to p[v];
+    networkx finds them."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(to_nx(g), to_nx(g))
+    return [
+        [m[v] - 1 for v in range(1, g.n + 1)] for m in matcher.isomorphisms_iter()
+    ]
+
+
+def pair_orbits(n: int, perms) -> set[frozenset[tuple[int, int]]]:
+    """The orbits of the group the permutations generate on the vertex
+    pairs (a, b), a < b, of 0..n-1: edges and non-edges alike."""
+    orbits = set()
+    seen = set()
+    for pair in combinations(range(n), 2):
+        if pair in seen:
+            continue
+        orbit = {pair}
+        todo = [pair]
+        for a, b in todo:
+            for p in perms:
+                image = tuple(sorted((p[a], p[b])))
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def vertex_orbits(n: int, perms) -> set[frozenset[int]]:
+    """The orbits of the group the permutations generate on 0..n-1."""
+    orbits = set()
+    seen = set()
+    for v in range(n):
+        if v in seen:
+            continue
+        orbit = {v}
+        todo = [v]
+        for x in todo:
+            for p in perms:
+                if p[x] not in orbit:
+                    orbit.add(p[x])
+                    todo.append(p[x])
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
 
 
 def brute_minor(g: Graph, h: Graph) -> bool:

@@ -53,6 +53,7 @@ JUMP = (
 NIL_ROW = '("--nil", "nIL", "linkless-embeddable test", lambda g, db: is_nil(g), False),'
 TOROIDAL_ROW = '("--toroidal", "toroidal", None, lambda g, db: is_toroidal(g, db), True),'
 TN_ROW = '("--tn", "TN", "toroidal and nIL", lambda g, db: is_tn(g, db), True),'
+ROUTE = "tests/test_oracles.py::test_is_nil_decides_census_children_through_the_new_edge"
 
 MUTANTS = (
     Mutant(
@@ -167,11 +168,13 @@ MUTANTS = (
     Mutant(
         "entry-packing-shift",
         "search.py",
-        (("out.append(d << 16 | s)", "out.append(d << 12 | s)"),),
         (
-            "tests/test_search.py::"
-            "test_invariant_survives_relabeling_and_packs_exactly",
+            (
+                "+ ((0x10000 | dv + 1 << 8 | c2) << 20 * u)",
+                "+ ((0x1000 | dv + 1 << 8 | c2) << 20 * u)",
+            ),
         ),
+        ("tests/test_search.py::test_top_children_match_reference",),
     ),
     Mutant(
         "maders-bound-off-by-one",
@@ -278,6 +281,62 @@ MUTANTS = (
             "tests/test_oracles.py::"
             "test_is_nil_trusts_only_a_witness_that_names_a_vertex",
         ),
+    ),
+    Mutant(
+        "pinned-test-one-orientation",
+        "containment.py",
+        (("for y in nb:", "for y in [y for y in nb if y > x]:"),),
+        (
+            "tests/test_containment.py::test_pinned_subgraph_matches_bruteforce",
+            "tests/test_containment.py::test_pinned_family_subgraphs_match_bruteforce",
+        ),
+    ),
+    Mutant(
+        "relative-reductions-skip-new-edge",
+        "containment.py",
+        (
+            (
+                "merged = {tuple(sorted((w, x + 1))) for w in gone"
+                " for x in range(g.n) if common >> x & 1}",
+                "merged = {tuple(sorted((w, x + 1))) for w in gone"
+                " for x in range(g.n) if common >> x & 1} | {gone}",
+            ),
+        ),
+        (
+            "tests/test_containment.py::"
+            "test_reductions_for_a_new_edge_skip_exactly_the_parents_minors",
+        ),
+    ),
+    Mutant(
+        "orbit-rule-fed-worse-leaf",
+        "canonical.py",
+        (
+            (
+                "if pairs is not None and key == best_key:",
+                "if pairs is not None and best_key is not None and key >= best_key:",
+            ),
+        ),
+        (
+            "tests/test_canonical.py::"
+            "test_automorphisms_give_the_groups_orbits_on_symmetric_graphs",
+        ),
+    ),
+    Mutant(
+        "relative-route-without-apex-vertex",
+        "search.py",
+        (
+            (
+                "if apex is not None and (apex < 0 or apex == u or apex == v):",
+                "if apex is not None and (apex == u or apex == v):",
+            ),
+        ),
+        (ROUTE,),
+    ),
+    Mutant(
+        "relative-witness-kept-after-failure",
+        "oracles.py",
+        (("g._apex = apex_scan(g._adj, w)", "g._apex = w"),),
+        (ROUTE,),
     ),
 )
 

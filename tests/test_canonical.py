@@ -19,17 +19,20 @@ from torlink import (
     path_graph,
     petersen_graph,
 )
-from torlink.canonical import _refine
+from torlink.canonical import _refine, automorphisms
 from torlink.oracles import order8_obstructions
 from torlink.search import isomorphism_classes
 
 from bruteforce import (
     _brute_refine,
     all_graphs_of_order,
+    brute_automorphisms,
     brute_canonical_key,
     brute_isomorphic,
     complete_multipartite,
+    pair_orbits,
     random_graph,
+    vertex_orbits,
 )
 
 
@@ -338,3 +341,33 @@ def test_canonical_form_and_graph_survive_relabeling(pair):
     g, h = pair
     assert canonical_form(h) == canonical_form(g)
     assert canonical_graph(h) == canonical_graph(g)
+
+
+def assert_orbits_match_the_group(g: Graph):
+    perms = automorphisms(g)
+    assert g._canon == brute_canonical_key(g)
+    edges = {(a - 1, b - 1) for a, b in g.edges}
+    for p in perms:
+        assert sorted(p) == list(range(g.n))
+        assert {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges, (g, p)
+    group = brute_automorphisms(g)
+    assert vertex_orbits(g.n, perms) == vertex_orbits(g.n, group), g
+    assert pair_orbits(g.n, perms) == pair_orbits(g.n, group), g
+
+
+def test_automorphisms_give_the_groups_orbits_on_small_classes():
+    # Each permutation the canonical search reports is an automorphism, and
+    # together they have the whole group's orbits on vertices and on vertex
+    # pairs, so the census's orbit rule sees every sibling it could merge.
+    # Classes with isolated or universal vertices, which the search strips,
+    # are among these.
+    for n in range(7):
+        for g in isomorphism_classes(n):
+            assert_orbits_match_the_group(g)
+
+
+@pytest.mark.parametrize("name", ["C4+C8", "petersen", "cube", "K4,4"])
+def test_automorphisms_give_the_groups_orbits_on_symmetric_graphs(name):
+    rng = random.Random(53)
+    for _ in range(3):
+        assert_orbits_match_the_group(shuffled(SYMMETRIC[name], rng))

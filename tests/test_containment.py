@@ -14,11 +14,12 @@ from torlink import (
     petersen_graph,
 )
 from torlink.canonical import canonical_form
-from torlink.containment import contains_any_minor
+from torlink.containment import _reductions, contains_any_minor
 from torlink.oracles import order8_obstructions, petersen_family
 
 from bruteforce import (
     all_graphs_of_order,
+    brute_copy_edges,
     brute_minor,
     brute_reduction_closure,
     brute_subgraph_iso,
@@ -92,6 +93,84 @@ def test_twin_pruning_matches_bruteforce(name):
             assert is_subgraph_iso(pattern, h) == expected, (name, h)
     # An edgeless pattern fits every host with enough vertices.
     assert verdicts == ({True} if name == "3K1" else {True, False})
+
+
+def assert_pinned_matches_bruteforce(pattern: Graph, host: Graph) -> set[bool]:
+    """Pin every host edge and every non-edge; return the verdicts seen."""
+    covered = brute_copy_edges(pattern, host)
+    verdicts = set()
+    for a in range(1, host.n + 1):
+        for b in range(1, host.n + 1):
+            if a != b:
+                got = is_subgraph_iso(pattern, host, (a - 1, b - 1))
+                assert got == ((min(a, b), max(a, b)) in covered), (pattern, host, a, b)
+                verdicts.add(got)
+    return verdicts
+
+
+def test_pinned_subgraph_matches_bruteforce():
+    # Pinned to ab, the test asks for a copy that maps a pattern edge onto
+    # ab, in either direction. Random patterns mostly have no automorphism,
+    # so each arc is its own orbit; the twin-rich ones have few orbits.
+    rng = random.Random(4111)
+    verdicts = set()
+    patterns = [random_graph(rng, rng.randint(3, 5), rng.uniform(0.3, 0.9)) for _ in range(40)]
+    patterns += list(TWIN_RICH.values()) + [Graph(4, [(1, 2), (2, 3), (3, 4), (2, 4)])]
+    for pattern in patterns:
+        for _ in range(3):
+            host = random_graph(rng, rng.randint(pattern.n, 7), rng.uniform(0.3, 0.9))
+            verdicts |= assert_pinned_matches_bruteforce(pattern, host)
+    assert verdicts == {True, False}
+
+
+def test_pinned_family_subgraphs_match_bruteforce():
+    # K6 and K3,3,1 in random hosts of order 7; K3,3,1's arcs from its
+    # apex and those to it lie in different orbits.
+    rng = random.Random(4112)
+    verdicts = set()
+    for pattern in [p for p in petersen_family() if p.n <= 7]:
+        for _ in range(5):
+            host = random_graph(rng, 7, rng.uniform(0.6, 0.9))
+            verdicts |= assert_pinned_matches_bruteforce(pattern, host)
+    assert verdicts == {True, False}
+
+
+def test_reductions_for_a_new_edge_skip_exactly_the_parents_minors():
+    # With edge uv, deleting u or v and contracting an edge from u or v to
+    # a common neighbour are skipped, and each of those results is the same
+    # step taken in g - uv; every other reduction, g / uv among them, is
+    # kept, in the same order.
+    rng = random.Random(4113)
+    seen_common = False
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.8))
+        if not g.edges:
+            continue
+        a, b = rng.choice(g.edges)
+        parent = g.delete_edge((a, b))
+        common = set(g.neighbors(a)) & set(g.neighbors(b))
+        seen_common |= bool(common)
+        steps = [("delete", x) for x in range(1, g.n + 1)]
+        steps += [("contract", e) for e in g.edges]
+        skipped = {("delete", a), ("delete", b)}
+        skipped |= {("contract", tuple(sorted((w, x)))) for w in (a, b) for x in common}
+        kept = [s for s in steps if s not in skipped]
+        assert ("contract", (a, b)) in kept
+        expected = [
+            g.delete_vertex(x) if how == "delete" else g.contract_edge(x)
+            for how, x in kept
+        ]
+        assert list(_reductions(g, (a - 1, b - 1))) == expected
+        assert list(_reductions(g)) == [
+            g.delete_vertex(x) if how == "delete" else g.contract_edge(x)
+            for how, x in steps
+        ]
+        for how, x in skipped:
+            if how == "delete":
+                assert g.delete_vertex(x) == parent.delete_vertex(x)
+            else:
+                assert g.contract_edge(x) == parent.contract_edge(x)
+    assert seen_common
 
 
 def test_pattern_larger_than_host():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -19,6 +20,7 @@ from torlink import (
     is_mtn,
     is_nil,
     is_planar,
+    is_subgraph_iso,
     is_tn,
     is_toroidal,
     petersen_family,
@@ -29,9 +31,15 @@ from torlink.canonical import canonical_form
 from torlink.containment import contains_any_minor
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import delta_y, order8_obstructions, y_delta
-from torlink.search import isomorphism_classes
+from torlink.search import _top_children, isomorphism_classes
 
-from bruteforce import all_graphs_of_order, complete_multipartite, random_graph, to_nx
+from bruteforce import (
+    all_graphs_of_order,
+    complete_multipartite,
+    packed_entries,
+    random_graph,
+    to_nx,
+)
 
 # The one nIL class of order 8 that is not apex: a maxnIL graph of size 21.
 NON_APEX_MAXNIL = "G~qkz{"
@@ -278,6 +286,69 @@ def test_certificates_settle_every_minor_dag_state(monkeypatch):
     assert il in seen and nil in seen
     for g in seen:
         assert below_maders_bound(g) and not is_apex(g), g
+
+
+def census_children(parents, rng):
+    """The children `_top_children` makes of each parent and of a relabeling
+    of it, each parent after its apex test, so that the children of an apex
+    parent whose new edge misses the apex vertex take the relative route."""
+    for g in parents:
+        for h in (g, relabeled(g, rng)):
+            is_apex(h)
+            for _, _, child, _ in _top_children(h, packed_entries(h)):
+                yield child
+
+
+def assert_children_match_minor_dag(children) -> Counter:
+    # The settle-free DAG shares no shortcut with the relative route. Every
+    # witness a verdict leaves is checked from scratch.
+    memo = {}
+    kinds = Counter()
+    for c in children:
+        grown = c._grown
+        expected = not contains_any_minor(c, petersen_family(), memo)
+        assert is_nil(c) == expected, c
+        if c._apex is not None and c._apex >= 0:
+            assert is_planar(c.delete_vertex(c._apex + 1)), c
+        elif c._apex == -1:
+            assert not any(is_planar(c.delete_vertex(v)) for v in range(1, c.n + 1)), c
+        if grown is None:
+            kinds["plain"] += 1
+        elif not expected:
+            kinds["IL"] += 1
+            if not any(is_subgraph_iso(p, c) for p in petersen_family()):
+                kinds["IL, no family subgraph"] += 1
+        elif c._apex is None:
+            kinds["nIL by size"] += 1
+        elif c._apex == grown >> 8:
+            kinds["apex through w"] += 1
+        elif c._apex >= 0:
+            kinds["apex through another vertex"] += 1
+        else:
+            kinds["nIL, not apex"] += 1
+    return kinds
+
+
+def test_is_nil_decides_census_children_through_the_new_edge():
+    # Every child of every class of order <= 7, and the children of the one
+    # non-apex nIL class of order 8, whose witness is -1: they must not take
+    # the relative route.
+    rng = random.Random(2501)
+    parents = [g for n in range(8) for g in isomorphism_classes(n)]
+    parents += [relabeled(decode_graph6(NON_APEX_MAXNIL), rng) for _ in range(4)]
+    kinds = assert_children_match_minor_dag(census_children(parents, rng))
+    assert kinds["IL"] > 10 and kinds["IL, no family subgraph"] > 0
+    assert kinds["apex through w"] > 100 and kinds["apex through another vertex"] > 0
+    assert kinds["plain"] > 1000
+
+
+@pytest.mark.slow
+def test_is_nil_decides_order8_census_children_through_the_new_edge(order8_classes):
+    kinds = assert_children_match_minor_dag(
+        census_children(order8_classes, random.Random(2502))
+    )
+    assert kinds["IL"] > 500 and kinds["IL, no family subgraph"] > 10
+    assert kinds["apex through another vertex"] > 100 and kinds["nIL, not apex"] > 0
 
 
 def test_is_nil_matches_minor_dag_at_orders_9_to_11():

@@ -34,20 +34,24 @@ from torlink import (
     parse_embedding,
     verify_size19_exclusion,
 )
-from torlink.canonical import canonical_form, canonical_graph
+from torlink.canonical import automorphisms, canonical_form, canonical_graph
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
 from torlink.search import (
     CertificationEntry,
-    _entries,
     _levels,
+    _one_per_orbit,
     _top_children,
     isomorphism_classes,
 )
 
 from bruteforce import (
+    _entries,
+    brute_automorphisms,
     brute_fertile,
     brute_isomorphism_classes,
+    packed_entries,
+    pair_orbits,
     polya_graph_counts,
     random_graph,
     reference_top_children,
@@ -468,44 +472,93 @@ def test_cube_and_wagner_share_a_group_and_both_survive(order8_classes):
 
 
 def test_grouping_canonizes_only_shared_invariants(monkeypatch):
-    # A group of two or more children is the only place isomorphism_classes
-    # canonizes, and the brute-force match above runs it at every order from
-    # 4. At these orders no two classes share an invariant; the first such
-    # pairs, the cube and the Wagner graph among them, have order 8.
-    calls = []
+    # The census canonizes in two places only: each member of a group that
+    # holds two or more children, and a parent with two children in one
+    # group, for the automorphisms that keep one child per orbit. At these
+    # orders no two classes share an invariant, so every group it canonizes
+    # holds copies of one class, from different parents; the first shared
+    # invariants, the cube's and the Wagner graph's among them, have order 8.
+    forms = []
+    parents = []
 
     def recorder(g):
-        calls.append(g)
+        forms.append(g)
         return canonical_form(g)
 
+    def parent_recorder(g):
+        parents.append(g)
+        return automorphisms(g)
+
     monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    monkeypatch.setattr(torlink.search, "automorphisms", parent_recorder)
     for n in range(4, 8):
-        calls.clear()
+        forms.clear()
+        parents.clear()
         classes = isomorphism_classes(n)
-        assert calls
+        assert parents
         groups = {(g.size, invariant_of(g)) for g in classes}
         assert len(groups) == len(classes)
+        shared = Counter((g.size, invariant_of(g)) for g in forms)
+        assert all(count > 1 for count in shared.values())
+        assert len({canonical_form(g) for g in forms}) == len(shared)
+        # A parent is a class of the level below, not a child.
+        ids = {id(g) for g in classes}
+        assert all(id(g) in ids for g in parents)
 
 
 def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     # Canonizing every top-edge child made 1,896 calls here; grouping the
     # children by the invariant made 1,273, trying one non-edge per twin
-    # orbit made 842, and breaking top-edge ties by the entries makes 556.
+    # orbit made 842, breaking top-edge ties by the entries made 556, and
+    # keeping one sibling per orbit of its parent's automorphisms makes 30,
+    # plus 139 canonizations of parents for their automorphisms.
     calls = []
 
     def recorder(g):
         calls.append(g)
         return canonical_form(g)
 
+    def parent_recorder(g):
+        calls.append(g)
+        return automorphisms(g)
+
     monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    monkeypatch.setattr(torlink.search, "automorphisms", parent_recorder)
     assert len(isomorphism_classes(7)) == 1044
-    assert len(calls) <= 560
+    assert len(calls) <= 175
 
 
-def packed_entries(g: Graph) -> int:
-    """g's entries packed as `_levels` carries them, 20 bits per vertex."""
-    entries = _entries(g._adj, [m.bit_count() for m in g._adj])
-    return sum(x << 20 * v for v, x in enumerate(entries))
+def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms():
+    # Of a parent's children in one group, _one_per_orbit keeps one per
+    # orbit of the automorphism group on their new edges, whole-group orbits
+    # taken by brute force, and prefers a child with an apex witness.
+    rng = random.Random(2519)
+    merged = 0
+    for g in [g for n in range(3, 8) for g in isomorphism_classes(n)]:
+        h = g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
+        is_apex(h)
+        by_key = {}
+        for key, top, child, packed in _top_children(h, packed_entries(h)):
+            if top:
+                by_key.setdefault(key, []).append((child, 0, packed))
+        orbits = pair_orbits(h.n, brute_automorphisms(h))
+        orbit_of = {pair: orbit for orbit in orbits for pair in orbit}
+
+        def new_edge(child):
+            u, v = [x for x in range(h.n) if child._adj[x] != h._adj[x]]
+            return orbit_of[(u, v)]
+
+        for members in by_key.values():
+            kept = _one_per_orbit(h, automorphisms(h), members)
+            assert len(kept) == len({new_edge(m[0]) for m in members})
+            assert {new_edge(m[0]) for m in kept} == {new_edge(m[0]) for m in members}
+            for m in kept:
+                if m[0]._apex is None:
+                    assert all(
+                        o[0]._apex is None for o in members if new_edge(o[0]) == new_edge(m[0])
+                    )
+            merged += len(members) - len(kept)
+    assert merged > 50
 
 
 def assert_children_match_reference(classes, rng):
@@ -545,27 +598,27 @@ def test_top_children_match_reference_order8(order8_classes):
     assert_children_match_reference(order8_classes, random.Random(2418))
 
 
-# Per order: _ties calls, canonizations. _ties made 4,957 and 75,286
-# calls before the degree-only prefilter.
-CENSUS_WORK = {7: (1995, 556), 8: (24367, 4096)}
+# Per order: _ties calls, canonizations of children, canonizations of
+# parents for their automorphisms. _ties made 4,957 and 75,286 calls before
+# the degree-only prefilter, and the children were canonized 556 and 4,096
+# times before siblings were kept one per orbit.
+CENSUS_WORK = {7: (1995, 32, 138), 8: (24367, 721, 909)}
 
 
 @pytest.mark.parametrize(
     "n, children", [(7, 1546), pytest.param(8, 17282, marks=pytest.mark.slow)]
 )
 def test_census_computes_each_child_key_once(monkeypatch, n, children):
-    # A child's entries come from its parent's, with no _entries call:
-    # the walk made one per child before they were carried. The
-    # prefilter leaves _ties only the children it cannot reject by
-    # degrees, and neither changes which children are yielded or
+    # A child's entries come from its parent's: the walk computes none
+    # from scratch. The prefilter leaves _ties only the children it cannot
+    # reject by degrees, and neither changes which children are yielded.
+    # The orbit rule canonizes each parent with two children in one group
+    # once, and only the siblings it leaves in groups of two or more are
     # canonized.
     calls = Counter()
-    entries, ties = torlink.search._entries, torlink.search._ties
+    ties = torlink.search._ties
     top_children, form = torlink.search._top_children, torlink.search.canonical_form
-
-    def counted_entries(masks, deg):
-        calls["entries"] += 1
-        return entries(masks, deg)
+    autos = torlink.search.automorphisms
 
     def counted_ties(masks, deg, u, v):
         calls["ties"] += 1
@@ -580,14 +633,17 @@ def test_census_computes_each_child_key_once(monkeypatch, n, children):
         calls["forms"] += 1
         return form(g)
 
-    monkeypatch.setattr(torlink.search, "_entries", counted_entries)
+    def counted_autos(g):
+        calls["parents"] += 1
+        return autos(g)
+
     monkeypatch.setattr(torlink.search, "_ties", counted_ties)
     monkeypatch.setattr(torlink.search, "_top_children", counted_children)
     monkeypatch.setattr(torlink.search, "canonical_form", counted_form)
+    monkeypatch.setattr(torlink.search, "automorphisms", counted_autos)
     census_maxnil(n)
-    assert calls["entries"] == 0
     assert calls["children"] == children
-    assert (calls["ties"], calls["forms"]) == CENSUS_WORK[n]
+    assert (calls["ties"], calls["forms"], calls["parents"]) == CENSUS_WORK[n]
 
 
 @pytest.mark.parametrize("keep", [is_nil, is_planar])
