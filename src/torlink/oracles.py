@@ -24,8 +24,11 @@ and memoized; the DAG stays the one decision procedure for them. Before
 the DAG, `is_nil` answers an input that carries an apex witness naming a
 vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
-A census child C = P + uv whose parent P is apex through a vertex w other
-than u and v is decided from what P proved, before C is canonized. First
+A one-edge extension C = P + uv of a graph P that is apex through a vertex
+w other than u and v is decided from what P proved, before C is canonized,
+when C carries w and uv (`Graph._grown`): the census children of
+`search.isomorphism_classes`, and the extensions that `_extend` builds for
+`is_mtn` and `is_maxnil`. First
 C is apex through w when C - w = (P - w) + uv is planar: one planarity
 test, which almost every such nIL child passes. Otherwise, since P is nIL,
 every Petersen-family minor of C uses uv. A family graph that is a
@@ -50,7 +53,7 @@ from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 
-from .canonical import canonical_form, canonical_graph
+from .canonical import automorphisms, canonical_form, canonical_graph, orbits_of_pairs
 from .containment import contains_any_minor, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
@@ -147,10 +150,11 @@ def is_nil(g: Graph) -> bool:
     Two answers need no minor search: g is nIL when it carries an apex
     witness that names a vertex (see `Graph`), since apex graphs are
     nIL, and when it has fewer edges than every Petersen-family graph.
-    A census child g = P + uv whose parent P has an apex vertex w other
-    than u and v (`Graph._grown`) is decided through its new edge; see
-    the module docstring. Every other graph goes to the minor DAG, with
-    Mader's bound and the apex certificate settling its states.
+    A one-edge extension g = P + uv built from P's apex witness, where P
+    has an apex vertex w other than u and v (`Graph._grown`; see
+    `_extend`), is decided through its new edge; see the module
+    docstring. Every other graph goes to the minor DAG, with Mader's bound
+    and the apex certificate settling its states.
     """
     if g._apex is not None and g._apex >= 0:
         return True
@@ -192,6 +196,10 @@ def is_maxnil(g: Graph) -> bool:
     A graph with a non-edge e whose size + 1 is below the fewest edges of
     any Petersen-family graph is not maxnIL, with no apex test: g + e has
     too few edges for a Petersen-family minor, so it is nIL.
+
+    Only a graph that is not apex reaches the test of every g + e, so
+    `_extend` hands each one the witness -1, and its `is_nil` runs no apex
+    scan.
     """
     if g.size + 1 < _petersen_fewest_edges() and g.size < g.n * (g.n - 1) // 2:
         return False
@@ -199,7 +207,26 @@ def is_maxnil(g: Graph) -> bool:
         return g.size == 4 * g.n - 10
     if not is_nil(g):
         return False
-    return all(not is_nil(g.add_edge(e)) for e in g.non_edges())
+    return all(not is_nil(_extend(g, u - 1, v - 1)) for u, v in g.non_edges())
+
+
+def _extend(g: Graph, u: int, v: int) -> Graph:
+    """g + uv, for 0-based non-adjacent u and v, carrying what g's apex
+    witness w proves about it. With w = -1 g is not apex, and neither is
+    g + uv, since (g + uv) - x contains the non-planar g - x for every x.
+    With w = u or v, (g + uv) - w = g - w is planar. Otherwise, with w a
+    vertex, g is apex and so nIL, and g + uv carries w and uv as
+    `Graph._grown`, from which `is_nil` decides it through its new edge.
+    Without a witness on g, g + uv carries none. `search._top_children`
+    applies the same rule inline to the census children.
+    """
+    child = g.add_edge((u + 1, v + 1))
+    w = g._apex
+    if w is not None and (w < 0 or w == u or w == v):
+        child._apex = w
+    elif w is not None:
+        child._grown = w << 8 | u << 4 | v
+    return child
 
 
 def order8_obstructions() -> tuple[Graph, Graph, Graph]:
@@ -310,7 +337,22 @@ def is_tn(g: Graph, db: ObstructionDB) -> bool:
 
 
 def is_mtn(g: Graph, db: ObstructionDB) -> bool:
-    """TN, and every single-edge addition leaves the TN family."""
+    """TN, and every single-edge addition leaves the TN family.
+
+    Once g is TN, `is_nil` has left g's apex witness on it, unless it
+    decided g by size, and each g + e is built by `_extend`, so that
+    `is_nil` decides it from that witness. Only one non-edge per orbit of
+    g's automorphisms is tried: an automorphism that maps e to e' is an
+    isomorphism from g + e to g + e', so both are TN or neither. The
+    automorphisms are computed only once the first extension is found not
+    to be TN, so a g that fails there needs none.
+    """
     if not is_tn(g, db):
         return False
-    return all(not is_tn(g.add_edge(e), db) for e in g.non_edges())
+    pairs = [(u - 1, v - 1) for u, v in g.non_edges()]
+    if not pairs:
+        return True
+    if is_tn(_extend(g, *pairs[0]), db):
+        return False
+    orbits = orbits_of_pairs(pairs, automorphisms(g))
+    return all(not is_tn(_extend(g, u, v), db) for (u, v), *_ in orbits[1:])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .canonical import automorphisms, canonical_form, canonical_graph
+from .canonical import automorphisms, canonical_form, canonical_graph, orbits_of_pairs
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import Graph
@@ -122,12 +122,23 @@ def _search(
     # but the first of those paths without canonizing. ctx.cache, keyed by
     # class, answers a state isomorphic to one met before. Every leaf is
     # canonical_graph(g), so a union holds one graph per class.
+    #
+    # The one canonization of a state also yields automorphisms of it, and
+    # a state is expanded into one g - e per orbit of theirs on its edges.
+    # An automorphism that maps e to e' is an isomorphism from g - e to
+    # g - e', so a skipped child is isomorphic to a kept sibling. A state's
+    # result, and whether it is expanded, depend only on its class, so the
+    # classes reached below a skipped child are reached below the kept one:
+    # the results and the keys of ctx.cache are those of expanding every
+    # edge. Automorphisms that generate only part of the group split the
+    # orbits finer, which only tries more children.
     label = 0
     for mask in g._adj:
         label = label << SEARCH_ORDER | mask
     result = seen.get(label)
     if result is not None:
         return result
+    perms = automorphisms(g)
     key = canonical_form(g)
     result = ctx.cache.get(key)
     if result is None:
@@ -138,8 +149,12 @@ def _search(
         elif is_toroidal(g, ctx.db):
             result = frozenset([canonical_graph(g)])
         elif g.size > ctx.size_floor + 1:
+            edges = [(u - 1, v - 1) for u, v in g.edges]
             result = _NONE.union(
-                *(_search(g.delete_edge(e), ctx, seen) for e in g.edges)
+                *(
+                    _search(g.delete_edge((u + 1, v + 1)), ctx, seen)
+                    for (u, v), *_ in orbits_of_pairs(edges, perms)
+                )
             ) or _NONE
         else:
             # Every child would have size_floor edges.
@@ -337,7 +352,8 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     apex, then (P + e) - w contains the non-planar P - w for every w, and
     the child is not apex either. Otherwise, when P is apex through a
     vertex w that is not an end of e, the child carries w and e
-    (`Graph._grown`), and `is_nil` decides it through its new edge.
+    (`Graph._grown`), and `is_nil` decides it through its new edge. This
+    is the rule of `oracles._extend`, which `_top_children` applies inline.
 
     The kept children of a level are grouped by the sorted entries that
     the tie-break already computed, and only a group that holds two or
@@ -485,26 +501,15 @@ def _one_per_orbit(g: Graph, perms: list[list[int]], members: list) -> list:
     of g, on the new edges of g's children in members: the first one, or
     the first with an apex witness when there is one."""
     adj = g._adj
-    kept: list = []  # [orbit of the new edge, member]
+    by_edge = {}
     for member in members:
-        child = member[0]
-        u, v = [x for x, m in enumerate(child._adj) if m != adj[x]]
-        for slot in kept:
-            if (u, v) in slot[0]:
-                if slot[1][0]._apex is None and child._apex is not None:
-                    slot[1] = member
-                break
-        else:
-            orbit = {(u, v)}
-            todo = [(u, v)]
-            for a, b in todo:
-                for p in perms:
-                    e = (p[a], p[b]) if p[a] < p[b] else (p[b], p[a])
-                    if e not in orbit:
-                        orbit.add(e)
-                        todo.append(e)
-            kept.append([orbit, member])
-    return [member for _, member in kept]
+        u, v = [x for x, m in enumerate(member[0]._adj) if m != adj[x]]
+        by_edge[u, v] = member
+    kept = []
+    for orbit in orbits_of_pairs(list(by_edge), perms):
+        group = [by_edge[e] for e in orbit]
+        kept.append(next((m for m in group if m[0]._apex is not None), group[0]))
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -531,7 +536,8 @@ def _top_children(g: Graph, packed: int):
     `isomorphism_classes` whose e is a top edge under the three-part f,
     with e drawn from one non-edge per orbit of the twin swaps of g, and
     with the child's apex witness filled when g's decides it, or else its
-    `Graph._grown` when g has an apex vertex. `packed`
+    `Graph._grown` when g has an apex vertex, by the rule of
+    `oracles._extend`, with the codes shared through `_grow_codes`. `packed`
     holds g's entries, packed as in `_levels`, and `entries` the child's.
     key is the child's sorted entries; top is True when e is a top edge
     under the whole f, and False when e loses on the entries (a spare

@@ -338,6 +338,43 @@ MUTANTS = (
         (("g._apex = apex_scan(g._adj, w)", "g._apex = w"),),
         (ROUTE,),
     ),
+    Mutant(
+        "extension-keeps-witness-off-its-edge",
+        "oracles.py",
+        (
+            (
+                "if w is not None and (w < 0 or w == u or w == v):",
+                "if w is not None:",
+            ),
+        ),
+        ("tests/test_oracles.py::test_is_mtn_matches_definition_on_small_classes",),
+    ),
+    Mutant(
+        "search-keeps-first-child-only",
+        "search.py",
+        (
+            (
+                "for (u, v), *_ in orbits_of_pairs(edges, perms)",
+                "for (u, v), *_ in orbits_of_pairs(edges, perms)[:1]",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_search_matches_bruteforce_depth2",
+            "tests/test_search.py::"
+            "test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots",
+        ),
+    ),
+    Mutant(
+        "orbit-helper-closes-over-one-permutation",
+        "canonical.py",
+        (("for p in perms:", "for p in perms[:1]:"),),
+        (
+            "tests/test_canonical.py::"
+            "test_orbits_of_pairs_split_the_given_pairs_by_the_groups_orbits",
+            "tests/test_search.py::"
+            "test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms",
+        ),
+    ),
 )
 
 

@@ -513,9 +513,13 @@ def _maxnil_by_definition(g: Graph) -> bool:
 
 
 def test_is_maxnil_matches_definition_on_small_classes():
+    # Each class and two relabelings of it, so that the apex vertex and the
+    # extensions' witnesses move to other labels.
+    rng = random.Random(2603)
     for n in range(3, 8):
         for g in isomorphism_classes(n):
-            assert is_maxnil(g) == _maxnil_by_definition(g), g
+            for h in (g, relabeled(g, rng), relabeled(g, rng)):
+                assert is_maxnil(h) == _maxnil_by_definition(h), h
 
 
 @pytest.mark.slow
@@ -544,6 +548,36 @@ def test_is_mtn_examples():
     assert not is_mtn(complete_graph(6), db)
     for obs in order8_obstructions():
         assert not is_mtn(obs, db)
+
+
+def mtn_by_definition(g: Graph, db: ObstructionDB) -> bool:
+    """`is_mtn` with no witness and no orbit rule: g is tested on a copy
+    that carries nothing, and so is every extension by a non-edge."""
+    fresh = Graph._from_masks(g._adj)
+    return is_tn(fresh, db) and all(
+        not is_tn(Graph._from_masks(g._adj).add_edge(e), db) for e in g.non_edges()
+    )
+
+
+def test_is_mtn_matches_definition_on_small_classes():
+    # Each class of order <= 7 and two relabelings of it, and the order-8
+    # obstructions less an edge, which are toroidal, with relabelings.
+    # is_mtn hands each extension the witness g's own test left: a vertex,
+    # -1, or none when is_nil decided g by size (fewer than 15 edges, as
+    # K6 - e), and each kind must occur among the MTN graphs.
+    rng = random.Random(2604)
+    db = ObstructionDB.builtin()
+    graphs = [g for n in range(3, 8) for g in isomorphism_classes(n)]
+    graphs += [obs.delete_edge(e) for obs in order8_obstructions() for e in obs.edges]
+    graphs += [decode_graph6(NON_APEX_MAXNIL)]
+    kinds = Counter()
+    for g in graphs:
+        expected = mtn_by_definition(g, db)
+        for h in (g, relabeled(g, rng), relabeled(g, rng)):
+            assert is_mtn(h, db) == expected, h
+            if expected:
+                kinds["none" if h._apex is None else min(h._apex, 0)] += 1
+    assert kinds["none"] and kinds[0] and kinds[-1]
 
 
 def test_maximality_implies_membership():

@@ -1,9 +1,12 @@
 import dataclasses
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
+import torlink.canonical
+import torlink.oracles
 import torlink.planarity
 import torlink.search
 from torlink import (
@@ -32,6 +35,7 @@ from torlink import (
     is_toroidal,
     mtn_search,
     parse_embedding,
+    petersen_family,
     verify_size19_exclusion,
 )
 from torlink.canonical import automorphisms, canonical_form, canonical_graph
@@ -57,6 +61,7 @@ from bruteforce import (
     reference_top_children,
 )
 from test_canonical import cube_graph
+from test_oracles import mtn_by_definition
 from test_torus import FIXTURE
 
 
@@ -168,14 +173,15 @@ def test_search_matches_bruteforce_depth2():
 
 
 def test_search_matches_bruteforce_depth3(monkeypatch):
-    # Also: no state at or below the floor is canonized.
+    # Also: no state at or below the floor is canonized. The search
+    # canonizes each state through `automorphisms`.
     sizes = []
 
     def recorder(g):
         sizes.append(g.size)
-        return canonical_form(g)
+        return automorphisms(g)
 
-    monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    monkeypatch.setattr(torlink.search, "automorphisms", recorder)
     g = bridged_double_k5()
     ctx = make_ctx(floor=18)
     result = {canonical_form(x) for x in mtn_search(g, ctx)}
@@ -190,9 +196,9 @@ def test_search_canonizes_each_labeled_state_once(monkeypatch):
 
     def recorder(g):
         states.append(g._adj)
-        return canonical_form(g)
+        return automorphisms(g)
 
-    monkeypatch.setattr(torlink.search, "canonical_form", recorder)
+    monkeypatch.setattr(torlink.search, "automorphisms", recorder)
     g = bridged_double_k5()
     ctx = make_ctx(floor=17)
     result = {canonical_form(x) for x in mtn_search(g, ctx)}
@@ -200,6 +206,46 @@ def test_search_canonizes_each_labeled_state_once(monkeypatch):
     assert len(states) == len(set(states))
     # Every class above the floor is still keyed in ctx.cache.
     assert len(ctx.cache) == len({canonical_form(Graph._from_masks(a)) for a in states})
+
+
+def circulant(n: int, jumps) -> Graph:
+    return Graph(n, {tuple(sorted((i + 1, (i + j) % n + 1))) for i in range(n) for j in jumps})
+
+
+def rook_graph() -> Graph:
+    """K3 x K3, the 3x3 rook's graph: vertex-transitive, 18 edges."""
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    return Graph(9, [
+        (3 * a[0] + a[1] + 1, 3 * b[0] + b[1] + 1)
+        for a, b in combinations(cells, 2)
+        if a[0] == b[0] or a[1] == b[1]
+    ])
+
+
+@pytest.mark.parametrize(
+    "root, floor, db",
+    [
+        (bridged_double_k5(), 17, fake_db()),
+        # With C9 as the one obstruction, "toroidal" means non-Hamiltonian.
+        (circulant(9, (1, 2)), 14, ObstructionDB({8: (), 9: (cycle_graph(9),)})),
+        (circulant(9, (1, 3)), 14, ObstructionDB({8: (), 9: (cycle_graph(9),)})),
+        (rook_graph(), 14, ObstructionDB({8: (), 9: (cycle_graph(9),)})),
+    ],
+    ids=["bridged-double-K5", "C9(1,2)", "C9(1,3)", "rook"],
+)
+def test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots(root, floor, db):
+    # Symmetric roots give the orbit rule the most siblings to skip; the
+    # relabelings move the orbits to other labels.
+    assert is_nil(root)
+    expected = brute_search_keys(root, SearchContext((), (), db, floor))
+    assert expected
+    rng = random.Random(2602)
+    for _ in range(2):
+        perm = rng.sample(range(1, 10), 9)
+        h = root.relabel({i + 1: q for i, q in enumerate(perm)})
+        assert automorphisms(h)
+        ctx = SearchContext((), (), db, floor)
+        assert {canonical_form(x) for x in mtn_search(h, ctx)} == expected
 
 
 def test_search_result_ignores_the_root_labels():
@@ -214,22 +260,63 @@ def test_search_result_ignores_the_root_labels():
         assert mtn_search(h, shared) == expected
 
 
+# Upper bounds on the canonizations in the whole pipeline of the stand-in,
+# and on the planarity tests in its is_mtn phase, from a cold is_nil memo.
+# They are 12,477 and 1,351; they were 14,788 and 3,155 when the search
+# tried every child, and is_mtn every extension, each tested for nIL from
+# scratch.
+PIPELINE_WORK = (12_500, 1_400)
+
+
 @pytest.mark.slow
-def test_search_at_workload_scale():
+def test_search_at_workload_scale(monkeypatch):
     # The order-9 stand-in of the pipeline9 benchmark: cones over two
     # stacked triangulations as roots, C9 as the only order-9 obstruction
     # (so "toroidal" means non-Hamiltonian), floor 21.
+    petersen_family()
+    calls = Counter()
+    core, planar = torlink.canonical._core_min_labeling, torlink.planarity._planar
+    phase = []
+
+    def counted_core(*args):
+        calls["canonizations"] += 1
+        return core(*args)
+
+    def counted_planar(*args):
+        if phase:
+            calls["planar in is_mtn"] += 1
+        return planar(*args)
+
+    def in_phase(g, db):
+        phase.append(g)
+        try:
+            return is_mtn(g, db)
+        finally:
+            phase.pop()
+
+    monkeypatch.setattr(torlink.oracles, "_nil_memo", {})
+    monkeypatch.setattr(torlink.canonical, "_core_min_labeling", counted_core)
+    monkeypatch.setattr(torlink.planarity, "_planar", counted_planar)
+    monkeypatch.setattr(torlink.search, "is_mtn", in_phase)
     roots = sorted(
         (canonical_graph(decode_graph6(g6)) for g6 in ("H~^edb~", "H~]rQr~")),
         key=canonical_form,
     )
     db = ObstructionDB({8: order8_obstructions(), 9: (cycle_graph(9),)})
     ctx = SearchContext((), tuple(roots), db, 21)
-    text = find_all_mtn_order9(ctx).to_text()
+    calls.clear()
+    report = find_all_mtn_order9(ctx)
     facts = {"search_candidates 79", "non_maxnil_mtn 11", "all_mtn 11"}
-    assert facts <= set(text.splitlines())
+    assert facts <= set(report.to_text().splitlines())
     # One entry per distinct state above the floor that the search reached.
     assert len(ctx.cache) == 4441
+    work = (calls["canonizations"], calls["planar in is_mtn"])
+    assert all(a <= b for a, b in zip(work, PIPELINE_WORK)), work
+    # The per-orbit, witness-carrying is_mtn agrees with the definition on
+    # every candidate.
+    kept = set(report.non_maxnil_mtn)
+    for g in report.candidates:
+        assert mtn_by_definition(g, db) == (g in kept), g
 
 
 def test_context_fields_are_frozen():
