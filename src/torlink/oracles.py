@@ -24,21 +24,21 @@ and memoized; the DAG stays the one decision procedure for them. Before
 the DAG, `is_nil` answers an input that carries an apex witness naming a
 vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
-A one-edge extension C = P + uv of a graph P that is apex through a vertex
-w other than u and v is decided from what P proved, before C is canonized,
-when C carries w and uv (`Graph._grown`): the census children of
-`search.isomorphism_classes`, and the extensions that `_extend` builds for
-`is_mtn` and `is_maxnil`. First
-C is apex through w when C - w = (P - w) + uv is planar: one planarity
-test, which almost every such nIL child passes. Otherwise, since P is nIL,
-every Petersen-family minor of C uses uv. A family graph that is a
-subgraph of C is then one through uv, so the subgraph test is pinned to
-that edge (`is_subgraph_iso` with ``pin``); a copy found means IL. If none
-is found, the rest of the apex scan runs, skipping w, and a graph that is
-not apex goes to the minor DAG with ``edge`` = uv, which skips C's own
-subgraph test and the reductions of C that are minors of P. Each step is
-exact on its own, so the verdict and the witness left on C are those of
-the plain route, up to which apex vertex is named.
+`carry_witness` fills every one-edge extension C = P + uv from P's apex
+witness: the census children of `search.isomorphism_classes`, and the
+extensions of `is_maximal`, the maximality test of `is_maxnil`, `is_mtn`
+and `search.verify_size19_exclusion`. A C whose P is apex through a
+vertex w other than u and v carries w and uv (`Graph._grown`) and is
+decided from what P proved, before it is canonized. First C is apex
+through w when C - w = (P - w) + uv is planar: one planarity test, which
+almost every such nIL child passes. Otherwise, since P is nIL, every
+Petersen-family minor of C uses uv, so the subgraph test is pinned to
+that edge (`is_subgraph_iso` with ``pin``); a copy found means IL. If
+none is found, the rest of the apex scan runs, skipping w, and a graph
+that is not apex goes to the minor DAG with ``edge`` = uv, which skips
+C's own subgraph test and the reductions of C that are minors of P. Each
+step is exact on its own, so the verdict and the witness left on C are
+those of the plain route, up to which apex vertex is named.
 
 `is_toroidal` answers for the database it is given, with no shortcut: a
 database may hold stand-in obstructions, for which neither "planar implies
@@ -152,7 +152,7 @@ def is_nil(g: Graph) -> bool:
     nIL, and when it has fewer edges than every Petersen-family graph.
     A one-edge extension g = P + uv built from P's apex witness, where P
     has an apex vertex w other than u and v (`Graph._grown`; see
-    `_extend`), is decided through its new edge; see the module
+    `carry_witness`), is decided through its new edge; see the module
     docstring. Every other graph goes to the minor DAG, with Mader's bound
     and the apex certificate settling its states.
     """
@@ -197,36 +197,47 @@ def is_maxnil(g: Graph) -> bool:
     any Petersen-family graph is not maxnIL, with no apex test: g + e has
     too few edges for a Petersen-family minor, so it is nIL.
 
-    Only a graph that is not apex reaches the test of every g + e, so
-    `_extend` hands each one the witness -1, and its `is_nil` runs no apex
-    scan.
+    Only a graph that is not apex reaches `is_maximal`, which hands each
+    g + e the witness -1, so its `is_nil` runs no apex scan.
     """
     if g.size + 1 < _petersen_fewest_edges() and g.size < g.n * (g.n - 1) // 2:
         return False
     if g.n >= 4 and is_apex(g):
         return g.size == 4 * g.n - 10
-    if not is_nil(g):
-        return False
-    return all(not is_nil(_extend(g, u - 1, v - 1)) for u, v in g.non_edges())
+    return is_nil(g) and is_maximal(g, is_nil)
 
 
-def _extend(g: Graph, u: int, v: int) -> Graph:
-    """g + uv, for 0-based non-adjacent u and v, carrying what g's apex
-    witness w proves about it. With w = -1 g is not apex, and neither is
-    g + uv, since (g + uv) - x contains the non-planar g - x for every x.
-    With w = u or v, (g + uv) - w = g - w is planar. Otherwise, with w a
-    vertex, g is apex and so nIL, and g + uv carries w and uv as
-    `Graph._grown`, from which `is_nil` decides it through its new edge.
-    Without a witness on g, g + uv carries none. `search._top_children`
-    applies the same rule inline to the census children.
-    """
-    child = g.add_edge((u + 1, v + 1))
-    w = g._apex
+def carry_witness(child: Graph, w: int | None, u: int, v: int) -> Graph:
+    """Fill child = g + uv (0-based u, v) from g's apex witness w; return
+    child. With w = -1 g is not apex, and neither is g + uv,
+    since (g + uv) - x contains the non-planar g - x for every x. With
+    w = u or v, (g + uv) - w = g - w is planar. With another vertex w, g
+    is nIL, and child carries w and uv as `Graph._grown`, from which
+    `is_nil` decides it through its new edge. With w None, nothing."""
     if w is not None and (w < 0 or w == u or w == v):
         child._apex = w
     elif w is not None:
         child._grown = w << 8 | u << 4 | v
     return child
+
+
+def is_maximal(g: Graph, has) -> bool:
+    """True iff no g + e, e a non-edge of g, has the isomorphism-invariant
+    property `has`. Each g + e is built by `carry_witness`, and one e per
+    orbit of g's automorphisms is tried: an automorphism that maps e to e'
+    is an isomorphism from g + e to g + e'. The automorphisms are computed
+    only once the first g + e lacks the property."""
+    pairs = [(u - 1, v - 1) for u, v in g.non_edges()]
+    if not pairs:
+        return True
+
+    def extended_has(u: int, v: int) -> bool:
+        return has(carry_witness(g.add_edge((u + 1, v + 1)), g._apex, u, v))
+
+    if extended_has(*pairs[0]):
+        return False
+    orbits = orbits_of_pairs(pairs, automorphisms(g))
+    return not any(extended_has(u, v) for (u, v), *_ in orbits[1:])
 
 
 def order8_obstructions() -> tuple[Graph, Graph, Graph]:
@@ -340,19 +351,5 @@ def is_mtn(g: Graph, db: ObstructionDB) -> bool:
     """TN, and every single-edge addition leaves the TN family.
 
     Once g is TN, `is_nil` has left g's apex witness on it, unless it
-    decided g by size, and each g + e is built by `_extend`, so that
-    `is_nil` decides it from that witness. Only one non-edge per orbit of
-    g's automorphisms is tried: an automorphism that maps e to e' is an
-    isomorphism from g + e to g + e', so both are TN or neither. The
-    automorphisms are computed only once the first extension is found not
-    to be TN, so a g that fails there needs none.
-    """
-    if not is_tn(g, db):
-        return False
-    pairs = [(u - 1, v - 1) for u, v in g.non_edges()]
-    if not pairs:
-        return True
-    if is_tn(_extend(g, *pairs[0]), db):
-        return False
-    orbits = orbits_of_pairs(pairs, automorphisms(g))
-    return all(not is_tn(_extend(g, u, v), db) for (u, v), *_ in orbits[1:])
+    decided g by size, and `is_maximal` hands it to each g + e."""
+    return is_tn(g, db) and is_maximal(g, lambda h: is_tn(h, db))

@@ -20,7 +20,16 @@ from .canonical import automorphisms, canonical_form, canonical_graph, orbits_of
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import Graph
-from .oracles import ObstructionDB, is_maxnil, is_mtn, is_nil, is_tn, is_toroidal
+from .oracles import (
+    ObstructionDB,
+    carry_witness,
+    is_maximal,
+    is_maxnil,
+    is_mtn,
+    is_nil,
+    is_tn,
+    is_toroidal,
+)
 from .containment import has_minor, is_subgraph_iso
 from .torus import TorusDiagram, verify_embedding
 
@@ -205,16 +214,14 @@ def verify_size19_exclusion(obstructions, db: ObstructionDB) -> bool:
     leaves a graph that regains the TN property under some edge addition.
 
     A True result rules out candidates at the edge floor itself, which is
-    what justifies the search's strict size guard.
+    what justifies the search's strict size guard. Each h - e is tested by
+    `oracles.is_maximal`, one added edge per orbit of its automorphisms.
     """
-    for h in obstructions:
-        for e in h.edges:
-            reduced = h.delete_edge(e)
-            if not any(
-                is_tn(reduced.add_edge(e2), db) for e2 in reduced.non_edges()
-            ):
-                return False
-    return True
+    return not any(
+        is_maximal(h.delete_edge(e), lambda g: is_tn(g, db))
+        for h in obstructions
+        for e in h.edges
+    )
 
 
 @dataclass(frozen=True)
@@ -352,8 +359,9 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     apex, then (P + e) - w contains the non-planar P - w for every w, and
     the child is not apex either. Otherwise, when P is apex through a
     vertex w that is not an end of e, the child carries w and e
-    (`Graph._grown`), and `is_nil` decides it through its new edge. This
-    is the rule of `oracles._extend`, which `_top_children` applies inline.
+    (`Graph._grown`), and `is_nil` decides it through its new edge.
+    `_top_children` fills each child by this rule through
+    `oracles.carry_witness`, the one owner of it.
 
     The kept children of a level are grouped by the sorted entries that
     the tie-break already computed, and only a group that holds two or
@@ -513,14 +521,6 @@ def _one_per_orbit(g: Graph, perms: list[list[int]], members: list) -> list:
 
 
 @lru_cache(maxsize=None)
-def _grow_codes(w: int) -> tuple[int, ...]:
-    """w << 8 | x for each byte x: the `Graph._grown` of each child g + uv,
-    x = u << 4 | v, of a parent g with apex vertex w, made once so that
-    the children share them."""
-    return tuple(w << 8 | x for x in range(256))
-
-
-@lru_cache(maxsize=None)
 def _spread(n: int) -> tuple[int, ...]:
     """_spread(n)[m] has bit 20x set for each bit x of the n-bit mask m,
     so adding k * _spread(n)[m] to packed entries adds k to the entry of
@@ -535,13 +535,11 @@ def _top_children(g: Graph, packed: int):
     """(key, top, child, entries) for the children g + e of
     `isomorphism_classes` whose e is a top edge under the three-part f,
     with e drawn from one non-edge per orbit of the twin swaps of g, and
-    with the child's apex witness filled when g's decides it, or else its
-    `Graph._grown` when g has an apex vertex, by the rule of
-    `oracles._extend`, with the codes shared through `_grow_codes`. `packed`
-    holds g's entries, packed as in `_levels`, and `entries` the child's.
-    key is the child's sorted entries; top is True when e is a top edge
-    under the whole f, and False when e loses on the entries (a spare
-    child).
+    with the child filled from g's apex witness by `oracles.carry_witness`.
+    `packed` holds g's entries, packed as in `_levels`, and `entries` the
+    child's. key is the child's sorted entries; top is True when e is a
+    top edge under the whole f, and False when e loses on the entries (a
+    spare child).
 
     A non-edge e = (u, v) is rejected on degrees alone, before g + e is
     built, when some edge of g + e beats e on the first two parts of f,
@@ -613,8 +611,6 @@ def _top_children(g: Graph, packed: int):
                 partners[h] |= 1 << v
             heads.append(v)
     apex = g._apex
-    if apex is not None and apex >= 0:
-        codes = _grow_codes(apex)
     for u in range(n):
         rest = partners[u] & ~adj[u]
         while rest:
@@ -661,11 +657,7 @@ def _top_children(g: Graph, packed: int):
             entries.sort()
             child = Graph._from_masks(masks)
             child._size = size
-            if apex is not None and (apex < 0 or apex == u or apex == v):
-                child._apex = apex
-            elif apex is not None:
-                child._grown = codes[u << 4 | v]
-            yield tuple(entries), top, child, carried
+            yield tuple(entries), top, carry_witness(child, apex, u, v), carried
 
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):

@@ -98,17 +98,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "apex-witness-passed-to-every-child",
-        "search.py",
-        (
-            (
-                "if apex is not None and (apex < 0 or apex == u or apex == v):",
-                "if apex is not None:",
-            ),
-        ),
-        ("tests/test_search.py::test_inherited_apex_witnesses_hold",),
-    ),
-    Mutant(
         "twin-rule-without-same-class-pair",
         "search.py",
         (("if not paired >> h & 1:", "if False:"),),
@@ -323,11 +312,11 @@ MUTANTS = (
     ),
     Mutant(
         "relative-route-without-apex-vertex",
-        "search.py",
+        "oracles.py",
         (
             (
-                "if apex is not None and (apex < 0 or apex == u or apex == v):",
-                "if apex is not None and (apex == u or apex == v):",
+                "if w is not None and (w < 0 or w == u or w == v):",
+                "if w is not None and (w == u or w == v):",
             ),
         ),
         (ROUTE,),
@@ -347,7 +336,25 @@ MUTANTS = (
                 "if w is not None:",
             ),
         ),
-        ("tests/test_oracles.py::test_is_mtn_matches_definition_on_small_classes",),
+        (
+            "tests/test_search.py::test_inherited_apex_witnesses_hold",
+            "tests/test_oracles.py::test_is_mtn_matches_definition_on_small_classes",
+        ),
+    ),
+    Mutant(
+        "maximality-skips-an-orbit",
+        "oracles.py",
+        (
+            (
+                "return not any(extended_has(u, v) for (u, v), *_ in orbits[1:])",
+                "return not any(extended_has(u, v) for (u, v), *_ in orbits[2:])",
+            ),
+        ),
+        (
+            "tests/test_oracles.py::test_is_mtn_matches_definition_on_small_classes",
+            "tests/test_oracles.py::test_is_maxnil_matches_definition_past_the_apex_rule",
+            "tests/test_search.py::test_exclusion_matches_definition",
+        ),
     ),
     Mutant(
         "search-keeps-first-child-only",

@@ -2,9 +2,9 @@
 private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
 function is referenced somewhere; every dataclass is frozen; every
-attribute a class stores is read; the package's __all__ is exactly what
-its __init__ imports; and every Graph, however it is made, has every slot
-set."""
+attribute a class stores is read; only `graphs` and `oracles` store
+`Graph._grown`; the package's __all__ is exactly what its __init__
+imports; and every Graph, however it is made, has every slot set."""
 
 import ast
 import sys
@@ -266,6 +266,53 @@ def test_unread_state_check_catches_planted_classes():
         "m.py:11: B.unused",
         "m.py:15: B.slot",
     ]
+
+
+def grown_stores(sources: dict[str, str]) -> list[str]:
+    """`file:line`, in order, for each store to an attribute `_grown` in
+    the sources: an assignment, or `setattr` or `object.__setattr__` with
+    that name."""
+    found = []
+    for file, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            stored = (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and node.attr == "_grown"
+            ) or (
+                isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                in ("setattr", "__setattr__")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "_grown"
+            )
+            if stored:
+                found.append((file, node.lineno))
+    return [f"{file}:{line}" for file, line in sorted(found)]
+
+
+def test_one_owner_stores_the_grown_slot():
+    # `oracles.carry_witness` owns the rule that fills a one-edge extension
+    # from its parent's apex witness, and with it the encoding of
+    # `Graph._grown`; `Graph._from_masks` only clears the slot.
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    files = {store.split(":")[0] for store in grown_stores(sources)}
+    assert files == {"graphs.py", "oracles.py"}, grown_stores(sources)
+
+
+def test_grown_store_check_catches_planted_stores():
+    source = (
+        "if apex is not None and (apex < 0 or apex == u or apex == v):\n"
+        "    child._apex = apex\n"
+        "elif apex is not None:\n"
+        "    child._grown = codes[u << 4 | v]\n"
+        "w = child._grown >> 8\n"
+        "setattr(child, '_grown', 0)\n"
+        "object.__setattr__(child, '_grown', 0)\n"
+        "child._grown |= 1\n"
+    )
+    assert grown_stores({"m.py": source}) == ["m.py:4", "m.py:6", "m.py:7", "m.py:8"]
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -2,10 +2,12 @@
 
 Running the mutants takes minutes and is left out of tier-1; this check
 takes none. A change that rewrites a mutated line, or renames a test
-named as a killer, fails here instead of leaving a stale entry behind.
+named as a killer, fails here instead of leaving a stale entry behind;
+so do two entries that make the same edit.
 """
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,14 @@ def test_mutant_killers_name_existing_tests(mutant):
         if name:
             function = re.sub(r"\[.*\]$", "", name)
             assert re.search(rf"^def {function}\(", text, re.M), killer
+
+
+def test_no_two_mutants_make_the_same_edit():
+    # Two entries with one edit run one mutant twice under two names, and
+    # only the union of their killers says what kills it.
+    made = Counter((m.path, frozenset(m.edits)) for m in mutants.MUTANTS)
+    twice = [edit for edit, count in made.items() if count > 1]
+    assert not twice, twice
 
 
 def test_stale_edit_is_an_error():

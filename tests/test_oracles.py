@@ -528,6 +528,33 @@ def test_is_maxnil_matches_definition_on_order8_classes(order8_classes):
         assert is_maxnil(g) == _maxnil_by_definition(g), g
 
 
+# The order-9 maxnIL graphs that are not apex. Every nIL graph of order
+# <= 7 is apex, and is_maxnil settles apex graphs by edge count, so only
+# graphs like these (and G~qkz{ in the slow order-8 test) reach its
+# per-orbit extension test.
+NON_APEX_MAXNIL_ORDER9 = (
+    "HHT{~Nz", "HHU^F~}", "Hjeh}vf", "HJ]\\]^v", "H`]u~^{", "HJ`|}~n"
+)
+
+
+def test_is_maxnil_matches_definition_past_the_apex_rule():
+    # Each graph, two relabelings, and four one-edge deletions of each of
+    # those. A deletion that is still not apex is nIL and not maxnIL, and
+    # is_maxnil must find an extension that shows it. The definition runs
+    # on a copy that carries no witness.
+    rng = random.Random(2701)
+    kinds = Counter()
+    for g6 in NON_APEX_MAXNIL_ORDER9:
+        g = decode_graph6(g6)
+        for h in (g, relabeled(g, rng), relabeled(g, rng)):
+            for k in [h] + [h.delete_edge(e) for e in rng.sample(h.edges, 4)]:
+                fresh = Graph._from_masks(k._adj)
+                expected = _maxnil_by_definition(fresh)
+                assert is_maxnil(k) == expected, k
+                kinds[expected, is_apex(fresh)] += 1
+    assert kinds[True, False] == 18 and kinds[False, False] >= 18
+
+
 def test_is_maxnil_decides_apex_graphs_by_edge_count(monkeypatch):
     def no_dag(g):
         raise AssertionError(f"is_nil asked about {g}")

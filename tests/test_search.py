@@ -32,6 +32,7 @@ from torlink import (
     is_nil,
     is_planar,
     is_subgraph_iso,
+    is_tn,
     is_toroidal,
     mtn_search,
     parse_embedding,
@@ -61,7 +62,7 @@ from bruteforce import (
     reference_top_children,
 )
 from test_canonical import cube_graph
-from test_oracles import mtn_by_definition
+from test_oracles import mtn_by_definition, relabeled
 from test_torus import FIXTURE
 
 
@@ -442,6 +443,43 @@ def test_exclusion_passes_on_recoverable_graph():
     # any chord back keeps the circumference below 8, restoring membership.
     db = fake_db()
     assert verify_size19_exclusion((cycle_graph(8),), db)
+
+
+def exclusion_by_definition(obstructions, db: ObstructionDB) -> bool:
+    """`verify_size19_exclusion` with no orbit rule: every edge of every
+    obstruction is deleted, and every non-edge of what is left is tried.
+    `delete_edge` and `add_edge` make graphs that carry no witness."""
+    reduced = [h.delete_edge(e) for h in obstructions for e in h.edges]
+    return all(any(is_tn(g.add_edge(f), db) for f in g.non_edges()) for g in reduced)
+
+
+def test_exclusion_matches_definition():
+    # The order-8 obstructions with the built-in set, C8 and C9 with a
+    # database that forbids C8 and with one that forbids C9, K9 with the
+    # built-in order-8 set, each on its own and relabeled twice. Also K8
+    # less a net (a triangle with a pendant edge at each corner): some of
+    # its deletions have TN extensions in one orbit of non-edges only,
+    # which is not the first one tried.
+    rng = random.Random(2702)
+    builtin = ObstructionDB.builtin()
+    c9_db = ObstructionDB({8: order8_obstructions(), 9: (cycle_graph(9),)})
+    net = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)]
+    k8_less_net = Graph(8, [e for e in complete_graph(8).edges if e not in net])
+    cases = [(obs, builtin) for obs in order8_obstructions() + (k8_less_net,)]
+    cases += [(cycle_graph(n), db) for n in (8, 9) for db in (fake_db(), c9_db)]
+    cases += [(complete_graph(9), ObstructionDB({8: order8_obstructions(), 9: ()}))]
+    answers = Counter()
+    for h, db in cases:
+        for k in (h, relabeled(h, rng), relabeled(h, rng)):
+            expected = exclusion_by_definition((k,), db)
+            assert verify_size19_exclusion((k,), db) == expected, k
+            answers[expected] += 1
+    assert answers[True] and answers[False]
+    # C9 less (1, 2) is the path 2, 3, ..., 9, 1. Its first non-edge
+    # closes C9 again, so the exclusion needs a later one.
+    path = cycle_graph(9).delete_edge((1, 2))
+    assert not is_tn(path.add_edge(path.non_edges()[0]), c9_db)
+    assert verify_size19_exclusion((cycle_graph(9),), c9_db)
 
 
 # -- full pipeline on synthetic data ---------------------------------------------
