@@ -98,6 +98,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "apex-witness-passed-to-every-child",
+        "search.py",
+        (
+            (
+                "yield tuple(entries), top, carry_witness(child, apex, u, v), carried",
+                "yield tuple(entries), top, carry_witness(child, apex, apex, apex), carried",
+            ),
+        ),
+        ("tests/test_search.py::test_inherited_apex_witnesses_hold",),
+    ),
+    Mutant(
         "twin-rule-without-same-class-pair",
         "search.py",
         (("if not paired >> h & 1:", "if False:"),),
