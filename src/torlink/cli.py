@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import TorlinkError, UnsupportedOrderError
+from .errors import ParseError, TorlinkError, UnsupportedOrderError
 from .graph6 import decode_graph6, encode_graph6, read_graph6_file
 from .graphs import Graph
 from .oracles import (
@@ -83,9 +83,20 @@ def _read_graphs(path) -> list[Graph]:
 
 
 def _input_graphs(spec: str) -> list[Graph]:
-    if Path(spec).is_file():
+    """The graphs of the graph6 file spec names, else the one graph of the
+    graph6 string spec; a spec that is neither is an error naming it."""
+    path = Path(spec)
+    if path.is_file():
         return _read_graphs(spec)
-    return [decode_graph6(spec)]
+    try:
+        return [decode_graph6(spec)]
+    except ParseError as exc:
+        if not spec.strip():
+            raise
+        why = f"no such file, and not a graph6 string: {exc}"
+        if path.exists():
+            why = "a directory" if path.is_dir() else "not a regular file"
+        raise ParseError(f"{spec}: {why}") from None
 
 
 # The `check` predicates, in output order: (flag, output label, help text,

@@ -25,12 +25,13 @@ class Graph:
 
     # _from_masks sets every slot. _canon, _size and _plan are caches,
     # filled on first use by canonical_form, size and is_subgraph_iso.
-    # _apex is is_apex's witness: the 0-based vertex whose deletion leaves
-    # a planar graph, or -1 when there is none. A one-edge extension g + uv
-    # built by oracles.carry_witness has it filled when g's witness decides
-    # it. _grown is set only there, on such an extension whose g has an
-    # apex vertex w other than u and v: w << 8 | u << 4 | v, 0-based, which
-    # is_nil reads.
+    # _apex and _grown are the apex witness, which only oracles reads or
+    # fills. _apex is oracles.is_apex's witness: the 0-based vertex whose
+    # deletion leaves a planar graph, or -1 when there is none. A one-edge
+    # extension g + uv built by oracles.carry_witness has it filled when
+    # g's witness decides it. _grown is set only there, on such an
+    # extension whose g has an apex vertex w other than u and v:
+    # w << 8 | u << 4 | v, 0-based, which is_nil reads.
     __slots__ = ("n", "_adj", "_canon", "_size", "_plan", "_apex", "_grown")
 
     def __new__(cls, n: int, edges: Iterable[EdgePair] = ()):

@@ -24,11 +24,13 @@ and memoized; the DAG stays the one decision procedure for them. Before
 the DAG, `is_nil` answers an input that carries an apex witness naming a
 vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
-`carry_witness` fills every one-edge extension C = P + uv from P's apex
-witness: the census children of `search.isomorphism_classes`, and the
-extensions of `is_maximal`, the maximality test of `is_maxnil`, `is_mtn`
-and `search.verify_size19_exclusion`. A C whose P is apex through a
-vertex w other than u and v carries w and uv (`Graph._grown`) and is
+This module alone reads and writes the apex witness (see `Graph`), which
+`is_apex`, `is_nil` and `carry_witness` fill. `carry_witness` fills
+every one-edge extension C = P + uv from P's apex witness: the census
+children of `search.isomorphism_classes`, and the extensions of
+`is_maximal`, the maximality test of `is_maxnil`, `is_mtn` and
+`search.verify_size19_exclusion`. A C whose P is apex through a vertex w
+other than u and v carries w and uv (`Graph._grown`) and is
 decided from what P proved, before it is canonized. First C is apex
 through w when C - w = (P - w) + uv is planar: one planarity test, which
 almost every such nIL child passes. Otherwise, since P is nIL, every
@@ -58,7 +60,7 @@ from .containment import contains_any_minor, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import read_graph6_file
 from .graphs import MAX_ORDER, Graph, complete_graph
-from .planarity import apex_scan, is_apex, planar_without
+from .planarity import apex_scan, planar_without
 
 # No toroidal obstruction has fewer than 8 vertices.
 SMALLEST_OBSTRUCTION_ORDER = 8
@@ -122,6 +124,22 @@ def petersen_family() -> tuple[Graph, ...]:
 # family, so no entry goes stale; `check FILE` and `census_maxnil` share it.
 # Only graphs that `_settle_nil` leaves open reach it.
 _nil_memo: dict[bytes, bool] = {}
+
+
+def is_apex(g: Graph) -> bool:
+    """True iff deleting at most one vertex of g leaves a planar graph.
+
+    The outcome is kept on g as its witness (see `Graph`): the vertex that
+    `apex_scan` finds, or -1 for none. A witness already there is the
+    answer.
+    """
+    if g.n == 0:
+        return True
+    if g._apex is None:
+        # Set once, when decided, so a concurrent call never reads a
+        # provisional witness.
+        g._apex = apex_scan(g._adj, -1)
+    return g._apex >= 0
 
 
 def _settle_nil(g: Graph) -> bool | None:
@@ -207,13 +225,14 @@ def is_maxnil(g: Graph) -> bool:
     return is_nil(g) and is_maximal(g, is_nil)
 
 
-def carry_witness(child: Graph, w: int | None, u: int, v: int) -> Graph:
+def carry_witness(child: Graph, g: Graph, u: int, v: int) -> Graph:
     """Fill child = g + uv (0-based u, v) from g's apex witness w; return
     child. With w = -1 g is not apex, and neither is g + uv,
     since (g + uv) - x contains the non-planar g - x for every x. With
     w = u or v, (g + uv) - w = g - w is planar. With another vertex w, g
     is nIL, and child carries w and uv as `Graph._grown`, from which
-    `is_nil` decides it through its new edge. With w None, nothing."""
+    `is_nil` decides it through its new edge. With no witness, nothing."""
+    w = g._apex
     if w is not None and (w < 0 or w == u or w == v):
         child._apex = w
     elif w is not None:
@@ -232,7 +251,7 @@ def is_maximal(g: Graph, has) -> bool:
         return True
 
     def extended_has(u: int, v: int) -> bool:
-        return has(carry_witness(g.add_edge((u + 1, v + 1)), g._apex, u, v))
+        return has(carry_witness(g.add_edge((u + 1, v + 1)), g, u, v))
 
     if extended_has(*pairs[0]):
         return False

@@ -1,4 +1,6 @@
-"""Planarity and apex tests for small graphs, on adjacency bitmasks.
+"""The planarity test and the apex scan for small graphs, on adjacency
+bitmasks. Nothing here is stored on a `Graph`; `oracles.is_apex` keeps the
+scan's outcome as the graph's apex witness.
 
 A graph is planar when it can be drawn in the plane without crossings, and
 apex when deleting at most one vertex leaves a planar graph. The test is the
@@ -28,22 +30,6 @@ from .graphs import Graph
 def is_planar(g: Graph) -> bool:
     """True iff g has a crossing-free drawing in the plane."""
     return _planar(list(g._adj), (1 << g.n) - 1)
-
-
-def is_apex(g: Graph) -> bool:
-    """True iff deleting at most one vertex of g leaves a planar graph.
-
-    The outcome is kept on g as its witness (see `Graph`): the vertex that
-    `apex_scan` finds, or -1 for none. A witness already there is the
-    answer.
-    """
-    if g.n == 0:
-        return True
-    if g._apex is None:
-        # Set once, when decided, so a concurrent call never reads a
-        # provisional witness.
-        g._apex = apex_scan(g._adj, -1)
-    return g._apex >= 0
 
 
 def apex_scan(adj: tuple[int, ...], tried: int) -> int:

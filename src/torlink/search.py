@@ -354,14 +354,10 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     A parent also hands down its apex witness (see `Graph`), which
     `keep=is_nil` leaves on each class it accepts with as many edges as a
     Petersen-family graph (it settles sparser ones by size alone), so the
-    child's `keep` needs no apex test. If P - a is planar and e has a as an end, then
-    (P + e) - a = P - a, and a is an apex vertex of the child. If P is not
-    apex, then (P + e) - w contains the non-planar P - w for every w, and
-    the child is not apex either. Otherwise, when P is apex through a
-    vertex w that is not an end of e, the child carries w and e
-    (`Graph._grown`), and `is_nil` decides it through its new edge.
-    `_top_children` fills each child by this rule through
-    `oracles.carry_witness`, the one owner of it.
+    child's `keep` needs no apex test: `_top_children` passes each child
+    with its parent to `oracles.carry_witness`, which owns the rule and
+    the witness. The walk itself never reads a witness, and treats its
+    children as opaque.
 
     The kept children of a level are grouped by the sorted entries that
     the tie-break already computed, and only a group that holds two or
@@ -375,14 +371,14 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     of P's children that share a group are often isomorphic through the
     rest of it. For such a P, the canonical search of P
     (`canonical.automorphisms`) hands back automorphisms, and of P's
-    children in one group only one per orbit of the group they generate
-    on the new edges is kept. The same argument as for twins applies to
-    any automorphism phi: P + e and P + phi(e) are isomorphic children of
-    P, with the same top status, so a dropped child's class is still
-    generated, by the kept one, and P's fertility does not change. Any set
-    of automorphisms prunes soundly, since it only ever drops a child
-    isomorphic to a kept one; a set that misses part of the group leaves
-    more children in the group, and the canonical forms dedupe them.
+    children in one group only the first of each orbit of the group they
+    generate on the new edges is kept. The same argument as for twins
+    applies to any automorphism phi: P + e and P + phi(e) are isomorphic
+    children of P, with the same top status, so a dropped child's class is
+    still generated, by the kept one, and P's fertility does not change.
+    Any set of automorphisms prunes soundly, since it only ever drops a
+    child isomorphic to a kept one; a set that misses part of the group
+    leaves more children in the group, and the canonical forms dedupe them.
 
     Only the set of classes, grouped by size, is guaranteed: within one
     edge count the order of the classes and the labeled representative of
@@ -404,10 +400,8 @@ def _levels(n: int, keep):
     is bits 20x and up), from which `_top_children` derives its
     children's.
 
-    `keep` runs once per class, on its representative, which is a member
-    with an inherited apex witness when the class has one. A barren class
-    is that representative, with the apex witness its `keep` call left on
-    it.
+    `keep` runs once per class, on its representative. A barren class is
+    that representative, with whatever its `keep` call left on it.
     """
     level = [Graph(n)]
     if keep is not None and not keep(level[0]):
@@ -440,8 +434,9 @@ def _next_level(
     sorted entries no kept class has is not accepted. The level's groups and
     keys die with this call, before `_levels` yields.
 
-    A parent with two top-edge children in one group keeps there only one
-    per orbit of its automorphisms (see `isomorphism_classes`).
+    A parent's top-edge children are gathered by key first; of two or more
+    with one key, only the first of each orbit of the parent's automorphisms
+    (computed once, and only then) joins the group; see `isomorphism_classes`.
     """
     # Top-edge children grouped by key, each with its parent's index and
     # its packed entries, and the spare children with their keys, each
@@ -452,30 +447,24 @@ def _next_level(
     groups: dict[tuple[int, ...], list[tuple[Graph, int, int]]] = {}
     spares: list[tuple[tuple[int, ...], Graph, int]] = []
     for i, g in enumerate(level):
-        # The keys of groups that hold two or more of g's children.
-        twice = []
-        for key, top, child, packed in _top_children(g, packs[i]):
+        # g's top-edge children by key, each beside its new edge.
+        mine: dict[tuple[int, ...], list] = {}
+        for key, top, child, edge, packed in _top_children(g, packs[i]):
             shared = keys.get(key)
             if shared is None:
                 shared = tuple([keys.setdefault(x, x) for x in key])
                 keys[shared] = shared
-            key = shared
             if top:
-                group = groups.setdefault(key, [])
-                if group and group[-1][1] == i:
-                    twice.append(key)
-                group.append((child, i, packed))
+                mine.setdefault(shared, []).append((edge, (child, i, packed)))
             else:
-                spares.append((key, child, i))
-        if twice:
-            perms = automorphisms(g)
-            for key in dict.fromkeys(twice):
-                group = groups[key]
-                # g's children are the last ones in the group.
-                first = len(group) - 1
-                while first and group[first - 1][1] == i:
-                    first -= 1
-                group[first:] = _one_per_orbit(g, perms, group[first:])
+                spares.append((shared, child, i))
+        perms = None
+        for key, pairs in mine.items():
+            if len(pairs) > 1:
+                if perms is None:
+                    perms = automorphisms(g)
+                pairs = _one_per_orbit(perms, pairs)
+            groups.setdefault(key, []).extend(member for _, member in pairs)
     fertile = [False] * len(level)
     kept: set[tuple[int, ...]] = set()
     nxt = []
@@ -489,9 +478,7 @@ def _next_level(
         else:
             classes = (group,)
         for members in classes:
-            rep, _, packed = next(
-                (m for m in members if m[0]._apex is not None), members[-1]
-            )
+            rep, _, packed = members[-1]
             if keep is None or keep(rep):
                 for _, i, _ in members:
                     fertile[i] = True
@@ -504,20 +491,12 @@ def _next_level(
     return nxt, nxt_packs, fertile
 
 
-def _one_per_orbit(g: Graph, perms: list[list[int]], members: list) -> list:
-    """One member per orbit of the group generated by perms, automorphisms
-    of g, on the new edges of g's children in members: the first one, or
-    the first with an apex witness when there is one."""
-    adj = g._adj
-    by_edge = {}
-    for member in members:
-        u, v = [x for x, m in enumerate(member[0]._adj) if m != adj[x]]
-        by_edge[u, v] = member
-    kept = []
-    for orbit in orbits_of_pairs(list(by_edge), perms):
-        group = [by_edge[e] for e in orbit]
-        kept.append(next((m for m in group if m[0]._apex is not None), group[0]))
-    return kept
+def _one_per_orbit(perms: list[list[int]], pairs: list) -> list:
+    """Of a parent's children, given as (new edge, member) pairs, those
+    whose new edge is the first of its orbit under the group that perms,
+    automorphisms of the parent, generate; in the given order."""
+    firsts = {orbit[0] for orbit in orbits_of_pairs([e for e, _ in pairs], perms)}
+    return [pair for pair in pairs if pair[0] in firsts]
 
 
 @lru_cache(maxsize=None)
@@ -532,14 +511,14 @@ def _spread(n: int) -> tuple[int, ...]:
 
 
 def _top_children(g: Graph, packed: int):
-    """(key, top, child, entries) for the children g + e of
+    """(key, top, child, e, entries) for the children g + e of
     `isomorphism_classes` whose e is a top edge under the three-part f,
-    with e drawn from one non-edge per orbit of the twin swaps of g, and
-    with the child filled from g's apex witness by `oracles.carry_witness`.
-    `packed` holds g's entries, packed as in `_levels`, and `entries` the
-    child's. key is the child's sorted entries; top is True when e is a
-    top edge under the whole f, and False when e loses on the entries (a
-    spare child).
+    with e = (u, v), 0-based and u < v, drawn from one non-edge per orbit
+    of the twin swaps of g, and with the child filled from g's apex
+    witness by `oracles.carry_witness`. `packed` holds g's entries, packed
+    as in `_levels`, and `entries` the child's. key is the child's sorted
+    entries; top is True when e is a top edge under the whole f, and False
+    when e loses on the entries (a spare child).
 
     A non-edge e = (u, v) is rejected on degrees alone, before g + e is
     built, when some edge of g + e beats e on the first two parts of f,
@@ -610,7 +589,6 @@ def _top_children(g: Graph, packed: int):
             for h in heads:
                 partners[h] |= 1 << v
             heads.append(v)
-    apex = g._apex
     for u in range(n):
         rest = partners[u] & ~adj[u]
         while rest:
@@ -657,7 +635,7 @@ def _top_children(g: Graph, packed: int):
             entries.sort()
             child = Graph._from_masks(masks)
             child._size = size
-            yield tuple(entries), top, carry_witness(child, apex, u, v), carried
+            yield tuple(entries), top, carry_witness(child, g, u, v), (u, v), carried
 
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):

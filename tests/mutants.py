@@ -102,8 +102,9 @@ MUTANTS = (
         "search.py",
         (
             (
-                "yield tuple(entries), top, carry_witness(child, apex, u, v), carried",
-                "yield tuple(entries), top, carry_witness(child, apex, apex, apex), carried",
+                "yield tuple(entries), top, carry_witness(child, g, u, v), (u, v), carried",
+                "yield tuple(entries), top, "
+                "carry_witness(child, g, g._apex, g._apex), (u, v), carried",
             ),
         ),
         ("tests/test_search.py::test_inherited_apex_witnesses_hold",),
@@ -381,6 +382,12 @@ MUTANTS = (
             "tests/test_search.py::"
             "test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots",
         ),
+    ),
+    Mutant(
+        "siblings-pruned-only-in-threes",
+        "search.py",
+        (("if len(pairs) > 1:", "if len(pairs) > 2:"),),
+        ("tests/test_search.py::test_census_computes_each_child_key_once[7-1546]",),
     ),
     Mutant(
         "orbit-helper-closes-over-one-permutation",

@@ -141,6 +141,38 @@ def test_check_empty_string_is_graph6_not_a_path(capsys):
     assert capsys.readouterr().err == "error: empty graph6 string\n"
 
 
+@pytest.mark.parametrize(
+    "spec, why",
+    [("data", "a directory"), (os.devnull, "not a regular file")],
+    ids=["directory", "device"],
+)
+def test_check_path_that_is_no_file_is_named(tmp_path, monkeypatch, capsys, spec, why):
+    # "data" would otherwise decode as a graph6 string of order 37.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    status, out = invoke(["check", "--nil", spec])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {spec}: {why}\n"
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [
+        ("graphs", "order 40 exceeds the supported maximum 12"),
+        ("nofile.g6", "invalid graph6 character in 'nofile.g6'"),
+    ],
+)
+def test_check_missing_file_is_named_with_the_decoders_reason(
+    tmp_path, monkeypatch, capsys, spec, reason
+):
+    monkeypatch.chdir(tmp_path)
+    status, out = invoke(["check", "--nil", spec])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {spec}: no such file, and not a graph6 string: {reason}\n"
+    )
+
+
 @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
 def test_check_graph6_file_without_graphs_is_usage_error(tmp_path, capsys, text):
     path = tmp_path / "EMPTY.g6"

@@ -3,8 +3,9 @@ private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
 function is referenced somewhere; every dataclass is frozen; every
 attribute a class stores is read; only `graphs` and `oracles` store
-`Graph._grown`; the package's __all__ is exactly what its __init__
-imports; and every Graph, however it is made, has every slot set."""
+`Graph._apex` and `Graph._grown`, and only `oracles` reads them; the
+package's __all__ is exactly what its __init__ imports; and every Graph,
+however it is made, has every slot set."""
 
 import ast
 import sys
@@ -268,37 +269,67 @@ def test_unread_state_check_catches_planted_classes():
     ]
 
 
-def grown_stores(sources: dict[str, str]) -> list[str]:
-    """`file:line`, in order, for each store to an attribute `_grown` in
-    the sources: an assignment, or `setattr` or `object.__setattr__` with
-    that name."""
-    found = []
-    for file, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            stored = (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
-                and node.attr == "_grown"
-            ) or (
-                isinstance(node, ast.Call)
-                and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
-                in ("setattr", "__setattr__")
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Constant)
-                and node.args[1].value == "_grown"
-            )
-            if stored:
-                found.append((file, node.lineno))
+def _named(node: ast.AST, call: tuple[str, ...], attrs: tuple[str, ...]) -> bool:
+    """Whether node calls one of `call` (a plain name or a method) with a
+    constant attribute name from attrs as its second argument."""
+    return (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in call
+        and len(node.args) >= 2
+        and isinstance(node.args[1], ast.Constant)
+        and node.args[1].value in attrs
+    )
+
+
+def _places(sources: dict[str, str], hit) -> list[str]:
+    """`file:line`, in order, for each node of the sources that hit accepts."""
+    found = [
+        (file, node.lineno)
+        for file, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if hit(node)
+    ]
     return [f"{file}:{line}" for file, line in sorted(found)]
+
+
+def slot_stores(sources: dict[str, str], *attrs: str) -> list[str]:
+    """The places of each store to an attribute named in attrs: an
+    assignment, or `setattr` or `object.__setattr__` with that name."""
+    return _places(sources, lambda node: (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr in attrs
+    ) or _named(node, ("setattr", "__setattr__"), attrs))
+
+
+def slot_reads(sources: dict[str, str], *attrs: str) -> list[str]:
+    """The places of each read of an attribute named in attrs: a load, an
+    augmented assignment, or `getattr` with that name."""
+    return _places(sources, lambda node: (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr in attrs
+    ) or (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr in attrs
+    ) or _named(node, ("getattr",), attrs))
+
+
+def package_sources() -> dict[str, str]:
+    return {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def files(found: list[str]) -> set[str]:
+    return {place.split(":")[0] for place in found}
 
 
 def test_one_owner_stores_the_grown_slot():
     # `oracles.carry_witness` owns the rule that fills a one-edge extension
     # from its parent's apex witness, and with it the encoding of
     # `Graph._grown`; `Graph._from_masks` only clears the slot.
-    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    files = {store.split(":")[0] for store in grown_stores(sources)}
-    assert files == {"graphs.py", "oracles.py"}, grown_stores(sources)
+    stores = slot_stores(package_sources(), "_grown")
+    assert files(stores) == {"graphs.py", "oracles.py"}, stores
 
 
 def test_grown_store_check_catches_planted_stores():
@@ -312,7 +343,40 @@ def test_grown_store_check_catches_planted_stores():
         "object.__setattr__(child, '_grown', 0)\n"
         "child._grown |= 1\n"
     )
-    assert grown_stores({"m.py": source}) == ["m.py:4", "m.py:6", "m.py:7", "m.py:8"]
+    assert slot_stores({"m.py": source}, "_grown") == [
+        "m.py:4", "m.py:6", "m.py:7", "m.py:8"
+    ]
+
+
+def test_one_owner_holds_the_apex_witness():
+    # `oracles` owns the apex witness: `is_apex` and `is_nil` store
+    # `Graph._apex`, `carry_witness` fills it and `Graph._grown` on a
+    # one-edge extension, and only `oracles` reads either. The census walk
+    # in `search` treats its children as opaque. `Graph._from_masks`
+    # clears both slots.
+    sources = package_sources()
+    stores = slot_stores(sources, "_apex")
+    assert files(stores) == {"graphs.py", "oracles.py"}, stores
+    reads = slot_reads(sources, "_apex", "_grown")
+    assert files(reads) == {"oracles.py"}, reads
+
+
+def test_witness_check_catches_planted_reads_and_stores():
+    source = (
+        "apex = g._apex\n"
+        "child._apex = apex\n"
+        "if m[0]._apex is not None:\n"
+        "    w = child._grown >> 8\n"
+        "setattr(child, '_apex', -1)\n"
+        "object.__setattr__(child, '_apex', -1)\n"
+        "w = getattr(child, '_grown')\n"
+        "child._grown |= 1\n"
+        "child._canon = g._plan\n"
+    )
+    assert slot_stores({"m.py": source}, "_apex") == ["m.py:2", "m.py:5", "m.py:6"]
+    assert slot_reads({"m.py": source}, "_apex", "_grown") == [
+        "m.py:1", "m.py:3", "m.py:4", "m.py:7", "m.py:8"
+    ]
 
 
 def test_all_lists_exactly_the_imported_names():

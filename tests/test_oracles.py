@@ -295,7 +295,7 @@ def census_children(parents, rng):
     for g in parents:
         for h in (g, relabeled(g, rng)):
             is_apex(h)
-            for _, _, child, _ in _top_children(h, packed_entries(h)):
+            for _, _, child, _, _ in _top_children(h, packed_entries(h)):
                 yield child
 
 

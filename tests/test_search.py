@@ -654,35 +654,29 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
 
 
 def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms():
-    # Of a parent's children in one group, _one_per_orbit keeps one per
-    # orbit of the automorphism group on their new edges, whole-group orbits
-    # taken by brute force, and prefers a child with an apex witness.
+    # Of a parent's children in one group, _one_per_orbit keeps the first
+    # of each orbit of the automorphism group on their new edges,
+    # whole-group orbits taken by brute force.
     rng = random.Random(2519)
     merged = 0
     for g in [g for n in range(3, 8) for g in isomorphism_classes(n)]:
         h = g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
-        is_apex(h)
         by_key = {}
-        for key, top, child, packed in _top_children(h, packed_entries(h)):
+        for key, top, child, edge, packed in _top_children(h, packed_entries(h)):
             if top:
-                by_key.setdefault(key, []).append((child, 0, packed))
+                by_key.setdefault(key, []).append((edge, (child, 0, packed)))
         orbits = pair_orbits(h.n, brute_automorphisms(h))
         orbit_of = {pair: orbit for orbit in orbits for pair in orbit}
 
-        def new_edge(child):
-            u, v = [x for x in range(h.n) if child._adj[x] != h._adj[x]]
-            return orbit_of[(u, v)]
-
-        for members in by_key.values():
-            kept = _one_per_orbit(h, automorphisms(h), members)
-            assert len(kept) == len({new_edge(m[0]) for m in members})
-            assert {new_edge(m[0]) for m in kept} == {new_edge(m[0]) for m in members}
-            for m in kept:
-                if m[0]._apex is None:
-                    assert all(
-                        o[0]._apex is None for o in members if new_edge(o[0]) == new_edge(m[0])
-                    )
-            merged += len(members) - len(kept)
+        for pairs in by_key.values():
+            kept = _one_per_orbit(automorphisms(h), pairs)
+            assert len(kept) == len({orbit_of[e] for e, _ in pairs})
+            assert {orbit_of[e] for e, _ in kept} == {orbit_of[e] for e, _ in pairs}
+            first = {}
+            for pair in pairs:
+                first.setdefault(orbit_of[pair[0]], pair)
+            assert kept == list(first.values())
+            merged += len(pairs) - len(kept)
     assert merged > 50
 
 
@@ -701,10 +695,11 @@ def assert_children_match_reference(classes, rng):
             parents.append(h)
         for h in parents:
             children = list(_top_children(h, packed_entries(h)))
-            assert [(key, top, c, c._apex) for key, top, c, _ in children] == [
+            assert [(key, top, c, c._apex) for key, top, c, _, _ in children] == [
                 (key, top, c, c._apex) for key, top, c in reference_top_children(h)
             ], h.edges
-            for _, _, c, carried in children:
+            for _, _, c, edge, carried in children:
+                assert [x for x in range(h.n) if c._adj[x] != h._adj[x]] == list(edge)
                 assert carried == packed_entries(c), c.edges
                 assert c.size == sum(m.bit_count() for m in c._adj) // 2
 
@@ -868,7 +863,7 @@ def test_inherited_apex_witnesses_hold():
                 is_apex(h)
                 inherited += [
                     c
-                    for _, _, c, _ in _top_children(h, packed_entries(h))
+                    for _, _, c, _, _ in _top_children(h, packed_entries(h))
                     if c._apex is not None
                 ]
     assert all(apex_witness_holds(g) for g in inherited)
