@@ -38,6 +38,14 @@ and symmetry-breaking*, RECOMB 2007, break symmetry with such
 conditions). K6 is one twin class, so the search tries each set of six
 host vertices in one order instead of 720.
 
+`subgraph_copy` runs the same search and, after a success, reads the
+copy off the images the search placed: each pattern edge is the back
+edge of its later-placed end, so the copy is the host edges between
+those ends' images. It is the first copy the search finds, with twin
+chains on, and is None exactly when `is_subgraph_iso` says False. The
+search itself builds nothing more for it, so a plain test pays only the
+call into the shared search.
+
 A pinned test asks only for copies through one host edge ab: some pattern
 edge xy goes to ab, as (x, y) -> (a, b) or (b, a). Composing a copy with
 a pattern automorphism sigma gives a copy that maps sigma^-1(x, y) onto
@@ -68,9 +76,33 @@ def is_subgraph_iso(
     With pin = (a, b), 0-based host vertices, True iff some such map sends
     a pattern edge onto ab: the pattern copies through edge ab.
     """
+    return _embed(pattern, host, pin) is not None
+
+
+def subgraph_copy(pattern: Graph, host: Graph) -> tuple[int, ...] | None:
+    """The first copy of pattern in host that `is_subgraph_iso`'s search
+    finds, as adjacency masks on host's 0-based vertices holding the host
+    edges that the pattern's edges map to; None when there is no copy."""
+    images = _embed(pattern, host, None)
+    if images is None:
+        return None
+    copy = [0] * host.n
+    # Each pattern edge is the back edge of its later-placed end once.
+    for i, back in enumerate(pattern._plan[2]):
+        a = images[i]
+        for j in back:
+            b = images[j]
+            copy[a] |= 1 << b
+            copy[b] |= 1 << a
+    return tuple(copy)
+
+
+def _embed(pattern: Graph, host: Graph, pin: tuple[int, int] | None):
+    """The search behind `is_subgraph_iso`: the host vertex of each pattern
+    position (the plan's order) in the first copy found, or None."""
     pn, hn = pattern.n, host.n
     if pn > hn or pattern.size > host.size:
-        return False
+        return None
     plan = pattern._plan
     if plan is None:
         plan = pattern._plan = _plan(pn, pattern._adj)
@@ -78,7 +110,7 @@ def is_subgraph_iso(
     hadj = host._adj
     hdeg = [m.bit_count() for m in hadj]
     if any(p > h for p, h in zip(pd, sorted(hdeg, reverse=True))):
-        return False
+        return None
 
     # ok[i]: the host vertices position i may take; chain[i]: the previous
     # twin's position, whose image position i must exceed (-1 for none).
@@ -104,7 +136,7 @@ def is_subgraph_iso(
         return False
 
     if pin is None:
-        return place(0, 0)
+        return images if place(0, 0) else None
     # One arc (x, y) per orbit, x on a and y on b, without twin chains; see
     # the module docstring.
     if pinned is None:
@@ -124,8 +156,8 @@ def is_subgraph_iso(
             for k in nbrs[y]:
                 ok[k] &= hadj[b]
             if all(ok) and place(0, 0):
-                return True
-    return False
+                return images
+    return None
 
 
 def _plan(n: int, adj: tuple[int, ...]) -> list:

@@ -30,7 +30,7 @@ from .oracles import (
     is_tn,
     is_toroidal,
 )
-from .containment import has_minor, is_subgraph_iso
+from .containment import has_minor, is_subgraph_iso, subgraph_copy
 from .torus import TorusDiagram, verify_embedding
 
 MAXNIL_ORDER9_FILE = "maxnil_order9.g6"
@@ -44,8 +44,12 @@ class SearchContext:
     backing toroidality queries. ``size_floor`` is the edge-count guard of
     the search (candidates must have strictly more edges). ``cache`` maps
     canonical forms of the states above the floor to search results for
-    the context's lifetime; states at or below it are never keyed. The
-    context is frozen, so no field the cache was filled from can change."""
+    the context's lifetime; states at or below it are never keyed, nor is
+    a state with size_floor + 1 edges whose parent holds a copy of an
+    obstruction that the deleted edge is not part of: the copy survives,
+    so the state is non-toroidal, and at that size its result is empty
+    whatever its class. The context is frozen, so no field the cache was
+    filled from can change."""
 
     toroidal_maxnil: tuple[Graph, ...]
     nontoroidal_maxnil: tuple[Graph, ...]
@@ -120,7 +124,10 @@ _NONE: frozenset[Graph] = frozenset()
 
 
 def _search(
-    g: Graph, ctx: SearchContext, seen: dict[int, frozenset[Graph]]
+    g: Graph,
+    ctx: SearchContext,
+    seen: dict[int, frozenset[Graph]],
+    witness: tuple[int, ...] | None = None,
 ) -> frozenset[Graph]:
     # No graph at or below the floor is a candidate, whatever its class, so
     # such a state needs no key and ctx.cache holds only states above it.
@@ -141,6 +148,19 @@ def _search(
     # the results and the keys of ctx.cache are those of expanding every
     # edge. Automorphisms that generate only part of the group split the
     # orbits finer, which only tries more children.
+    #
+    # witness, when not None, is the adjacency masks, on g's labels, of a
+    # copy in g of one of ctx.db.patterns. is_toroidal(g, db) is False for
+    # any g that holds a pattern of db as a subgraph, since a subgraph is a
+    # minor, whatever the patterns are; so a state with a witness is
+    # non-toroidal without asking. An expanded state without one looks for
+    # a copy: the first pattern that has one, the first copy found. The
+    # child g - uv keeps every edge of the copy unless uv is one of them,
+    # so inheriting it then is exact for any database; a child whose uv is
+    # in the copy starts without one. A child that inherits it and has
+    # size_floor + 1 edges is a non-toroidal state that is never expanded,
+    # so its result is _NONE whatever its class: it is never built,
+    # canonized or keyed, and its label goes into seen with that result.
     label = 0
     for mask in g._adj:
         label = label << SEARCH_ORDER | mask
@@ -155,22 +175,36 @@ def _search(
             is_subgraph_iso(g, m) for m in ctx.toroidal_maxnil
         ):
             result = _NONE
-        elif is_toroidal(g, ctx.db):
+        elif witness is None and is_toroidal(g, ctx.db):
             result = frozenset([canonical_graph(g)])
         elif g.size > ctx.size_floor + 1:
+            if witness is None:
+                copies = (subgraph_copy(p, g) for p in ctx.db.patterns)
+                witness = next((w for w in copies if w is not None), None)
             edges = [(u - 1, v - 1) for u, v in g.edges]
-            result = _NONE.union(
-                *(
-                    _search(g.delete_edge((u + 1, v + 1)), ctx, seen)
-                    for (u, v), *_ in orbits_of_pairs(edges, perms)
-                )
-            ) or _NONE
+            found = []
+            for (u, v), *_ in orbits_of_pairs(edges, perms):
+                inherited = witness is not None and not witness[u] >> v & 1
+                if inherited and g.size - 1 == ctx.size_floor + 1:
+                    seen[label ^ _label_bit(u, v) ^ _label_bit(v, u)] = _NONE
+                else:
+                    child = g.delete_edge((u + 1, v + 1))
+                    found.append(
+                        _search(child, ctx, seen, witness if inherited else None)
+                    )
+            result = _NONE.union(*found) or _NONE
         else:
             # Every child would have size_floor edges.
             result = _NONE
         ctx.cache[key] = result
     seen[label] = result
     return result
+
+
+def _label_bit(u: int, v: int) -> int:
+    """The bit of a `_search` label that holds the 0-based edge end v in
+    u's mask; the label packs the masks first vertex highest."""
+    return 1 << (SEARCH_ORDER - 1 - u) * SEARCH_ORDER + v
 
 
 @dataclass(frozen=True)

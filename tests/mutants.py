@@ -373,12 +373,42 @@ MUTANTS = (
         "search.py",
         (
             (
-                "for (u, v), *_ in orbits_of_pairs(edges, perms)",
-                "for (u, v), *_ in orbits_of_pairs(edges, perms)[:1]",
+                "for (u, v), *_ in orbits_of_pairs(edges, perms):",
+                "for (u, v), *_ in orbits_of_pairs(edges, perms)[:1]:",
             ),
         ),
         (
             "tests/test_search.py::test_search_matches_bruteforce_depth2",
+            "tests/test_search.py::"
+            "test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots",
+        ),
+    ),
+    Mutant(
+        "witness-kept-across-its-own-edge",
+        "search.py",
+        (
+            (
+                "inherited = witness is not None and not witness[u] >> v & 1",
+                "inherited = witness is not None",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_witness_search_matches_bruteforce",
+            "tests/test_search.py::"
+            "test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots",
+        ),
+    ),
+    Mutant(
+        "witness-settles-leaves-one-level-early",
+        "search.py",
+        (
+            (
+                "if inherited and g.size - 1 == ctx.size_floor + 1:",
+                "if inherited and g.size - 1 == ctx.size_floor + 2:",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_witness_search_matches_bruteforce",
             "tests/test_search.py::"
             "test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots",
         ),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from torlink import (
     petersen_graph,
 )
 from torlink.canonical import canonical_form
-from torlink.containment import _reductions, contains_any_minor
+from torlink.containment import _reductions, contains_any_minor, subgraph_copy
 from torlink.oracles import order8_obstructions, petersen_family
 
 from bruteforce import (
@@ -50,6 +51,37 @@ def test_subgraph_iso_matches_bruteforce():
         p = random_graph(rng, rng.randint(2, 5), rng.uniform(0.2, 0.9))
         h = random_graph(rng, rng.randint(p.n, 7), rng.uniform(0.2, 0.9))
         assert is_subgraph_iso(p, h) == brute_subgraph_iso(p, h)
+
+
+def test_subgraph_copy_is_a_copy_exactly_when_one_exists():
+    # The copy is read off the one search is_subgraph_iso runs, so it is
+    # None exactly when that says False; otherwise its edges are host edges
+    # that form a graph isomorphic to the pattern (none of these patterns
+    # has an isolated vertex, so the copy's ends are the pattern's images).
+    rng = random.Random(2901)
+    patterns = petersen_family() + order8_obstructions() + (cycle_graph(8), cycle_graph(9))
+    verdicts = Counter()
+    for pattern in patterns:
+        for _ in range(12):
+            host = random_graph(rng, rng.randint(max(pattern.n, 8), 10), rng.uniform(0.45, 0.95))
+            copy = subgraph_copy(pattern, host)
+            found = is_subgraph_iso(pattern, host)
+            assert (copy is not None) == found, (pattern, host)
+            verdicts[found] += 1
+            if copy is None:
+                continue
+            assert len(copy) == host.n
+            assert all(m & ~h == 0 for m, h in zip(copy, host._adj))
+            ends = [a for a in range(host.n) if copy[a]]
+            assert len(ends) == pattern.n
+            edges = [
+                (i + 1, j + 1)
+                for i, a in enumerate(ends)
+                for j, b in enumerate(ends)
+                if i < j and copy[a] >> b & 1
+            ]
+            assert is_isomorphic(Graph(pattern.n, edges), pattern), (pattern, host)
+    assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
 
 
 def _k5_minus_triangle() -> Graph:

@@ -249,6 +249,60 @@ def test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots(root, floor
         assert {canonical_form(x) for x in mtn_search(h, ctx)} == expected
 
 
+def cycle_with_chords(*chords) -> Graph:
+    return Graph(9, [(i, i % 9 + 1) for i in range(1, 10)] + list(chords))
+
+
+@pytest.mark.parametrize(
+    "root, floor, db, copyless",
+    [
+        # Every state that is expanded holds a copy: a Hamiltonian cycle,
+        # or an 8-cycle through both K5 blocks.
+        (circulant(9, (1, 2)), 14, ObstructionDB({8: (), 9: (cycle_graph(9),)}), False),
+        (bridged_double_k5(), 17, fake_db(), False),
+        # Deleting (1, 3) leaves a 9-cycle with chords (1, 4) and (1, 6): it
+        # has C8 as a minor but no 8-cycle, so it is expanded without a copy.
+        (cycle_with_chords((1, 3), (1, 4), (1, 6)), 9, fake_db(), True),
+    ],
+    ids=["C9-C9(1,2)", "C8-bridged-double-K5", "C8-minor-only"],
+)
+def test_witness_search_matches_bruteforce(monkeypatch, root, floor, db, copyless):
+    # Children below a copy inherit it, and leaves below one are settled
+    # unbuilt; a state whose only obstruction is a proper minor has no copy,
+    # and its children take the route that tests toroidality.
+    assert is_nil(root)
+    expected = brute_search_keys(root, SearchContext((), (), db, floor))
+    assert expected
+    routes = Counter()
+    search, copy, bit = torlink.search._search, torlink.search.subgraph_copy, torlink.search._label_bit
+    copies: dict[tuple[int, ...], bool] = {}
+
+    def counted_search(g, ctx, seen, witness=None):
+        routes["inherited"] += witness is not None
+        return search(g, ctx, seen, witness)
+
+    def counted_copy(pattern, host):
+        found = copy(pattern, host)
+        copies[host._adj] = copies.get(host._adj, False) or found is not None
+        return found
+
+    def counted_bit(u, v):
+        routes["leaf bits"] += 1
+        return bit(u, v)
+
+    monkeypatch.setattr(torlink.search, "_search", counted_search)
+    monkeypatch.setattr(torlink.search, "subgraph_copy", counted_copy)
+    monkeypatch.setattr(torlink.search, "_label_bit", counted_bit)
+    rng = random.Random(2903)
+    for _ in range(2):
+        h = relabeled(root, rng)
+        ctx = SearchContext((), (), db, floor)
+        assert {canonical_form(x) for x in mtn_search(h, ctx)} == expected
+    missing = sum(not found for found in copies.values())
+    assert routes["inherited"] and routes["leaf bits"], routes
+    assert bool(missing) == copyless, missing
+
+
 def test_search_result_ignores_the_root_labels():
     g = bridged_double_k5()
     expected = mtn_search(g, make_ctx(floor=18))
@@ -263,10 +317,11 @@ def test_search_result_ignores_the_root_labels():
 
 # Upper bounds on the canonizations in the whole pipeline of the stand-in,
 # and on the planarity tests in its is_mtn phase, from a cold is_nil memo.
-# They are 12,477 and 1,351; they were 14,788 and 3,155 when the search
-# tried every child, and is_mtn every extension, each tested for nIL from
-# scratch.
-PIPELINE_WORK = (12_500, 1_400)
+# They are 6,870 and 1,351. The canonizations were 12,477 while the search
+# canonized every leaf below a copy of an obstruction, and 14,788 (with
+# 3,155 planarity tests) when the search tried every child, and is_mtn
+# every extension, each tested for nIL from scratch.
+PIPELINE_WORK = (6_900, 1_400)
 
 
 @pytest.mark.slow
@@ -309,8 +364,8 @@ def test_search_at_workload_scale(monkeypatch):
     report = find_all_mtn_order9(ctx)
     facts = {"search_candidates 79", "non_maxnil_mtn 11", "all_mtn 11"}
     assert facts <= set(report.to_text().splitlines())
-    # One entry per distinct state above the floor that the search reached.
-    assert len(ctx.cache) == 4441
+    # One entry per class the search keyed.
+    assert len(ctx.cache) == 3234
     work = (calls["canonizations"], calls["planar in is_mtn"])
     assert all(a <= b for a, b in zip(work, PIPELINE_WORK)), work
     # The per-orbit, witness-carrying is_mtn agrees with the definition on
