@@ -38,6 +38,20 @@ and symmetry-breaking*, RECOMB 2007, break symmetry with such
 conditions). K6 is one twin class, so the search tries each set of six
 host vertices in one order instead of 720.
 
+A spanning test, pattern and host of one order, pins host vertex 0, which
+every copy covers. Composing a copy with a pattern automorphism sigma
+moves the preimage of vertex 0 from x to sigma^-1(x), and automorphisms
+map twin classes onto twin classes, so some copy puts vertex 0 in any
+chosen class of the orbit of x's class. Sorting that copy's twin images
+leaves vertex 0 in the same class, on its head (the class's first
+position in search order), since 0 is the least host vertex. So with the
+twin chains on, vertex 0 is tried only on the head of one class per orbit
+of `canonical.automorphisms(pattern)` on the twin classes, kept in the
+plan once first needed; every other position is denied it. As with arcs,
+automorphisms that generate only part of the group split the orbits and
+only add heads to try. C9 is one orbit of nine classes, so a failing
+Hamiltonicity test runs one search from a fixed start instead of nine.
+
 `subgraph_copy` runs the same search and, after a success, reads the
 copy off the images the search placed: each pattern edge is the back
 edge of its later-placed end, so the copy is the host edges between
@@ -106,15 +120,21 @@ def _embed(pattern: Graph, host: Graph, pin: tuple[int, int] | None):
     plan = pattern._plan
     if plan is None:
         plan = pattern._plan = _plan(pn, pattern._adj)
-    pd, pdeg, back_edges, twin_prev, order, pinned = plan
+    pd, pdeg, back_edges, twin_prev, order, pinned, heads = plan
     hadj = host._adj
     hdeg = [m.bit_count() for m in hadj]
     if any(p > h for p, h in zip(pd, sorted(hdeg, reverse=True))):
         return None
 
+    # at_least[d]: the host vertices of degree d or more.
+    at_least = [0] * hn
+    for u, d in enumerate(hdeg):
+        at_least[d] |= 1 << u
+    for d in range(hn - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
     # ok[i]: the host vertices position i may take; chain[i]: the previous
     # twin's position, whose image position i must exceed (-1 for none).
-    ok = [sum(1 << u for u in range(hn) if hdeg[u] >= d) for d in pdeg]
+    ok = [at_least[d] for d in pdeg]
     chain = twin_prev
     images = [0] * pn
 
@@ -136,6 +156,14 @@ def _embed(pattern: Graph, host: Graph, pin: tuple[int, int] | None):
         return False
 
     if pin is None:
+        if pn == hn:
+            # A spanning copy covers host vertex 0: only the kept class
+            # heads may take it; see the module docstring.
+            if heads is None:
+                heads = plan[6] = _spanning_heads(pattern, twin_prev, order)
+            ok = [m & ~1 for m in ok]
+            for i in heads:
+                ok[i] |= at_least[pdeg[i]] & 1
         return images if place(0, 0) else None
     # One arc (x, y) per orbit, x on a and y on b, without twin chains; see
     # the module docstring.
@@ -164,8 +192,9 @@ def _plan(n: int, adj: tuple[int, ...]) -> list:
     """The pattern-only part of `is_subgraph_iso`, by search position: the
     sorted degree sequence, the degrees, the earlier-placed neighbours, the
     previous twin's position (-1 for none) and the vertex at each position;
-    last the part only a pinned test reads, None until `_pinned_plan`
-    fills it."""
+    then the part only a pinned test reads and the part only a spanning
+    test reads, each None until `_pinned_plan` or `_spanning_heads` fills
+    it."""
     degs = [m.bit_count() for m in adj]
     # Greedy max-connectivity order: keeps the backtrack tree narrow.
     order: list[int] = []
@@ -199,6 +228,7 @@ def _plan(n: int, adj: tuple[int, ...]) -> list:
         twin_prev,
         order,
         None,
+        None,
     ]
 
 
@@ -227,6 +257,32 @@ def _pinned_plan(pattern: Graph, order: list[int]):
                         seen.add(arc)
                         todo.append(arc)
     return nbrs, arcs
+
+
+def _spanning_heads(pattern: Graph, twin_prev: list[int], order: list[int]):
+    """The head (first position) of one twin class per orbit of the pattern
+    automorphisms that `canonical.automorphisms` finds on the twin classes,
+    each orbit's earliest head in position order."""
+    pos = {v: i for i, v in enumerate(order)}
+    # head[i]: the head of position i's twin class.
+    head = []
+    for t in twin_prev:
+        head.append(len(head) if t < 0 else head[t])
+    moves = [[head[pos[p[v]]] for v in order] for p in automorphisms(pattern)]
+    heads = []
+    seen: set[int] = set()
+    for i, h in enumerate(head):
+        if h != i or i in seen:
+            continue
+        heads.append(i)
+        seen.add(i)
+        todo = [i]
+        for c in todo:
+            for q in moves:
+                if q[c] not in seen:
+                    seen.add(q[c])
+                    todo.append(q[c])
+    return heads
 
 
 def has_minor(g: Graph, h: Graph) -> bool:

@@ -45,11 +45,11 @@ class SearchContext:
     the search (candidates must have strictly more edges). ``cache`` maps
     canonical forms of the states above the floor to search results for
     the context's lifetime; states at or below it are never keyed, nor is
-    a state with size_floor + 1 edges whose parent holds a copy of an
-    obstruction that the deleted edge is not part of: the copy survives,
-    so the state is non-toroidal, and at that size its result is empty
-    whatever its class. The context is frozen, so no field the cache was
-    filled from can change."""
+    a state with size_floor + 1 edges that holds a copy of an obstruction,
+    whether its parent's copy survives the deleted edge or the state's own
+    subgraph test finds one: it is non-toroidal, and at that size its
+    result is empty whatever its class. The context is frozen, so no
+    field the cache was filled from can change."""
 
     toroidal_maxnil: tuple[Graph, ...]
     nontoroidal_maxnil: tuple[Graph, ...]
@@ -157,16 +157,24 @@ def _search(
     # a copy: the first pattern that has one, the first copy found. The
     # child g - uv keeps every edge of the copy unless uv is one of them,
     # so inheriting it then is exact for any database; a child whose uv is
-    # in the copy starts without one. A child that inherits it and has
-    # size_floor + 1 edges is a non-toroidal state that is never expanded,
-    # so its result is _NONE whatever its class: it is never built,
-    # canonized or keyed, and its label goes into seen with that result.
+    # in the copy starts without one. A state with size_floor + 1 edges
+    # that holds a copy is non-toroidal and never expanded, so its result
+    # is _NONE whatever its class, and it is never canonized or keyed: a
+    # child that inherits a copy is not even built, its label going into
+    # seen with that result, and a state built at that size asks each
+    # pattern for a copy before it is canonized. A built state at that size
+    # never carries a witness, since its parent would have settled it.
     label = 0
     for mask in g._adj:
         label = label << SEARCH_ORDER | mask
     result = seen.get(label)
     if result is not None:
         return result
+    if g.size == ctx.size_floor + 1 and any(
+        is_subgraph_iso(p, g) for p in ctx.db.patterns
+    ):
+        seen[label] = _NONE
+        return _NONE
     perms = automorphisms(g)
     key = canonical_form(g)
     result = ctx.cache.get(key)

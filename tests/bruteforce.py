@@ -280,10 +280,11 @@ def _partitions(n: int, largest: int):
 def brute_subgraph_iso(pattern: Graph, host: Graph) -> bool:
     if pattern.n > host.n:
         return False
-    verts = range(1, host.n + 1)
-    for chosen in permutations(verts, pattern.n):
-        mapping = {i + 1: chosen[i] for i in range(pattern.n)}
-        if all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges):
+    # Every injection of the pattern's vertices, chosen[i] the image of i + 1.
+    arcs = set(host.edges) | {(b, a) for a, b in host.edges}
+    pedges = [(u - 1, v - 1) for u, v in pattern.edges]
+    for chosen in permutations(range(1, host.n + 1), pattern.n):
+        if all((chosen[u], chosen[v]) in arcs for u, v in pedges):
             return True
     return False
 

@@ -414,6 +414,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "floor-copy-settles-one-level-early",
+        "search.py",
+        (
+            (
+                "if g.size == ctx.size_floor + 1 and any(",
+                "if g.size == ctx.size_floor + 2 and any(",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_witness_search_matches_bruteforce",
+            "tests/test_search.py::"
+            "test_search_per_edge_orbit_matches_bruteforce_on_symmetric_roots",
+        ),
+    ),
+    Mutant(
+        "spanning-pin-first-orbit-only",
+        "containment.py",
+        (("for i in heads:", "for i in heads[:1]:"),),
+        ("tests/test_containment.py::test_spanning_subgraph_matches_bruteforce",),
+    ),
+    Mutant(
+        "spanning-pin-off-the-head",
+        "containment.py",
+        (
+            (
+                "heads.append(i)",
+                "heads.append(max(j for j, h in enumerate(head) if h == i))",
+            ),
+        ),
+        (
+            "tests/test_containment.py::test_spanning_subgraph_matches_bruteforce",
+            "tests/test_containment.py::test_twin_pruning_matches_bruteforce",
+        ),
+    ),
+    Mutant(
         "siblings-pruned-only-in-threes",
         "search.py",
         (("if len(pairs) > 1:", "if len(pairs) > 2:"),),

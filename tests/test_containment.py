@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +21,7 @@ from torlink.oracles import order8_obstructions, petersen_family
 
 from bruteforce import (
     all_graphs_of_order,
+    brute_automorphisms,
     brute_copy_edges,
     brute_minor,
     brute_reduction_closure,
@@ -125,6 +127,68 @@ def test_twin_pruning_matches_bruteforce(name):
             assert is_subgraph_iso(pattern, h) == expected, (name, h)
     # An edgeless pattern fits every host with enough vertices.
     assert verdicts == ({True} if name == "3K1" else {True, False})
+
+
+def twin_class_orbits(pattern: Graph) -> int:
+    """How many orbits the full automorphism group has on the twin classes
+    (neighbourhoods equal apart from each other)."""
+    adj = pattern._adj
+    classes = {
+        frozenset(w for w in range(pattern.n) if adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
+        for v in range(pattern.n)
+    }
+    orbits = {
+        frozenset(frozenset(p[v] for v in c) for p in brute_automorphisms(pattern))
+        for c in classes
+    }
+    return len(orbits)
+
+
+def spanning_host(rng, pattern: Graph) -> Graph:
+    """A host of the pattern's order: a relabeled copy of the pattern with
+    random edges added and up to two removed, or a random graph."""
+    n = pattern.n
+    if rng.random() < 0.25:
+        return random_graph(rng, n, rng.uniform(0.3, 0.9))
+    perm = rng.sample(range(1, n + 1), n)
+    edges = {tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in pattern.edges}
+    extra = rng.uniform(0.0, 0.3)
+    edges |= {e for e in combinations(range(1, n + 1), 2) if rng.random() < extra}
+    for e in rng.sample(sorted(edges), min(len(edges), rng.randint(0, 2))):
+        edges.discard(e)
+    return Graph(n, edges)
+
+
+def test_spanning_subgraph_matches_bruteforce():
+    # Host and pattern of one order: host vertex 0 goes only to the head of
+    # one twin class per orbit, so every host is asked under relabelings
+    # that move vertex 0 around. K3,3,1, the stars and K1,2,2 have twin
+    # classes in two orbits; C8 and C9 are one orbit of singletons.
+    rng = random.Random(3001)
+    k44e = complete_bipartite(4, 4).delete_edge((1, 5))
+    patterns = list(TWIN_RICH.values()) + [complete_multipartite(3, 3, 1), k44e]
+    patterns += list(order8_obstructions()) + [cycle_graph(8), cycle_graph(9)]
+    patterns += [random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.8)) for _ in range(40)]
+    verdicts = Counter()
+    split = set()
+    for pattern in patterns:
+        seen = set()
+        for _ in range(4 if pattern.n >= 8 else 8):
+            host = spanning_host(rng, pattern)
+            expected = brute_subgraph_iso(pattern, host)
+            seen.add(expected)
+            for _ in range(3):
+                perm = rng.sample(range(1, host.n + 1), host.n)
+                h = host.relabel({i + 1: q for i, q in enumerate(perm)})
+                assert is_subgraph_iso(pattern, h) == expected, (pattern, h)
+                copy = subgraph_copy(pattern, h)
+                assert (copy is not None) == expected, (pattern, h)
+                assert copy is None or all(m & ~a == 0 for m, a in zip(copy, h._adj))
+                verdicts[expected] += 1
+        if seen == {True, False} and pattern.n <= 7 and twin_class_orbits(pattern) > 1:
+            split.add(canonical_form(pattern))
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+    assert split
 
 
 def assert_pinned_matches_bruteforce(pattern: Graph, host: Graph) -> set[bool]:

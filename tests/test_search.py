@@ -268,14 +268,31 @@ def cycle_with_chords(*chords) -> Graph:
 )
 def test_witness_search_matches_bruteforce(monkeypatch, root, floor, db, copyless):
     # Children below a copy inherit it, and leaves below one are settled
-    # unbuilt; a state whose only obstruction is a proper minor has no copy,
-    # and its children take the route that tests toroidality.
+    # unbuilt; a leaf built without one is settled when its own subgraph
+    # test finds a copy. A state whose only obstruction is a proper minor
+    # has no copy, and its children take the route that tests toroidality.
     assert is_nil(root)
     expected = brute_search_keys(root, SearchContext((), (), db, floor))
     assert expected
     routes = Counter()
     search, copy, bit = torlink.search._search, torlink.search.subgraph_copy, torlink.search._label_bit
+    test, orbits = torlink.search.is_subgraph_iso, torlink.search.orbits_of_pairs
     copies: dict[tuple[int, ...], bool] = {}
+    expanded: set[tuple[int, ...]] = set()
+
+    def counted_test(pattern, host, pin=None):
+        found = test(pattern, host, pin)
+        routes["leaf copies"] += found and host.size == floor + 1
+        return found
+
+    def recorded_orbits(edges, perms):
+        # Only an expanded state splits its edges into orbits.
+        adj = [0] * 9
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        expanded.add(tuple(adj))
+        return orbits(edges, perms)
 
     def counted_search(g, ctx, seen, witness=None):
         routes["inherited"] += witness is not None
@@ -293,13 +310,17 @@ def test_witness_search_matches_bruteforce(monkeypatch, root, floor, db, copyles
     monkeypatch.setattr(torlink.search, "_search", counted_search)
     monkeypatch.setattr(torlink.search, "subgraph_copy", counted_copy)
     monkeypatch.setattr(torlink.search, "_label_bit", counted_bit)
+    monkeypatch.setattr(torlink.search, "is_subgraph_iso", counted_test)
+    monkeypatch.setattr(torlink.search, "orbits_of_pairs", recorded_orbits)
     rng = random.Random(2903)
     for _ in range(2):
         h = relabeled(root, rng)
         ctx = SearchContext((), (), db, floor)
         assert {canonical_form(x) for x in mtn_search(h, ctx)} == expected
-    missing = sum(not found for found in copies.values())
+    # Expanded states that looked for a copy and found none.
+    missing = sum(not found for adj, found in copies.items() if adj in expanded)
     assert routes["inherited"] and routes["leaf bits"], routes
+    assert routes["leaf copies"] or copyless, routes
     assert bool(missing) == copyless, missing
 
 
@@ -317,11 +338,12 @@ def test_search_result_ignores_the_root_labels():
 
 # Upper bounds on the canonizations in the whole pipeline of the stand-in,
 # and on the planarity tests in its is_mtn phase, from a cold is_nil memo.
-# They are 6,870 and 1,351. The canonizations were 12,477 while the search
-# canonized every leaf below a copy of an obstruction, and 14,788 (with
-# 3,155 planarity tests) when the search tried every child, and is_mtn
-# every extension, each tested for nIL from scratch.
-PIPELINE_WORK = (6_900, 1_400)
+# They are 3,006 and 1,351. The canonizations were 6,870 while the search
+# canonized every leaf it built, 12,477 while it canonized every leaf below
+# a copy of an obstruction, and 14,788 (with 3,155 planarity tests) when
+# the search tried every child, and is_mtn every extension, each tested
+# for nIL from scratch.
+PIPELINE_WORK = (3_100, 1_400)
 
 
 @pytest.mark.slow
@@ -365,7 +387,7 @@ def test_search_at_workload_scale(monkeypatch):
     facts = {"search_candidates 79", "non_maxnil_mtn 11", "all_mtn 11"}
     assert facts <= set(report.to_text().splitlines())
     # One entry per class the search keyed.
-    assert len(ctx.cache) == 3234
+    assert len(ctx.cache) == 1136
     work = (calls["canonizations"], calls["planar in is_mtn"])
     assert all(a <= b for a, b in zip(work, PIPELINE_WORK)), work
     # The per-orbit, witness-carrying is_mtn agrees with the definition on
