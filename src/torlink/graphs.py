@@ -25,14 +25,14 @@ class Graph:
 
     # _from_masks sets every slot. _canon, _size and _plan are caches,
     # filled on first use by canonical_form, size and is_subgraph_iso.
-    # _apex and _grown are the apex witness, which only oracles reads or
-    # fills. _apex is oracles.is_apex's witness: the 0-based vertex whose
-    # deletion leaves a planar graph, or -1 when there is none. A one-edge
-    # extension g + uv built by oracles.carry_witness has it filled when
-    # g's witness decides it. _grown is set only there, on such an
-    # extension whose g has an apex vertex w other than u and v:
-    # w << 8 | u << 4 | v, 0-based, which is_nil reads.
-    __slots__ = ("n", "_adj", "_canon", "_size", "_plan", "_apex", "_grown")
+    # _witness is the apex witness, which only oracles reads or writes:
+    # None when unknown, -1 when g is not apex, or the 0-based vertex whose
+    # deletion leaves a planar graph. A one-edge extension g = P + uv that
+    # oracles.carry_witness builds from a P apex through a vertex w other
+    # than u and v holds instead the pending new-edge claim
+    # ~(w << 8 | u << 4 | v), 0-based and always <= -2, which is no
+    # witness: is_nil replaces it with g's witness once it decides one.
+    __slots__ = ("n", "_adj", "_canon", "_size", "_plan", "_witness")
 
     def __new__(cls, n: int, edges: Iterable[EdgePair] = ()):
         if not 0 <= n <= MAX_ORDER:
@@ -55,8 +55,7 @@ class Graph:
         g._canon = None
         g._size = None
         g._plan = None
-        g._apex = None
-        g._grown = None
+        g._witness = None
         return g
 
     # -- basic queries ----------------------------------------------------

@@ -24,23 +24,24 @@ and memoized; the DAG stays the one decision procedure for them. Before
 the DAG, `is_nil` answers an input that carries an apex witness naming a
 vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
-This module alone reads and writes the apex witness (see `Graph`), which
-`is_apex`, `is_nil` and `carry_witness` fill. `carry_witness` fills
-every one-edge extension C = P + uv from P's apex witness: the census
-children of `search.isomorphism_classes`, and the extensions of
-`is_maximal`, the maximality test of `is_maxnil`, `is_mtn` and
-`search.verify_size19_exclusion`. A C whose P is apex through a vertex w
-other than u and v carries w and uv (`Graph._grown`) and is
-decided from what P proved, before it is canonized. First C is apex
-through w when C - w = (P - w) + uv is planar: one planarity test, which
-almost every such nIL child passes. Otherwise, since P is nIL, every
-Petersen-family minor of C uses uv, so the subgraph test is pinned to
-that edge (`is_subgraph_iso` with ``pin``); a copy found means IL. If
-none is found, the rest of the apex scan runs, skipping w, and a graph
-that is not apex goes to the minor DAG with ``edge`` = uv, which skips
-C's own subgraph test and the reductions of C that are minors of P. Each
-step is exact on its own, so the verdict and the witness left on C are
-those of the plain route, up to which apex vertex is named.
+This module alone reads and writes `Graph._witness`, the apex witness
+(see `Graph`), which `is_apex`, `is_nil` and `carry_witness` fill.
+`carry_witness` fills every one-edge extension C = P + uv from P's
+witness: the census children of `search.isomorphism_classes`, and the
+extensions of `is_maximal`, the maximality test of `is_maxnil`, `is_mtn`
+and `search.verify_size19_exclusion`. A C whose P is apex through a
+vertex w other than u and v gets a pending claim of w and uv, and
+`is_nil` decides it from what P proved, before it is canonized. First C
+is apex through w when C - w = (P - w) + uv is planar: one planarity
+test, which almost every such nIL child passes. Otherwise, since P is
+nIL, every Petersen-family minor of C uses uv, so the subgraph test is
+pinned to that edge (`is_subgraph_iso` with ``pin``); a copy found means
+IL, and the claim stays. If none is found, the rest of the apex scan
+runs, skipping w, and a graph that is not apex goes to the minor DAG
+with ``edge`` = uv, which skips C's own subgraph test and the reductions
+of C that are minors of P. Each step is exact on its own, so the verdict
+and the witness that replaces the claim are those of the plain route,
+up to which apex vertex is named.
 
 `is_toroidal` answers for the database it is given, with no shortcut: a
 database may hold stand-in obstructions, for which neither "planar implies
@@ -129,17 +130,17 @@ _nil_memo: dict[bytes, bool] = {}
 def is_apex(g: Graph) -> bool:
     """True iff deleting at most one vertex of g leaves a planar graph.
 
-    The outcome is kept on g as its witness (see `Graph`): the vertex that
-    `apex_scan` finds, or -1 for none. A witness already there is the
-    answer.
+    The outcome is kept on g as its witness `Graph._witness`: the vertex
+    that `apex_scan` finds, or -1 for none. A witness already there is the
+    answer; a pending new-edge claim is none, and is replaced.
     """
     if g.n == 0:
         return True
-    if g._apex is None:
+    if g._witness is None or g._witness < -1:
         # Set once, when decided, so a concurrent call never reads a
         # provisional witness.
-        g._apex = apex_scan(g._adj, -1)
-    return g._apex >= 0
+        g._witness = apex_scan(g._adj, -1)
+    return g._witness >= 0
 
 
 def _settle_nil(g: Graph) -> bool | None:
@@ -165,31 +166,31 @@ def _petersen_fewest_edges() -> int:
 def is_nil(g: Graph) -> bool:
     """True iff g has no Petersen-family minor (linkless embeddings exist).
 
-    Two answers need no minor search: g is nIL when it carries an apex
-    witness that names a vertex (see `Graph`), since apex graphs are
-    nIL, and when it has fewer edges than every Petersen-family graph.
-    A one-edge extension g = P + uv built from P's apex witness, where P
-    has an apex vertex w other than u and v (`Graph._grown`; see
-    `carry_witness`), is decided through its new edge; see the module
-    docstring. Every other graph goes to the minor DAG, with Mader's bound
-    and the apex certificate settling its states.
+    Two answers need no minor search: g is nIL when its apex witness
+    (`Graph._witness`) names a vertex, since apex graphs are nIL, and
+    when it has fewer edges than every Petersen-family graph. A one-edge
+    extension g = P + uv with a pending claim from `carry_witness` is
+    decided through its new edge, which replaces the claim with g's
+    witness unless a pinned copy shows g IL; see the module docstring.
+    Every other graph goes to the minor DAG, with Mader's bound and the
+    apex certificate settling its states.
     """
-    if g._apex is not None and g._apex >= 0:
+    if g._witness is not None and g._witness >= 0:
         return True
     if g.size < _petersen_fewest_edges():
         return True
     family = petersen_family()
     edge = None
-    if g._grown is not None:
-        w, u, v = g._grown >> 8, g._grown >> 4 & 15, g._grown & 15
+    if g._witness is not None and g._witness < -1:
+        w, u, v = ~g._witness >> 8, ~g._witness >> 4 & 15, ~g._witness & 15
         if planar_without(g._adj, w):
-            g._apex = w
+            g._witness = w
             return True
         edge = (u, v)
         if any(is_subgraph_iso(p, g, edge) for p in family):
             return False
-        g._apex = apex_scan(g._adj, w)
-        if g._apex >= 0:
+        g._witness = apex_scan(g._adj, w)
+        if g._witness >= 0:
             return True
     return not contains_any_minor(g, family, _nil_memo, _settle_nil, edge)
 
@@ -208,8 +209,8 @@ def is_maxnil(g: Graph) -> bool:
     which for n >= 6 gives a K6 minor by Mader's bound; for n = 4 and 5
     the bound is n(n - 1)/2, so G is complete and has no G + e to test.
     K3 (n = 3) takes the general path. `is_apex` answers from g's apex
-    witness when one is there, as on the barren classes of
-    `census_maxnil` that its `is_nil` call tested for apex.
+    witness `Graph._witness` when one is there, as on the barren classes
+    of `census_maxnil` that its `is_nil` call tested for apex.
 
     A graph with a non-edge e whose size + 1 is below the fewest edges of
     any Petersen-family graph is not maxnIL, with no apex test: g + e has
@@ -226,17 +227,19 @@ def is_maxnil(g: Graph) -> bool:
 
 
 def carry_witness(child: Graph, g: Graph, u: int, v: int) -> Graph:
-    """Fill child = g + uv (0-based u, v) from g's apex witness w; return
-    child. With w = -1 g is not apex, and neither is g + uv,
-    since (g + uv) - x contains the non-planar g - x for every x. With
-    w = u or v, (g + uv) - w = g - w is planar. With another vertex w, g
-    is nIL, and child carries w and uv as `Graph._grown`, from which
-    `is_nil` decides it through its new edge. With no witness, nothing."""
-    w = g._apex
-    if w is not None and (w < 0 or w == u or w == v):
-        child._apex = w
-    elif w is not None:
-        child._grown = w << 8 | u << 4 | v
+    """Fill child = g + uv (0-based u, v) from g's `Graph._witness` w;
+    return child. With w = -1 g is not apex, and neither is g + uv, since
+    (g + uv) - x contains the non-planar g - x for every x. With w = u or
+    v, (g + uv) - w = g - w is planar. With another vertex w, g is nIL,
+    and child gets the pending claim of w and uv, from which `is_nil`
+    decides it through its new edge. With no witness or a claim, nothing."""
+    w = g._witness
+    if w is None or w < -1:
+        return child
+    if w < 0 or w == u or w == v:
+        child._witness = w
+    else:
+        child._witness = ~(w << 8 | u << 4 | v)
     return child
 
 
@@ -369,6 +372,6 @@ def is_tn(g: Graph, db: ObstructionDB) -> bool:
 def is_mtn(g: Graph, db: ObstructionDB) -> bool:
     """TN, and every single-edge addition leaves the TN family.
 
-    Once g is TN, `is_nil` has left g's apex witness on it, unless it
-    decided g by size, and `is_maximal` hands it to each g + e."""
+    Once g is TN, `is_nil` has left its witness `Graph._witness` on g,
+    unless it decided g by size, and `is_maximal` hands it to each g + e."""
     return is_tn(g, db) and is_maximal(g, lambda h: is_tn(h, db))

@@ -393,12 +393,12 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     parent and passes the filter with it: no class is lost, and no
     parent's fertility changes.
 
-    A parent also hands down its apex witness (see `Graph`), which
+    A parent also hands down its apex witness `Graph._witness`, which
     `keep=is_nil` leaves on each class it accepts with as many edges as a
     Petersen-family graph (it settles sparser ones by size alone), so the
     child's `keep` needs no apex test: `_top_children` passes each child
     with its parent to `oracles.carry_witness`, which owns the rule and
-    the witness. The walk itself never reads a witness, and treats its
+    the slot. The walk itself never reads a witness, and treats its
     children as opaque.
 
     The kept children of a level are grouped by the sorted entries that
@@ -556,8 +556,8 @@ def _top_children(g: Graph, packed: int):
     """(key, top, child, e, entries) for the children g + e of
     `isomorphism_classes` whose e is a top edge under the three-part f,
     with e = (u, v), 0-based and u < v, drawn from one non-edge per orbit
-    of the twin swaps of g, and with the child filled from g's apex
-    witness by `oracles.carry_witness`. `packed` holds g's entries, packed
+    of the twin swaps of g, and with the child's `Graph._witness` filled
+    from g's by `oracles.carry_witness`. `packed` holds g's entries, packed
     as in `_levels`, and `entries` the child's. key is the child's sorted
     entries; top is True when e is a top edge under the whole f, and False
     when e loses on the entries (a spare child).

@@ -178,7 +178,11 @@ def reference_top_children(g: Graph):
     """`torlink.search._top_children` as first written: (key, top, child)
     for the same children, in the same order, with every non-edge of the
     twin rule copied into a full child, tested by `_ties`, and given
-    entries computed from scratch by `_entries`."""
+    entries computed from scratch by `_entries`. Each child's apex
+    witness is filled by the rule of `oracles.carry_witness`, restated:
+    g's witness when it is -1 or an end of the new edge, the pending
+    claim ~(w << 8 | u << 4 | v) for another apex vertex w, and nothing
+    when g has no witness or only a claim."""
     n = g.n
     adj = g._adj
     deg = [m.bit_count() for m in adj]
@@ -197,7 +201,7 @@ def reference_top_children(g: Graph):
             for h in heads:
                 partners[h] |= 1 << v
             heads.append(v)
-    apex = g._apex
+    apex = g._witness
     for u in range(n):
         rest = partners[u] & ~adj[u]
         while rest:
@@ -225,8 +229,10 @@ def reference_top_children(g: Graph):
             )
             entries.sort()
             child = Graph._from_masks(masks)
-            if apex is not None and (apex < 0 or apex == u or apex == v):
-                child._apex = apex
+            if apex is not None and (apex == -1 or apex == u or apex == v):
+                child._witness = apex
+            elif apex is not None and apex >= 0:
+                child._witness = ~(apex << 8 | u << 4 | v)
             yield tuple(entries), top, child
 
 

@@ -104,7 +104,7 @@ MUTANTS = (
             (
                 "yield tuple(entries), top, carry_witness(child, g, u, v), (u, v), carried",
                 "yield tuple(entries), top, "
-                "carry_witness(child, g, g._apex, g._apex), (u, v), carried",
+                "carry_witness(child, g, g._witness, g._witness), (u, v), carried",
             ),
         ),
         ("tests/test_search.py::test_inherited_apex_witnesses_hold",),
@@ -259,8 +259,8 @@ MUTANTS = (
         "oracles.py",
         (
             (
-                "if g._apex is not None and g._apex >= 0:",
-                "if g._apex is not None and g._apex >= -1:",
+                "if g._witness is not None and g._witness >= 0:",
+                "if g._witness is not None and g._witness >= -1:",
             ),
         ),
         (
@@ -325,29 +325,36 @@ MUTANTS = (
     Mutant(
         "relative-route-without-apex-vertex",
         "oracles.py",
-        (
-            (
-                "if w is not None and (w < 0 or w == u or w == v):",
-                "if w is not None and (w == u or w == v):",
-            ),
-        ),
+        (("if w < 0 or w == u or w == v:", "if w == u or w == v:"),),
         (ROUTE,),
     ),
     Mutant(
         "relative-witness-kept-after-failure",
         "oracles.py",
-        (("g._apex = apex_scan(g._adj, w)", "g._apex = w"),),
+        (("g._witness = apex_scan(g._adj, w)", "g._witness = w"),),
         (ROUTE,),
+    ),
+    Mutant(
+        "apex-reads-pending-claim",
+        "oracles.py",
+        (
+            (
+                "if g._witness is None or g._witness < -1:",
+                "if g._witness is None:",
+            ),
+        ),
+        ("tests/test_oracles.py::test_a_pending_claim_is_not_a_witness",),
+    ),
+    Mutant(
+        "carry-from-pending-claim",
+        "oracles.py",
+        (("if w is None or w < -1:", "if w is None:"),),
+        ("tests/test_oracles.py::test_a_pending_claim_is_not_a_witness",),
     ),
     Mutant(
         "extension-keeps-witness-off-its-edge",
         "oracles.py",
-        (
-            (
-                "if w is not None and (w < 0 or w == u or w == v):",
-                "if w is not None:",
-            ),
-        ),
+        (("if w < 0 or w == u or w == v:", "if w is not None:"),),
         (
             "tests/test_search.py::test_inherited_apex_witnesses_hold",
             "tests/test_oracles.py::test_is_mtn_matches_definition_on_small_classes",

@@ -3,9 +3,10 @@ private name crosses a module boundary, every import sits at module level,
 every import is of the standard library or the package itself, and every
 function is referenced somewhere; every dataclass is frozen; every
 attribute a class stores is read; only `graphs` and `oracles` store
-`Graph._apex` and `Graph._grown`, and only `oracles` reads them; the
-package's __all__ is exactly what its __init__ imports; and every Graph,
-however it is made, has every slot set."""
+`Graph._witness`, only `oracles` reads it, and only
+`oracles.carry_witness` stores a pending claim in it; `Graph` has exactly
+its six slots; the package's __all__ is exactly what its __init__ imports;
+and every Graph, however it is made, has every slot set."""
 
 import ast
 import sys
@@ -324,59 +325,128 @@ def files(found: list[str]) -> set[str]:
     return {place.split(":")[0] for place in found}
 
 
-def test_one_owner_stores_the_grown_slot():
-    # `oracles.carry_witness` owns the rule that fills a one-edge extension
-    # from its parent's apex witness, and with it the encoding of
-    # `Graph._grown`; `Graph._from_masks` only clears the slot.
-    stores = slot_stores(package_sources(), "_grown")
-    assert files(stores) == {"graphs.py", "oracles.py"}, stores
-
-
-def test_grown_store_check_catches_planted_stores():
-    source = (
-        "if apex is not None and (apex < 0 or apex == u or apex == v):\n"
-        "    child._apex = apex\n"
-        "elif apex is not None:\n"
-        "    child._grown = codes[u << 4 | v]\n"
-        "w = child._grown >> 8\n"
-        "setattr(child, '_grown', 0)\n"
-        "object.__setattr__(child, '_grown', 0)\n"
-        "child._grown |= 1\n"
-    )
-    assert slot_stores({"m.py": source}, "_grown") == [
-        "m.py:4", "m.py:6", "m.py:7", "m.py:8"
-    ]
-
-
 def test_one_owner_holds_the_apex_witness():
-    # `oracles` owns the apex witness: `is_apex` and `is_nil` store
-    # `Graph._apex`, `carry_witness` fills it and `Graph._grown` on a
-    # one-edge extension, and only `oracles` reads either. The census walk
-    # in `search` treats its children as opaque. `Graph._from_masks`
-    # clears both slots.
+    # `oracles` owns the apex witness `Graph._witness` and its encoding:
+    # `is_apex` and `is_nil` store decided witnesses, `carry_witness` fills
+    # a one-edge extension from its parent's witness, pending claims
+    # included, and only `oracles` reads the slot. The census walk in
+    # `search` treats its children as opaque. `Graph._from_masks` only
+    # clears the slot.
     sources = package_sources()
-    stores = slot_stores(sources, "_apex")
+    stores = slot_stores(sources, "_witness")
     assert files(stores) == {"graphs.py", "oracles.py"}, stores
-    reads = slot_reads(sources, "_apex", "_grown")
+    reads = slot_reads(sources, "_witness")
     assert files(reads) == {"oracles.py"}, reads
 
 
 def test_witness_check_catches_planted_reads_and_stores():
     source = (
-        "apex = g._apex\n"
-        "child._apex = apex\n"
-        "if m[0]._apex is not None:\n"
-        "    w = child._grown >> 8\n"
-        "setattr(child, '_apex', -1)\n"
-        "object.__setattr__(child, '_apex', -1)\n"
-        "w = getattr(child, '_grown')\n"
-        "child._grown |= 1\n"
+        "apex = g._witness\n"
+        "if apex is not None and (apex == -1 or apex == u or apex == v):\n"
+        "    child._witness = apex\n"
+        "elif m[0]._witness is not None:\n"
+        "    w = ~child._witness >> 8\n"
+        "setattr(child, '_witness', -1)\n"
+        "object.__setattr__(child, '_witness', -1)\n"
+        "w = getattr(child, '_witness')\n"
+        "child._witness |= 1\n"
         "child._canon = g._plan\n"
     )
-    assert slot_stores({"m.py": source}, "_apex") == ["m.py:2", "m.py:5", "m.py:6"]
-    assert slot_reads({"m.py": source}, "_apex", "_grown") == [
-        "m.py:1", "m.py:3", "m.py:4", "m.py:7", "m.py:8"
+    assert slot_stores({"m.py": source}, "_witness") == [
+        "m.py:3", "m.py:6", "m.py:7", "m.py:9"
     ]
+    assert slot_reads({"m.py": source}, "_witness") == [
+        "m.py:1", "m.py:4", "m.py:5", "m.py:8", "m.py:9"
+    ]
+
+
+def stores_by_function(sources: dict[str, str], attr: str, value) -> list[str]:
+    """`file:line function`, in order, for each store to attr whose stored
+    value expression value accepts: an assignment, an augmented assignment,
+    or `setattr` or `object.__setattr__` with that name; function is the
+    innermost def around the store, or `<module>`."""
+    found = []
+
+    def visit(file: str, node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        stored = None
+        if isinstance(node, ast.Assign):
+            if any(isinstance(t, ast.Attribute) and t.attr == attr for t in node.targets):
+                stored = node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node.target, ast.Attribute) and node.target.attr == attr:
+                stored = node.value
+        elif _named(node, ("setattr", "__setattr__"), (attr,)) and len(node.args) >= 3:
+            stored = node.args[2]
+        if stored is not None and value(stored):
+            found.append((file, node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(file, child, where)
+
+    for file, source in sources.items():
+        visit(file, ast.parse(source), "<module>")
+    return [f"{file}:{line} {where}" for file, line, where in sorted(found)]
+
+
+def is_claim(value: ast.expr) -> bool:
+    """Whether value is a bit inversion, the pending-claim encoding."""
+    return isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.Invert)
+
+
+def is_not_none(value: ast.expr) -> bool:
+    return not (isinstance(value, ast.Constant) and value.value is None)
+
+
+def test_one_owner_stores_the_grown_slot():
+    # The pending new-edge claim of a one-edge extension, once the slot
+    # `Graph._grown`, is now `~(w << 8 | u << 4 | v)` in `Graph._witness`.
+    # `oracles.carry_witness` owns the rule that fills it from the parent's
+    # apex witness, and with it the encoding, so it is the one function
+    # that stores a claim; `Graph._from_masks` only clears the slot.
+    sources = package_sources()
+    claims = stores_by_function(sources, "_witness", is_claim)
+    owners = [(place.split(":")[0], place.split()[1]) for place in claims]
+    assert owners == [("oracles.py", "carry_witness")], claims
+    graph_stores = stores_by_function(
+        {"graphs.py": sources["graphs.py"]}, "_witness", is_not_none
+    )
+    assert graph_stores == [], graph_stores
+
+
+def test_grown_store_check_catches_planted_stores():
+    source = (
+        "def fill(child, g, u, v):\n"
+        "    w = g._witness\n"
+        "    if w is not None and (w < 0 or w == u or w == v):\n"
+        "        child._witness = w\n"
+        "    else:\n"
+        "        child._witness = ~(w << 8 | u << 4 | v)\n"
+        "def clear(g):\n"
+        "    g._witness = None\n"
+        "    setattr(g, '_witness', ~0)\n"
+        "    object.__setattr__(g, '_witness', -1)\n"
+        "    g._witness |= 1\n"
+        "    def inner(c):\n"
+        "        c._witness = ~c._witness\n"
+        "    g._canon = ~g._plan\n"
+        "child._witness: int = ~w\n"
+    )
+    sources = {"m.py": source}
+    assert stores_by_function(sources, "_witness", is_claim) == [
+        "m.py:6 fill", "m.py:9 clear", "m.py:13 inner", "m.py:15 <module>"
+    ]
+    assert stores_by_function(sources, "_witness", is_not_none) == [
+        "m.py:4 fill", "m.py:6 fill", "m.py:9 clear", "m.py:10 clear",
+        "m.py:11 clear", "m.py:13 inner", "m.py:15 <module>",
+    ]
+
+
+def test_graph_has_exactly_its_six_slots():
+    # Every slot costs 8 bytes on every Graph, and a census holds hundreds
+    # of thousands of them. A new per-graph fact reuses a slot, such as
+    # the apex witness, or edits this list and says why.
+    assert Graph.__slots__ == ("n", "_adj", "_canon", "_size", "_plan", "_witness")
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -30,7 +30,7 @@ from torlink import containment, oracles
 from torlink.canonical import canonical_form
 from torlink.containment import contains_any_minor
 from torlink.errors import DataValidationError, UnsupportedOrderError
-from torlink.oracles import delta_y, order8_obstructions, y_delta
+from torlink.oracles import carry_witness, delta_y, order8_obstructions, y_delta
 from torlink.search import _top_children, isomorphism_classes
 
 from bruteforce import (
@@ -241,7 +241,7 @@ def test_is_nil_answers_witnessed_and_sparse_graphs_without_the_dag(monkeypatch)
     assert oracles._petersen_fewest_edges() == min(p.size for p in petersen_family()) == 15
     # K1,2,2,2: a vertex joined to the octahedron, apex with 18 edges.
     witnessed = complete_multipartite(1, 2, 2, 2)
-    assert witnessed.size == 18 and is_apex(witnessed) and witnessed._apex >= 0
+    assert witnessed.size == 18 and is_apex(witnessed) and witnessed._witness >= 0
     rng = random.Random(43)
     sparse = [random_graph(rng, n, 0.5) for n in range(6, 13)]
     sparse = [g for g in sparse if g.size < 15] + [cycle_graph(12), k6_minus_e()]
@@ -259,10 +259,65 @@ def test_is_nil_trusts_only_a_witness_that_names_a_vertex():
     rng = random.Random(47)
     for p in petersen_family():
         g = relabeled(p, rng)
-        assert g._apex is None and g.size == 15
+        assert g._witness is None and g.size == 15
         assert not is_nil(g)
-        assert not is_apex(g) and g._apex == -1
+        assert not is_apex(g) and g._witness == -1
         assert not is_nil(g)
+
+
+def test_a_pending_claim_is_not_a_witness():
+    # P = K5 with a pendant vertex is apex through some vertex w; a child
+    # P + uv with u, v != w holds the pending claim of w and uv. is_nil
+    # answers it by size (12 edges) and leaves the claim, which names no
+    # vertex: is_apex must test the child, not read the claim, and
+    # carry_witness must hand a grandchild nothing.
+    rng = random.Random(3101)
+    k5_pendant = Graph(6, list(complete_graph(5).edges) + [(1, 6)])
+    for _ in range(4):
+        p = relabeled(k5_pendant, rng)
+        assert is_apex(p)
+        w = p._witness
+        u, v = next((u - 1, v - 1) for u, v in p.non_edges() if w not in (u - 1, v - 1))
+        child = carry_witness(p.add_edge((u + 1, v + 1)), p, u, v)
+        claim = ~(w << 8 | u << 4 | v)
+        assert child._witness == claim <= -2 and child.size < 15
+        assert is_nil(child) and child._witness == claim
+        x, y = child.non_edges()[0]
+        grandchild = carry_witness(child.add_edge((x, y)), child, x - 1, y - 1)
+        assert grandchild._witness is None
+        fresh = Graph(child.n, child.edges)
+        assert is_apex(fresh) and is_apex(child) == is_apex(fresh)
+        assert child._witness >= 0
+        assert is_planar(child.delete_vertex(child._witness + 1))
+
+
+def test_a_decided_route_is_not_run_again(monkeypatch):
+    # The non-apex maxnIL graph less its edge 12 is apex through vertex 4,
+    # so adding 12 back gives a child with a pending claim. Its route ends
+    # not apex, and leaves -1: a second is_nil goes straight to the minor
+    # DAG's memo, with no planarity test and no pinned subgraph test.
+    g = decode_graph6(NON_APEX_MAXNIL)
+    p = g.delete_edge((1, 2))
+    assert is_apex(p) and p._witness == 4
+    child = carry_witness(p.add_edge((1, 2)), p, 0, 1)
+    assert child == g and child._witness == ~(4 << 8 | 0 << 4 | 1)
+    assert is_nil(child) and child._witness == -1
+    planar_without = oracles.planar_without
+    planar, pinned = [], []
+
+    def counted_planar(adj, w):
+        planar.append(w)
+        return planar_without(adj, w)
+
+    def counted_subgraph(pattern, host, pin=None):
+        if pin is not None:
+            pinned.append(pin)
+        return is_subgraph_iso(pattern, host, pin)
+
+    monkeypatch.setattr(oracles, "planar_without", counted_planar)
+    monkeypatch.setattr(oracles, "is_subgraph_iso", counted_subgraph)
+    assert is_nil(child) and child._witness == -1
+    assert planar == [] and pinned == []
 
 
 def test_certificates_settle_every_minor_dag_state(monkeypatch):
@@ -301,28 +356,34 @@ def census_children(parents, rng):
 
 def assert_children_match_minor_dag(children) -> Counter:
     # The settle-free DAG shares no shortcut with the relative route. Every
-    # witness a verdict leaves is checked from scratch.
+    # witness a verdict leaves is checked from scratch. A pending claim
+    # (<= -2) stays only on a child that a Petersen-family copy through
+    # its new edge shows IL, or that is nIL by size.
     memo = {}
     kinds = Counter()
     for c in children:
-        grown = c._grown
+        claim = c._witness if c._witness is not None and c._witness < -1 else None
         expected = not contains_any_minor(c, petersen_family(), memo)
         assert is_nil(c) == expected, c
-        if c._apex is not None and c._apex >= 0:
-            assert is_planar(c.delete_vertex(c._apex + 1)), c
-        elif c._apex == -1:
+        w = c._witness
+        if w is not None and w >= 0:
+            assert is_planar(c.delete_vertex(w + 1)), c
+        elif w == -1:
             assert not any(is_planar(c.delete_vertex(v)) for v in range(1, c.n + 1)), c
-        if grown is None:
+        if claim is None:
             kinds["plain"] += 1
         elif not expected:
             kinds["IL"] += 1
-            if not any(is_subgraph_iso(p, c) for p in petersen_family()):
+            copy = any(is_subgraph_iso(p, c) for p in petersen_family())
+            assert w == (claim if copy else -1), c
+            if not copy:
                 kinds["IL, no family subgraph"] += 1
-        elif c._apex is None:
+        elif w == claim:
+            assert c.size < 15, c
             kinds["nIL by size"] += 1
-        elif c._apex == grown >> 8:
+        elif w == ~claim >> 8:
             kinds["apex through w"] += 1
-        elif c._apex >= 0:
+        elif w >= 0:
             kinds["apex through another vertex"] += 1
         else:
             kinds["nIL, not apex"] += 1
@@ -590,8 +651,9 @@ def test_is_mtn_matches_definition_on_small_classes():
     # Each class of order <= 7 and two relabelings of it, and the order-8
     # obstructions less an edge, which are toroidal, with relabelings.
     # is_mtn hands each extension the witness g's own test left: a vertex,
-    # -1, or none when is_nil decided g by size (fewer than 15 edges, as
-    # K6 - e), and each kind must occur among the MTN graphs.
+    # -1, or none (no witness, or a pending claim) when is_nil decided g by
+    # size (fewer than 15 edges, as K6 - e), and each kind must occur among
+    # the MTN graphs.
     rng = random.Random(2604)
     db = ObstructionDB.builtin()
     graphs = [g for n in range(3, 8) for g in isomorphism_classes(n)]
@@ -603,7 +665,8 @@ def test_is_mtn_matches_definition_on_small_classes():
         for h in (g, relabeled(g, rng), relabeled(g, rng)):
             assert is_mtn(h, db) == expected, h
             if expected:
-                kinds["none" if h._apex is None else min(h._apex, 0)] += 1
+                w = h._witness
+                kinds["none" if w is None or w < -1 else min(w, 0)] += 1
     assert kinds["none"] and kinds[0] and kinds[-1]
 
 

@@ -136,13 +136,13 @@ def test_is_apex_publishes_no_witness_before_it_decides(monkeypatch):
     planar = torlink.planarity._planar
 
     def spy(adj, alive):
-        seen.append(g._apex)
+        seen.append(g._witness)
         return planar(adj, alive)
 
     monkeypatch.setattr(torlink.planarity, "_planar", spy)
     assert is_apex(g)
     assert seen and all(w is None for w in seen)
-    assert g._apex >= 0
+    assert g._witness >= 0
 
 
 def test_planarity_matches_networkx_on_random_orders_9_to_12():

@@ -760,7 +760,9 @@ def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms():
 def assert_children_match_reference(classes, rng):
     # Each class and 3 relabelings of it, two of them with their apex witness,
     # so that the twin classes, the apex vertex and the prefilter's ends
-    # move to other labels.
+    # move to other labels. Each child's witness slot is compared too: the
+    # witness it inherits, or the pending claim of its parent's apex vertex
+    # and its new edge.
     for g in classes:
         parents = [g]
         for k in range(3):
@@ -772,8 +774,8 @@ def assert_children_match_reference(classes, rng):
             parents.append(h)
         for h in parents:
             children = list(_top_children(h, packed_entries(h)))
-            assert [(key, top, c, c._apex) for key, top, c, _, _ in children] == [
-                (key, top, c, c._apex) for key, top, c in reference_top_children(h)
+            assert [(key, top, c, c._witness) for key, top, c, _, _ in children] == [
+                (key, top, c, c._witness) for key, top, c in reference_top_children(h)
             ], h.edges
             for _, _, c, edge, carried in children:
                 assert [x for x in range(h.n) if c._adj[x] != h._adj[x]] == list(edge)
@@ -904,10 +906,16 @@ def test_barren_counts_orders_6_and_7():
     assert len(nil_walk(7)[1]) == 448
 
 
+def decided(g: Graph) -> bool:
+    """Whether g carries an apex witness: a vertex or -1, not None and not
+    a pending new-edge claim."""
+    return g._witness is not None and g._witness >= -1
+
+
 def apex_witness_holds(g: Graph) -> bool:
     """g's apex witness, checked from scratch."""
-    if g._apex >= 0:
-        return is_planar(g.delete_vertex(g._apex + 1))
+    if g._witness >= 0:
+        return is_planar(g.delete_vertex(g._witness + 1))
     return not any(is_planar(g.delete_vertex(w)) for w in range(1, g.n + 1))
 
 
@@ -917,14 +925,15 @@ def test_inherited_apex_witnesses_hold():
     # representative, IL ones included, with the witness it inherited.
     # Relabeled copies of every graph keep saw move the apex vertex and the
     # twin classes to other labels, and all their top-edge children are
-    # checked too; the IL copies are the non-apex parents.
+    # checked too; the IL copies are the non-apex parents. A pending claim
+    # is no witness and is not checked here.
     rng = random.Random(2113)
     seen = []
     inherited = []
 
     def keep(g):
         seen.append(g)
-        if g._apex is not None:
+        if decided(g):
             inherited.append(g)
         return is_nil(g)
 
@@ -941,10 +950,10 @@ def test_inherited_apex_witnesses_hold():
                 inherited += [
                     c
                     for _, _, c, _, _ in _top_children(h, packed_entries(h))
-                    if c._apex is not None
+                    if decided(c)
                 ]
     assert all(apex_witness_holds(g) for g in inherited)
-    kinds = Counter(g._apex >= 0 for g in inherited)
+    kinds = Counter(g._witness >= 0 for g in inherited)
     assert kinds[True] > 1000 and kinds[False] > 10
 
 
@@ -952,12 +961,13 @@ def test_is_maxnil_reads_the_witness_keep_left(monkeypatch):
     # keep=is_nil runs the apex test on every class it accepts that has as
     # many edges as a Petersen-family graph, and leaves its witness there,
     # so is_maxnil on such a barren class needs no planarity test at all.
-    # Sparser classes are settled by the size bound alone and carry none.
+    # Sparser classes are settled by the size bound alone and carry none:
+    # no witness, or only the pending claim they inherited.
     # Every order-7 nIL class is apex.
     barren = [g for _, level_barren in _levels(7, is_nil) for g in level_barren]
-    witnessed = [g for g in barren if g._apex is not None]
-    assert all(g.size < 15 for g in barren if g._apex is None)
-    assert witnessed and all(g._apex >= 0 for g in witnessed)
+    witnessed = [g for g in barren if decided(g)]
+    assert all(g.size < 15 for g in barren if not decided(g))
+    assert witnessed and all(g._witness >= 0 for g in witnessed)
     calls = []
     planar = torlink.planarity._planar
 
@@ -975,10 +985,10 @@ def test_is_maxnil_decides_sparse_graphs_by_size(monkeypatch):
     # A graph with a non-edge and fewer than 14 edges has a one-edge
     # extension below the 15 edges of every Petersen-family graph, which
     # is nIL, so is_maxnil rejects it with no planarity test, even on the
-    # sparse barren classes that carry no apex witness.
+    # sparse barren classes that carry no apex witness (None or a claim).
     barren = [g for _, level_barren in _levels(7, is_nil) for g in level_barren]
     sparse = [g for g in barren if g.size < 14]
-    assert any(g._apex is None for g in sparse)
+    assert any(not decided(g) for g in sparse)
     calls = []
     planar = torlink.planarity._planar
 
