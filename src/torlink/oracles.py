@@ -209,8 +209,8 @@ def is_maxnil(g: Graph) -> bool:
     which for n >= 6 gives a K6 minor by Mader's bound; for n = 4 and 5
     the bound is n(n - 1)/2, so G is complete and has no G + e to test.
     K3 (n = 3) takes the general path. `is_apex` answers from g's apex
-    witness `Graph._witness` when one is there, as on the barren classes
-    of `census_maxnil` that its `is_nil` call tested for apex.
+    witness `Graph._witness` when one is there, as on the classes of
+    `census_maxnil` that its `is_nil` call tested for apex.
 
     A graph with a non-edge e whose size + 1 is below the fewest edges of
     any Petersen-family graph is not maxnIL, with no apex test: g + e has

@@ -390,8 +390,7 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     isomorphism invariant, so e is a top edge of P + e iff e' is one of
     P + e', under the first three parts of f and under all of it alike.
     A skipped child is therefore isomorphic to a tried one with the same
-    parent and passes the filter with it: no class is lost, and no
-    parent's fertility changes.
+    parent and passes the filter with it, so no class is lost.
 
     A parent also hands down its apex witness `Graph._witness`, which
     `keep=is_nil` leaves on each class it accepts with as many edges as a
@@ -417,7 +416,7 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     generate on the new edges is kept. The same argument as for twins
     applies to any automorphism phi: P + e and P + phi(e) are isomorphic
     children of P, with the same top status, so a dropped child's class is
-    still generated, by the kept one, and P's fertility does not change.
+    still generated, by the kept one.
     Any set of automorphisms prunes soundly, since it only ever drops a
     child isomorphic to a kept one; a set that misses part of the group
     leaves more children in the group, and the canonical forms dedupe them.
@@ -426,80 +425,56 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     edge count the order of the classes and the labeled representative of
     each are unspecified.
     """
-    return [g for level, _ in _levels(n, keep) for g in level]
+    return [g for level in _levels(n, keep) for g in level]
 
 
 def _levels(n: int, keep):
-    """Walk the levels of `isomorphism_classes(n, keep)`, yielding for each
-    edge count m the pair (classes with m edges, barren classes with
-    m - 1 edges); the last pair holds no classes. A class is barren when
-    none of its children g + e passes `keep` whose e is a top edge under
-    the first three parts of f (degrees and common neighbours), ties
-    included. The entries choose which children are grouped, and the
-    group key is the sorted entries, but neither decides which classes are
-    barren. Only two levels are held at a time, each class beside its
-    entries, packed into one int at 20 bits per vertex (vertex x's entry
-    is bits 20x and up), from which `_top_children` derives its
+    """Walk the levels of `isomorphism_classes(n, keep)`, yielding the list
+    of classes with m edges for m = 0, 1, ... up to the last level that
+    holds a class. Only two levels are held at a time, each class beside
+    its entries, packed into one int at 20 bits per vertex (vertex x's
+    entry is bits 20x and up), from which `_top_children` derives its
     children's.
 
-    `keep` runs once per class, on its representative. A barren class is
-    that representative, with whatever its `keep` call left on it.
+    `keep` runs once per class, on its representative, and a yielded class
+    is that representative, with whatever its `keep` call left on it.
     """
     level = [Graph(n)]
     if keep is not None and not keep(level[0]):
-        level = []
+        return
     # Every entry of the empty graph is 0.
-    packs = [0] * len(level)
-    yield level, []
+    packs = [0]
     while level:
-        nxt, packs, fertile = _next_level(level, packs, keep)
-        yield nxt, [g for g, f in zip(level, fertile) if not f]
-        level = nxt
+        yield level
+        level, packs = _next_level(level, packs, keep)
 
 
 def _next_level(
     level: list[Graph], packs: list[int], keep
-) -> tuple[list[Graph], list[int], list[bool]]:
-    """The classes with one edge more than those of `level`, their packed
-    entries, and for each class of `level` whether it is fertile, the
-    opposite of barren in `_levels`. packs[i] holds the packed entries of
-    level[i].
-
-    When a class passes `keep`, the parent of each of its top-edge
-    children becomes fertile, not only the parent of the representative.
-    A spare child c of a parent P (one that ties on the three-part f and
-    loses on the entries) is neither grouped nor canonized. After the
-    classes are decided, a P that is still not fertile becomes fertile
-    when some spare c has the sorted entries of a kept class and passes
-    `keep`. That is exact: if keep accepts c, it accepts the deletion of
-    c's top edge, so c's class was generated and kept, and a c whose
-    sorted entries no kept class has is not accepted. The level's groups and
-    keys die with this call, before `_levels` yields.
+) -> tuple[list[Graph], list[int]]:
+    """The classes with one edge more than those of `level`, and their
+    packed entries; packs[i] holds the packed entries of level[i]. The
+    level's groups and keys die with this call, before `_levels` yields.
 
     A parent's top-edge children are gathered by key first; of two or more
     with one key, only the first of each orbit of the parent's automorphisms
     (computed once, and only then) joins the group; see `isomorphism_classes`.
     """
-    # Top-edge children grouped by key, each with its parent's index and
-    # its packed entries, and the spare children with their keys, each
-    # with its parent's index. Keys, and the entries in them, are interned
-    # through `keys`, so equal keys are one tuple, whether a group's or a
-    # spare's, and equal entries one int. (An int never equals a tuple.)
+    # Top-edge children grouped by key, each with its packed entries. Keys,
+    # and the entries in them, are interned through `keys`, so equal keys
+    # are one tuple and equal entries one int. (An int never equals a
+    # tuple.)
     keys: dict = {}
-    groups: dict[tuple[int, ...], list[tuple[Graph, int, int]]] = {}
-    spares: list[tuple[tuple[int, ...], Graph, int]] = []
-    for i, g in enumerate(level):
+    groups: dict[tuple[int, ...], list[tuple[Graph, int]]] = {}
+    for g, packed in zip(level, packs):
         # g's top-edge children by key, each beside its new edge.
         mine: dict[tuple[int, ...], list] = {}
-        for key, top, child, edge, packed in _top_children(g, packs[i]):
+        for key, child, edge, carried in _top_children(g, packed):
             shared = keys.get(key)
             if shared is None:
                 shared = tuple([keys.setdefault(x, x) for x in key])
                 keys[shared] = shared
-            if top:
-                mine.setdefault(shared, []).append((edge, (child, i, packed)))
-            else:
-                spares.append((shared, child, i))
+            mine.setdefault(shared, []).append((edge, (child, carried)))
         perms = None
         for key, pairs in mine.items():
             if len(pairs) > 1:
@@ -507,30 +482,18 @@ def _next_level(
                     perms = automorphisms(g)
                 pairs = _one_per_orbit(perms, pairs)
             groups.setdefault(key, []).extend(member for _, member in pairs)
-    fertile = [False] * len(level)
-    kept: set[tuple[int, ...]] = set()
     nxt = []
     nxt_packs = []
-    for key, group in groups.items():
+    for group in groups.values():
+        # One member per class, the last with its canonical form.
+        reps = group
         if len(group) > 1:
-            by_form: dict[bytes, list[tuple[Graph, int, int]]] = {}
-            for member in group:
-                by_form.setdefault(canonical_form(member[0]), []).append(member)
-            classes = by_form.values()
-        else:
-            classes = (group,)
-        for members in classes:
-            rep, _, packed = members[-1]
+            reps = {canonical_form(c): (c, packed) for c, packed in group}.values()
+        for rep, packed in reps:
             if keep is None or keep(rep):
-                for _, i, _ in members:
-                    fertile[i] = True
                 nxt.append(rep)
                 nxt_packs.append(packed)
-                kept.add(key)
-    for key, child, i in spares:
-        if not fertile[i] and key in kept and (keep is None or keep(child)):
-            fertile[i] = True
-    return nxt, nxt_packs, fertile
+    return nxt, nxt_packs
 
 
 def _one_per_orbit(perms: list[list[int]], pairs: list) -> list:
@@ -553,14 +516,13 @@ def _spread(n: int) -> tuple[int, ...]:
 
 
 def _top_children(g: Graph, packed: int):
-    """(key, top, child, e, entries) for the children g + e of
-    `isomorphism_classes` whose e is a top edge under the three-part f,
-    with e = (u, v), 0-based and u < v, drawn from one non-edge per orbit
-    of the twin swaps of g, and with the child's `Graph._witness` filled
-    from g's by `oracles.carry_witness`. `packed` holds g's entries, packed
-    as in `_levels`, and `entries` the child's. key is the child's sorted
-    entries; top is True when e is a top edge under the whole f, and False
-    when e loses on the entries (a spare child).
+    """(key, child, e, entries) for the children g + e of
+    `isomorphism_classes` whose e is a top edge, with e = (u, v), 0-based
+    and u < v, drawn from one non-edge per orbit of the twin swaps of g,
+    and with the child's `Graph._witness` filled from g's by
+    `oracles.carry_witness`. `packed` holds g's entries, packed as in
+    `_levels`, and `entries` the child's. key is the child's sorted
+    entries.
 
     A non-edge e = (u, v) is rejected on degrees alone, before g + e is
     built, when some edge of g + e beats e on the first two parts of f,
@@ -580,8 +542,9 @@ def _top_children(g: Graph, packed: int):
       lo, whose degree can only have grown: far is the largest nd of such
       a vertex.
 
-    `_ties` decides every non-edge left. The child is given its size,
-    g's plus one.
+    `_ties` decides every non-edge left on the first three parts of f,
+    and the child's entries then decide its ties: a child whose e loses on
+    them is never built. The child is given its size, g's plus one.
 
     The child's entries are g's, changed only at three kinds of vertex. A
     vertex adjacent to exactly one of u and v gains 1 in its neighbours'
@@ -669,15 +632,16 @@ def _top_children(g: Graph, packed: int):
             # larger << 20 | smaller (entries are below 2**20).
             eu, ev = entries[u], entries[v]
             mine = max(eu, ev) << 20 | min(eu, ev)
-            top = all(
+            if not all(
                 max(entries[a], entries[b]) << 20 | min(entries[a], entries[b])
                 <= mine
                 for a, b in ties
-            )
+            ):
+                continue
             entries.sort()
             child = Graph._from_masks(masks)
             child._size = size
-            yield tuple(entries), top, carry_witness(child, g, u, v), (u, v), carried
+            yield tuple(entries), carry_witness(child, g, u, v), (u, v), carried
 
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):
@@ -711,12 +675,11 @@ def _ties(masks: list[int], deg: list[int], u: int, v: int):
 def census_maxnil(n: int) -> tuple[Graph, ...]:
     """All maximally-nIL graphs of order n up to isomorphism (3 <= n <= 9).
 
-    The levels of the nIL classes are walked with `keep=is_nil`, and only
-    the barren ones are tested with `is_maxnil`, whose apex test reads the
-    witness that `is_nil` left on the class, if any. That is exact: a
-    maxnIL graph has no nIL one-edge extension, so none of its top-edge
-    children passes and its class is barren. Order 8 has 11,667 nIL
-    classes, 5,097 of them barren; order 9 has 227,041 and 100,170.
+    The levels of the nIL classes are walked with `keep=is_nil`, and every
+    class is tested with `is_maxnil`, which rejects most of them by size or
+    by the apex witness that `is_nil` left on the class. A maxnIL graph is
+    nIL, so its class is one of them. Order 8 has 11,667 nIL classes and
+    order 9 has 227,041.
     """
     if not 3 <= n <= 9:
         raise UnsupportedOrderError(
@@ -724,8 +687,8 @@ def census_maxnil(n: int) -> tuple[Graph, ...]:
         )
     hits = [
         canonical_graph(g)
-        for _, barren in _levels(n, is_nil)
-        for g in barren
+        for level in _levels(n, is_nil)
+        for g in level
         if is_maxnil(g)
     ]
     hits.sort(key=canonical_form)

@@ -125,23 +125,6 @@ def brute_isomorphism_classes(n: int) -> list[Graph]:
     return out
 
 
-def brute_fertile(g: Graph, keep) -> bool:
-    """Whether some non-edge e of g, every one tried, gives a child g + e
-    that keep accepts and in which e maximizes (larger endpoint degree,
-    smaller endpoint degree, common neighbours) over all edges."""
-
-    def head(h: Graph, a: int, b: int) -> tuple[int, int, int]:
-        da, db = len(h.neighbors(a)), len(h.neighbors(b))
-        common = len(set(h.neighbors(a)) & set(h.neighbors(b)))
-        return (max(da, db), min(da, db), common)
-
-    for e in g.non_edges():
-        h = g.add_edge(e)
-        if keep(h) and head(h, *e) == max(head(h, a, b) for a, b in h.edges):
-            return True
-    return False
-
-
 def _entries(masks, deg: list[int]) -> list[int]:
     """The entry of each vertex v of the graph with these 0-based adjacency
     masks and vertex degrees: (deg v, sum of the degrees of v's
@@ -176,7 +159,8 @@ def packed_entries(g: Graph) -> int:
 
 def reference_top_children(g: Graph):
     """`torlink.search._top_children` as first written: (key, top, child)
-    for the same children, in the same order, with every non-edge of the
+    for the same children, in the same order, and also those whose new
+    edge loses on the entries (top False), with every non-edge of the
     twin rule copied into a full child, tested by `_ties`, and given
     entries computed from scratch by `_entries`. Each child's apex
     witness is filled by the rule of `oracles.carry_witness`, restated:

@@ -102,8 +102,8 @@ MUTANTS = (
         "search.py",
         (
             (
-                "yield tuple(entries), top, carry_witness(child, g, u, v), (u, v), carried",
-                "yield tuple(entries), top, "
+                "yield tuple(entries), carry_witness(child, g, u, v), (u, v), carried",
+                "yield tuple(entries), "
                 "carry_witness(child, g, g._witness, g._witness), (u, v), carried",
             ),
         ),
@@ -133,17 +133,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "fertility-without-spare-children",
+        "spare-child-grouped",
         "search.py",
+        (("if not all(", "if False and all("),),
         (
-            (
-                "if not fertile[i] and key in kept and (keep is None or keep(child)):",
-                "if False:",
-            ),
-        ),
-        (
-            "tests/test_search.py::test_barren_counts_orders_6_and_7",
-            "tests/test_search.py::test_barren_classes_match_bruteforce_fertility",
+            "tests/test_search.py::test_census_computes_each_child_key_once[7-1349]",
+            "tests/test_search.py::test_top_children_match_reference",
         ),
     ),
     Mutant(
@@ -459,7 +454,7 @@ MUTANTS = (
         "siblings-pruned-only-in-threes",
         "search.py",
         (("if len(pairs) > 1:", "if len(pairs) > 2:"),),
-        ("tests/test_search.py::test_census_computes_each_child_key_once[7-1546]",),
+        ("tests/test_search.py::test_census_computes_each_child_key_once[7-1349]",),
     ),
     Mutant(
         "orbit-helper-closes-over-one-permutation",

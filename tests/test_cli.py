@@ -441,20 +441,24 @@ def test_census_maxnil_stdout_is_pinned(n):
 @pytest.mark.slow
 def test_census_maxnil_order9(monkeypatch):
     # The paper's starting point: the 20 maxnIL graphs of order 9, from one
-    # walk of the nIL classes whose barren classes alone are tested.
-    walk = torlink.search._levels
-    counts = {"nil": 0, "barren": 0}
+    # walk of the nIL classes, each of them tested once.
+    walk, test = torlink.search._levels, torlink.search.is_maxnil
+    counts = {"nil": 0, "is_maxnil": 0}
 
-    def counted(n, keep):
-        for level, barren in walk(n, keep):
+    def counted_walk(n, keep):
+        for level in walk(n, keep):
             counts["nil"] += len(level)
-            counts["barren"] += len(barren)
-            yield level, barren
+            yield level
 
-    monkeypatch.setattr(torlink.search, "_levels", counted)
+    def counted_test(g):
+        counts["is_maxnil"] += 1
+        return test(g)
+
+    monkeypatch.setattr(torlink.search, "_levels", counted_walk)
+    monkeypatch.setattr(torlink.search, "is_maxnil", counted_test)
     status, text = invoke(["census-maxnil", "9"])
     assert status == 0
-    assert counts == {"nil": 227041, "barren": 100170}
+    assert counts == {"nil": 227041, "is_maxnil": 227041}
     lines = text.splitlines()
     assert lines[0] == "count: 20"
     sizes = Counter(decode_graph6(g6).size for g6 in lines[1:])

@@ -350,7 +350,7 @@ def census_children(parents, rng):
     for g in parents:
         for h in (g, relabeled(g, rng)):
             is_apex(h)
-            for _, _, child, _, _ in _top_children(h, packed_entries(h)):
+            for _, child, _, _ in _top_children(h, packed_entries(h)):
                 yield child
 
 
@@ -391,11 +391,12 @@ def assert_children_match_minor_dag(children) -> Counter:
 
 
 def test_is_nil_decides_census_children_through_the_new_edge():
-    # Every child of every class of order <= 7, and the children of the one
-    # non-apex nIL class of order 8, whose witness is -1: they must not take
-    # the relative route.
+    # Every child of every class of order <= 7 and of a relabeled copy of
+    # it, and the children of the one non-apex nIL class of order 8, whose
+    # witness is -1: they must not take the relative route.
     rng = random.Random(2501)
-    parents = [g for n in range(8) for g in isomorphism_classes(n)]
+    classes = [g for n in range(8) for g in isomorphism_classes(n)]
+    parents = classes + [relabeled(g, rng) for g in classes]
     parents += [relabeled(decode_graph6(NON_APEX_MAXNIL), rng) for _ in range(4)]
     kinds = assert_children_match_minor_dag(census_children(parents, rng))
     assert kinds["IL"] > 10 and kinds["IL, no family subgraph"] > 0

@@ -53,7 +53,6 @@ from torlink.search import (
 from bruteforce import (
     _entries,
     brute_automorphisms,
-    brute_fertile,
     brute_isomorphism_classes,
     packed_entries,
     pair_orbits,
@@ -62,7 +61,7 @@ from bruteforce import (
     reference_top_children,
 )
 from test_canonical import cube_graph
-from test_oracles import mtn_by_definition, relabeled
+from test_oracles import _maxnil_by_definition, mtn_by_definition, relabeled
 from test_torus import FIXTURE
 
 
@@ -626,6 +625,14 @@ def test_isomorphism_class_levels_match_polya_counts(order8_classes):
         assert [sizes[m] for m in range(n * (n - 1) // 2 + 1)] == polya_graph_counts(n)
 
 
+@pytest.mark.slow
+def test_isomorphism_class_levels_match_polya_counts_order9():
+    # The unfiltered walk is exhaustive at order 9 too: 274,668 classes.
+    counts = [len(level) for level in _levels(9, None)]
+    assert counts == polya_graph_counts(9)
+    assert sum(counts) == 274668
+
+
 def invariant_of(g: Graph) -> tuple[int, ...]:
     return tuple(sorted(_entries(g._adj, [m.bit_count() for m in g._adj])))
 
@@ -739,9 +746,8 @@ def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms():
     for g in [g for n in range(3, 8) for g in isomorphism_classes(n)]:
         h = g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
         by_key = {}
-        for key, top, child, edge, packed in _top_children(h, packed_entries(h)):
-            if top:
-                by_key.setdefault(key, []).append((edge, (child, 0, packed)))
+        for key, child, edge, packed in _top_children(h, packed_entries(h)):
+            by_key.setdefault(key, []).append((edge, (child, packed)))
         orbits = pair_orbits(h.n, brute_automorphisms(h))
         orbit_of = {pair: orbit for orbit in orbits for pair in orbit}
 
@@ -760,9 +766,10 @@ def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms():
 def assert_children_match_reference(classes, rng):
     # Each class and 3 relabelings of it, two of them with their apex witness,
     # so that the twin classes, the apex vertex and the prefilter's ends
-    # move to other labels. Each child's witness slot is compared too: the
-    # witness it inherits, or the pending claim of its parent's apex vertex
-    # and its new edge.
+    # move to other labels. The reference also yields the children whose
+    # new edge loses on the entries, which _top_children never builds. Each
+    # child's witness slot is compared too: the witness it inherits, or the
+    # pending claim of its parent's apex vertex and its new edge.
     for g in classes:
         parents = [g]
         for k in range(3):
@@ -774,10 +781,10 @@ def assert_children_match_reference(classes, rng):
             parents.append(h)
         for h in parents:
             children = list(_top_children(h, packed_entries(h)))
-            assert [(key, top, c, c._witness) for key, top, c, _, _ in children] == [
-                (key, top, c, c._witness) for key, top, c in reference_top_children(h)
+            assert [(key, c, c._witness) for key, c, _, _ in children] == [
+                (key, c, c._witness) for key, top, c in reference_top_children(h) if top
             ], h.edges
-            for _, _, c, edge, carried in children:
+            for _, c, edge, carried in children:
                 assert [x for x in range(h.n) if c._adj[x] != h._adj[x]] == list(edge)
                 assert carried == packed_entries(c), c.edges
                 assert c.size == sum(m.bit_count() for m in c._adj) // 2
@@ -805,12 +812,13 @@ CENSUS_WORK = {7: (1995, 32, 138), 8: (24367, 721, 909)}
 
 
 @pytest.mark.parametrize(
-    "n, children", [(7, 1546), pytest.param(8, 17282, marks=pytest.mark.slow)]
+    "n, children", [(7, 1349), pytest.param(8, 14174, marks=pytest.mark.slow)]
 )
 def test_census_computes_each_child_key_once(monkeypatch, n, children):
     # A child's entries come from its parent's: the walk computes none
     # from scratch. The prefilter leaves _ties only the children it cannot
-    # reject by degrees, and neither changes which children are yielded.
+    # reject by degrees, and neither changes which children are yielded; a
+    # child whose new edge loses on the entries is not yielded.
     # The orbit rule canonizes each parent with two children in one group
     # once, and only the siblings it leaves in groups of two or more are
     # canonized.
@@ -860,52 +868,6 @@ def test_isomorphism_classes_keep_matches_bruteforce(keep):
         assert sizes == sorted(sizes)
 
 
-def nil_walk(n: int) -> tuple[int, list[Graph]]:
-    """(number of nIL classes, the barren ones) from one walk of order n."""
-    count = 0
-    barren = []
-    for level, level_barren in _levels(n, is_nil):
-        count += len(level)
-        barren.extend(level_barren)
-    return count, barren
-
-
-def test_every_maxnil_class_is_barren():
-    for n in range(1, 8):
-        count, barren = nil_walk(n)
-        assert count == len(isomorphism_classes(n, is_nil))
-        barren_keys = {canonical_form(g) for g in barren}
-        assert len(barren_keys) == len(barren)
-        maxnil = [g for g in isomorphism_classes(n) if is_maxnil(g)]
-        assert maxnil
-        assert {canonical_form(g) for g in maxnil} <= barren_keys
-        # Barren is not maxnIL: some barren classes have a nIL extension
-        # whose added edge is not a top edge.
-        if n >= 5:
-            assert len(barren_keys) > len(maxnil)
-
-
-def test_barren_classes_match_bruteforce_fertility():
-    # A class is barren iff no non-edge, every one tried, gives a nIL child
-    # whose new edge is a top edge under the three-part f. Spare children,
-    # which lose on the entries, are never grouped, so only the fallback
-    # over them keeps the barren sets exact.
-    for n in range(1, 8):
-        barren = set()
-        classes = []
-        for level, level_barren in _levels(n, is_nil):
-            classes += level
-            barren |= {canonical_form(g) for g in level_barren}
-        assert barren == {
-            canonical_form(g) for g in classes if not brute_fertile(g, is_nil)
-        }
-
-
-def test_barren_counts_orders_6_and_7():
-    assert len(nil_walk(6)[1]) == 65
-    assert len(nil_walk(7)[1]) == 448
-
-
 def decided(g: Graph) -> bool:
     """Whether g carries an apex witness: a vertex or -1, not None and not
     a pending new-edge claim."""
@@ -949,7 +911,7 @@ def test_inherited_apex_witnesses_hold():
                 is_apex(h)
                 inherited += [
                     c
-                    for _, _, c, _, _ in _top_children(h, packed_entries(h))
+                    for _, c, _, _ in _top_children(h, packed_entries(h))
                     if decided(c)
                 ]
     assert all(apex_witness_holds(g) for g in inherited)
@@ -960,13 +922,13 @@ def test_inherited_apex_witnesses_hold():
 def test_is_maxnil_reads_the_witness_keep_left(monkeypatch):
     # keep=is_nil runs the apex test on every class it accepts that has as
     # many edges as a Petersen-family graph, and leaves its witness there,
-    # so is_maxnil on such a barren class needs no planarity test at all.
+    # so is_maxnil on such a class needs no planarity test at all.
     # Sparser classes are settled by the size bound alone and carry none:
     # no witness, or only the pending claim they inherited.
     # Every order-7 nIL class is apex.
-    barren = [g for _, level_barren in _levels(7, is_nil) for g in level_barren]
-    witnessed = [g for g in barren if decided(g)]
-    assert all(g.size < 15 for g in barren if not decided(g))
+    classes = [g for level in _levels(7, is_nil) for g in level]
+    witnessed = [g for g in classes if decided(g)]
+    assert all(g.size < 15 for g in classes if not decided(g))
     assert witnessed and all(g._witness >= 0 for g in witnessed)
     calls = []
     planar = torlink.planarity._planar
@@ -985,9 +947,9 @@ def test_is_maxnil_decides_sparse_graphs_by_size(monkeypatch):
     # A graph with a non-edge and fewer than 14 edges has a one-edge
     # extension below the 15 edges of every Petersen-family graph, which
     # is nIL, so is_maxnil rejects it with no planarity test, even on the
-    # sparse barren classes that carry no apex witness (None or a claim).
-    barren = [g for _, level_barren in _levels(7, is_nil) for g in level_barren]
-    sparse = [g for g in barren if g.size < 14]
+    # sparse nIL classes that carry no apex witness (None or a claim).
+    classes = [g for level in _levels(7, is_nil) for g in level]
+    sparse = [g for g in classes if g.size < 14]
     assert any(not decided(g) for g in sparse)
     calls = []
     planar = torlink.planarity._planar
@@ -1001,14 +963,31 @@ def test_is_maxnil_decides_sparse_graphs_by_size(monkeypatch):
     assert not calls
 
 
-@pytest.mark.slow
-def test_order8_census_tests_only_barren_classes(order8_classes):
-    count, barren = nil_walk(8)
-    assert (count, len(barren)) == (11667, 5097)
-    maxnil = {canonical_form(g) for g in order8_classes if is_maxnil(g)}
-    assert len(maxnil) == 6
-    assert {canonical_form(g) for g in barren if is_maxnil(g)} == maxnil
-    assert {canonical_form(g) for g in census_maxnil(8)} == maxnil
+@pytest.mark.parametrize("n", [*range(3, 8), pytest.param(8, marks=pytest.mark.slow)])
+def test_census_tests_every_nil_class_once(monkeypatch, request, n):
+    # census_maxnil runs is_maxnil once on each nIL class and on nothing
+    # else. Its result is the maxnIL classes: by definition over the
+    # brute-force classes up to order 7, by is_maxnil over every class at
+    # order 8.
+    tested = []
+
+    def counted(g):
+        tested.append(g)
+        return is_maxnil(g)
+
+    monkeypatch.setattr(torlink.search, "is_maxnil", counted)
+    found = [canonical_form(g) for g in census_maxnil(n)]
+    keys = [canonical_form(g) for g in tested]
+    assert len(set(keys)) == len(keys)
+    if n == 8:
+        classes = request.getfixturevalue("order8_classes")
+        maxnil = {canonical_form(g) for g in classes if is_maxnil(g)}
+        assert (len(keys), len(maxnil)) == (11667, 6)
+    else:
+        classes = brute_isomorphism_classes(n)
+        maxnil = {canonical_form(g) for g in classes if _maxnil_by_definition(g)}
+    assert set(keys) == {canonical_form(g) for g in classes if is_nil(g)}
+    assert found == sorted(maxnil)
 
 
 def test_census_bounds():
