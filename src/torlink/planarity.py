@@ -68,6 +68,8 @@ def _planar(adj: list[int], alive: int) -> bool:
         return True
     if sum(adj[v].bit_count() for v in _bits(alive)) > 2 * (3 * n - 6):
         return False
+    if n == 5:
+        return True  # only K5, which the bound excluded, is non-planar here
     # Every vertex now has degree >= 3, so a walk that never turns back
     # closes a cycle.
     v = prev = (alive & -alive).bit_length() - 1

@@ -355,13 +355,12 @@ def isomorphism_classes(n: int, keep=None) -> list[Graph]:
     most children; the entries only break their ties, and the finer f is, the
     fewer parents reach each class, so the fewer children are canonized.
 
-    A child is tested from what its parent knows. Most non-edges fail on
-    degrees alone: when the parent's degrees, and the largest degree
-    among each vertex's neighbours, already show an edge of g + e whose
-    first two parts of f beat e's, e is no top edge, and g + e is never
-    built. A child's entries are its parent's with fixed increments on
-    the ends of e and their neighbours, since no other vertex's triple
-    changes. Both are derived in `_top_children`.
+    A child is tested from what its parent knows. The parent's degrees,
+    read as masks, confine the ends of a top edge to a window: each vertex
+    within one of the largest degree is paired at once with the
+    non-neighbours the window admits, and no other non-edge is looked at.
+    A child's entries are its parent's with fixed increments at the ends
+    of e and their neighbours. Both are derived in `_top_children`.
 
     The filter loses no class. Take a class of size m + 1, a member H and
     an edge e of H that maximizes f. H - e is isomorphic, by some map phi,
@@ -517,34 +516,39 @@ def _spread(n: int) -> tuple[int, ...]:
 
 def _top_children(g: Graph, packed: int):
     """(key, child, e, entries) for the children g + e of
-    `isomorphism_classes` whose e is a top edge, with e = (u, v), 0-based
-    and u < v, drawn from one non-edge per orbit of the twin swaps of g,
-    and with the child's `Graph._witness` filled from g's by
-    `oracles.carry_witness`. `packed` holds g's entries, packed as in
+    `isomorphism_classes` whose e is a top edge, in increasing order of
+    e = (u, v), 0-based and u < v, drawn from one non-edge per orbit of the
+    twin swaps of g, and with the child's `Graph._witness` filled from g's
+    by `oracles.carry_witness`. `packed` holds g's entries, packed as in
     `_levels`, and `entries` the child's. key is the child's sorted
     entries.
 
-    A non-edge e = (u, v) is rejected on degrees alone, before g + e is
-    built, when some edge of g + e beats e on the first two parts of f,
-    which is when `_ties` would return None. Let H be g's largest degree,
-    hi the larger end degree of e in g, lo the smaller one in g + e, and
-    nd[x] the largest degree among x's neighbours in g. No degree falls
-    from g to g + e.
+    g's state is read once, as masks. ge[d] holds its vertices of degree d
+    or more, and a vertex's twin class is looked up by its open and closed
+    neighbourhoods: a class's first member, its head, is tried with every
+    other head and with the class's second member, which is tried with it.
 
-    - If hi < H - 1, both ends stay below H, and an edge at a vertex of
-      degree H beats e on the first part.
-    - Otherwise an end x of degree hi has the largest degree of g + e,
-      hi + 1. Its neighbour of degree nd[x] is not the other end, since e
-      is a non-edge, so when nd[x] > lo their edge ties e on the first
-      part and beats it on the second.
-    - If hi = H - 1, a vertex of degree H keeps the largest degree of
-      g + e, and beats e the same way through a neighbour of degree above
-      lo, whose degree can only have grown: far is the largest nd of such
-      a vertex.
+    No degree falls from g to g + e. Let H be g's largest degree, x an end
+    of e of the larger degree in g and y the other; only pairs that no
+    edge of g + e beats on the first two parts of f are touched.
+    - If deg x < H - 1, an edge at a vertex of degree H beats e on the
+      first part.
+    - Otherwise x has the largest degree of g + e, and an edge from x to a
+      neighbour of degree d > deg y + 1, not y as e is a non-edge, beats e
+      on the second part. So does, when deg x = H - 1, an edge from a
+      vertex of degree H, which keeps the largest degree, to a neighbour
+      of degree d, which can only have grown.
+    So each x of degree H - 1 or more takes as y, in one mask, its partners
+    off its neighbourhood with degree in [d - 1, deg x], d the largest
+    degree next to x or, when deg x = H - 1, next to a vertex of degree H.
+    A pair of equal degrees is taken from its smaller end: d <= H <=
+    deg x + 1 holds at both.
 
-    `_ties` decides every non-edge left on the first three parts of f,
-    and the child's entries then decide its ties: a child whose e loses on
-    them is never built. The child is given its size, g's plus one.
+    `_ties` decides each pair left on the first three parts of f, from g's
+    masks and degrees with the ends patched in place, and the child's
+    entries then decide its ties. Until a child passes, only the entries
+    of e's ends and of its ties are read, and it is not built; it is given
+    its size, g's plus one.
 
     The child's entries are g's, changed only at three kinds of vertex. A
     vertex adjacent to exactly one of u and v gains 1 in its neighbours'
@@ -560,64 +564,59 @@ def _top_children(g: Graph, packed: int):
     adj = g._adj
     deg = [m.bit_count() for m in adj]
     peak = max(deg, default=0)
-    # nd[x]: the largest degree among x's neighbours, or -1 for none, read
-    # off the masks of the vertices of each degree; far: the largest nd of
-    # a vertex of degree peak.
-    by_deg = [0] * (peak + 1)
+    # ge[d]: the vertices of degree d or more; around: the neighbours of
+    # the vertices of degree peak.
+    ge = [0] * (peak + 2)
+    around = 0
     for x, d in enumerate(deg):
-        by_deg[d] |= 1 << x
-    nd = []
-    for mask in adj:
-        d = peak
-        while d >= 0 and not mask & by_deg[d]:
-            d -= 1
-        nd.append(d)
-    far = max((nd[x] for x in range(n) if deg[x] == peak), default=-1)
+        ge[d] |= 1 << x
+        if d == peak:
+            around |= adj[x]
+    for d in range(peak - 1, -1, -1):
+        ge[d] |= ge[d + 1]
+    # heads: the first member of each twin class, as bits; twin[h] is the
+    # bit of the second member of h's class, and that member's twin h's.
+    # No N(v) equals an N[w]: w would lie in N(v), so v in N(w) = N(v) - w.
+    heads = 0
+    twin = [0] * n
+    first: dict[int, int] = {}
+    for v, mask in enumerate(adj):
+        h = first.get(mask, first.get(mask | 1 << v))
+        if h is None:
+            heads |= 1 << v
+            first[mask] = first[mask | 1 << v] = v
+        elif not twin[h]:
+            twin[h], twin[v] = 1 << v, 1 << h
+    pairs = []
+    for x, dx in enumerate(deg):
+        if dx < peak - 1:
+            continue
+        bit = 1 << x
+        # low: the bound d above, at least 1.
+        near = adj[x] | around if dx < peak else adj[x]
+        low = max(peak, 1)
+        while low > 1 and not near & ge[low]:
+            low -= 1
+        ends = (
+            (twin[x] | (heads ^ bit if heads & bit else 0))
+            & ~adj[x]
+            & (ge[low - 1] & ~ge[dx] | (ge[dx] ^ ge[dx + 1]) & -2 << x)
+        )
+        while ends:
+            y = (ends & -ends).bit_length() - 1
+            ends &= ends - 1
+            pairs.append((x, y) if x < y else (y, x))
+    pairs.sort()
     spread = _spread(n)
     shifts = range(0, 20 * n, 20)
     size = g.size + 1
-    # partners[u]: the ends v > u tried with u. The first vertex of each
-    # twin class is tried with the first of every later class and with the
-    # second of its own; every other vertex with none. paired marks the
-    # first vertices whose class already has a second.
-    partners = [0] * n
-    heads: list[int] = []
-    paired = 0
-    for v in range(n):
-        for h in heads:
-            if adj[h] & ~(1 << v) == adj[v] & ~(1 << h):
-                if not paired >> h & 1:
-                    paired |= 1 << h
-                    partners[h] |= 1 << v
-                break
-        else:
-            for h in heads:
-                partners[h] |= 1 << v
-            heads.append(v)
-    for u in range(n):
-        rest = partners[u] & ~adj[u]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            du, dv = deg[u], deg[v]
-            hi, lo = (du, dv + 1) if du >= dv else (dv, du + 1)
-            if (
-                hi < peak - 1
-                or hi < peak and far > lo
-                or du == hi and nd[u] > lo
-                or dv == hi and nd[v] > lo
-            ):
-                continue
-            masks = list(adj)
-            masks[u] |= bit
-            masks[v] |= 1 << u
-            child_deg = deg.copy()
-            child_deg[u] += 1
-            child_deg[v] += 1
-            ties = _ties(masks, child_deg, u, v)
-            if ties is None:
-                continue
+    masks = list(adj)
+    for u, v in pairs:
+        du, dv = deg[u], deg[v]
+        masks[u], masks[v] = adj[u] | 1 << v, adj[v] | 1 << u
+        deg[u], deg[v] = du + 1, dv + 1
+        ties = _ties(masks, deg, u, v)
+        if ties is not None:
             common = adj[u] & adj[v]
             c2 = 2 * common.bit_count()
             carried = (
@@ -627,30 +626,29 @@ def _top_children(g: Graph, packed: int):
                 + ((0x10000 | dv + 1 << 8 | c2) << 20 * u)
                 + ((0x10000 | du + 1 << 8 | c2) << 20 * v)
             )
-            entries = [carried >> s & 0xFFFFF for s in shifts]
-            # The ends' (larger, smaller) entry breaks the ties, packed as
-            # larger << 20 | smaller (entries are below 2**20).
-            eu, ev = entries[u], entries[v]
-            mine = max(eu, ev) << 20 | min(eu, ev)
-            if not all(
-                max(entries[a], entries[b]) << 20 | min(entries[a], entries[b])
-                <= mine
-                for a, b in ties
-            ):
-                continue
-            entries.sort()
-            child = Graph._from_masks(masks)
-            child._size = size
-            yield tuple(entries), carry_witness(child, g, u, v), (u, v), carried
+            mine = _ends(carried, u, v)
+            if all(_ends(carried, a, b) <= mine for a, b in ties):
+                child = Graph._from_masks(masks)
+                child._size = size
+                key = tuple(sorted(carried >> s & 0xFFFFF for s in shifts))
+                yield key, carry_witness(child, g, u, v), (u, v), carried
+        masks[u], masks[v] = adj[u], adj[v]
+        deg[u], deg[v] = du, dv
+
+
+def _ends(packed: int, a: int, b: int) -> int:
+    """The larger entry of a and b in `packed` << 20 | the smaller one."""
+    ea, eb = packed >> 20 * a & 0xFFFFF, packed >> 20 * b & 0xFFFFF
+    return ea << 20 | eb if ea > eb else eb << 20 | ea
 
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):
     """The head of f, (larger endpoint degree, smaller endpoint degree,
-    common neighbours), for edge (u, v) of the graph with these 0-based
-    adjacency masks and vertex degrees: None when some edge has a larger
-    head, else the edges (a, b), a of the maximum degree, whose head
-    equals it, (u, v) itself among them. An end of (u, v) must have the
-    graph's maximum degree; `_top_children` tries no other edge."""
+    common neighbours), for the edge (u, v) of the graph with these 0-based
+    adjacency masks and degrees, which `_top_children` passes as its
+    parent's with (u, v) patched in: None when some edge has a larger head,
+    else the edges (a, b), a of the maximum degree, whose head equals it,
+    (u, v) itself among them. An end of (u, v) has the maximum degree."""
     hi = max(deg)
     # The head packed as lo << 4 | common (both < 16 for n <= 12); hi is
     # fixed.

@@ -15,7 +15,6 @@ from math import factorial, gcd
 import networkx as nx
 
 from torlink import Graph, canonical_form
-from torlink.search import _ties
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -157,16 +156,44 @@ def packed_entries(g: Graph) -> int:
     return sum(x << 20 * v for v, x in enumerate(entries))
 
 
+def _ties(masks, deg: list[int], u: int, v: int):
+    """`torlink.search._ties` as first written, kept here so that the
+    reference shares no code with what it checks: for the edge (u, v) of
+    the graph with these 0-based adjacency masks and vertex degrees, None
+    when some edge at a vertex of the maximum degree has a larger head
+    (larger endpoint degree, smaller endpoint degree, common neighbours),
+    else every such edge (a, b), a of the maximum degree, whose head
+    equals that of (u, v), (u, v) itself among them."""
+    hi = max(deg)
+    mine = min(deg[u], deg[v]) << 4 | (masks[u] & masks[v]).bit_count()
+    ties = []
+    for a, mask in enumerate(masks):
+        if deg[a] != hi:
+            continue
+        rest = mask
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            head = deg[b] << 4 | (mask & masks[b]).bit_count()
+            if head > mine:
+                return None
+            if head == mine:
+                ties.append((a, b))
+            rest ^= low
+    return ties
+
+
 def reference_top_children(g: Graph):
     """`torlink.search._top_children` as first written: (key, top, child)
     for the same children, in the same order, and also those whose new
     edge loses on the entries (top False), with every non-edge of the
-    twin rule copied into a full child, tested by `_ties`, and given
-    entries computed from scratch by `_entries`. Each child's apex
-    witness is filled by the rule of `oracles.carry_witness`, restated:
-    g's witness when it is -1 or an end of the new edge, the pending
-    claim ~(w << 8 | u << 4 | v) for another apex vertex w, and nothing
-    when g has no witness or only a claim."""
+    twin rule copied into a full child, tested by the `_ties` above on
+    the child's own masks and degrees, and given entries computed from
+    scratch by `_entries`. Each child's apex witness is filled by the rule
+    of `oracles.carry_witness`, restated: g's witness when it is -1 or an
+    end of the new edge, the pending claim ~(w << 8 | u << 4 | v) for
+    another apex vertex w, and nothing when g has no witness or only a
+    claim."""
     n = g.n
     adj = g._adj
     deg = [m.bit_count() for m in adj]

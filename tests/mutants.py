@@ -54,6 +54,8 @@ NIL_ROW = '("--nil", "nIL", "linkless-embeddable test", lambda g, db: is_nil(g),
 TOROIDAL_ROW = '("--toroidal", "toroidal", None, lambda g, db: is_toroidal(g, db), True),'
 TN_ROW = '("--tn", "TN", "toroidal and nIL", lambda g, db: is_tn(g, db), True),'
 ROUTE = "tests/test_oracles.py::test_is_nil_decides_census_children_through_the_new_edge"
+TIE_BREAK = "if all(_ends(carried, a, b) <= mine for a, b in ties):"
+WINDOW = "& (ge[low - 1] & ~ge[dx] | (ge[dx] ^ ge[dx + 1]) & -2 << x)"
 
 MUTANTS = (
     Mutant(
@@ -102,8 +104,8 @@ MUTANTS = (
         "search.py",
         (
             (
-                "yield tuple(entries), carry_witness(child, g, u, v), (u, v), carried",
-                "yield tuple(entries), "
+                "yield key, carry_witness(child, g, u, v), (u, v), carried",
+                "yield key, "
                 "carry_witness(child, g, g._witness, g._witness), (u, v), carried",
             ),
         ),
@@ -112,7 +114,7 @@ MUTANTS = (
     Mutant(
         "twin-rule-without-same-class-pair",
         "search.py",
-        (("if not paired >> h & 1:", "if False:"),),
+        (("elif not twin[h]:", "elif False:"),),
         (
             "tests/test_search.py::test_isomorphism_class_counts",
             "tests/test_search.py::test_isomorphism_classes_match_bruteforce",
@@ -122,10 +124,7 @@ MUTANTS = (
         "top-edge-tie-break-drops-ties",
         "search.py",
         (
-            (
-                "<= mine",
-                "< mine",
-            ),
+            (TIE_BREAK, TIE_BREAK.replace("<= mine", "< mine")),
         ),
         (
             "tests/test_search.py::test_isomorphism_class_counts",
@@ -135,7 +134,7 @@ MUTANTS = (
     Mutant(
         "spare-child-grouped",
         "search.py",
-        (("if not all(", "if False and all("),),
+        ((TIE_BREAK, "if True:"),),
         (
             "tests/test_search.py::test_census_computes_each_child_key_once[7-1349]",
             "tests/test_search.py::test_top_children_match_reference",
@@ -240,8 +239,46 @@ MUTANTS = (
     Mutant(
         "prefilter-rejects-equal-neighbour-degree",
         "search.py",
-        (("or du == hi and nd[u] > lo", "or du == hi and nd[u] >= lo"),),
+        ((WINDOW, WINDOW.replace("ge[low - 1]", "ge[low]")),),
         ("tests/test_search.py::test_top_children_match_reference",),
+    ),
+    Mutant(
+        "window-lower-bound-one-low",
+        "search.py",
+        ((WINDOW, WINDOW.replace("ge[low - 1]", "ge[max(low - 2, 0)]")),),
+        ("tests/test_search.py::test_census_computes_each_child_key_once[7-1349]",),
+    ),
+    Mutant(
+        "equal-degree-pairs-from-both-ends",
+        "search.py",
+        ((WINDOW, WINDOW.replace(" & -2 << x)", ")")),),
+        (
+            "tests/test_search.py::test_census_computes_each_child_key_once[7-1349]",
+            "tests/test_search.py::test_top_children_match_reference",
+        ),
+    ),
+    Mutant(
+        "heads-paired-only-with-later-heads",
+        "search.py",
+        (
+            (
+                "(twin[x] | (heads ^ bit if heads & bit else 0))",
+                "(twin[x] | (heads & -2 << x if heads & bit else 0))",
+            ),
+        ),
+        (
+            "tests/test_search.py::test_isomorphism_class_counts",
+            "tests/test_search.py::test_top_children_match_reference",
+        ),
+    ),
+    Mutant(
+        "planar-exit-past-order-5",
+        "planarity.py",
+        (("if n == 5:", "if n <= 6:"),),
+        (
+            "tests/test_planarity.py::test_examples",
+            "tests/test_planarity.py::test_planarity_matches_networkx_on_all_classes",
+        ),
     ),
     Mutant(
         "common-neighbour-entry-increment",
