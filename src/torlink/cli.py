@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, TorlinkError, UnsupportedOrderError
-from .graph6 import decode_graph6, encode_graph6, read_graph6_file
+from .graph6 import decode_graph6, encode_graph6, read_graph6_file, read_text
 from .graphs import Graph
 from .oracles import (
     ObstructionDB,
@@ -50,7 +50,7 @@ def load_embedding_file(path) -> TorusDiagram:
     """A validated torus diagram from a 4-line embedding file."""
     path = Path(path)
     try:
-        return parse_embedding(path.read_text())
+        return parse_embedding(read_text(path))
     except TorlinkError as exc:
         raise type(exc)(f"{path.name}: {exc}") from None
 

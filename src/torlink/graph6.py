@@ -62,12 +62,30 @@ def decode_graph6(line: str) -> Graph:
     return Graph(n, edges)
 
 
+def read_text(path: Path) -> str:
+    """The file at path decoded as UTF-8, whatever the locale; a byte that
+    does not decode is a ParseError naming its line, counted as
+    `str.splitlines` counts them."""
+    data = path.read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode() + "x").splitlines())
+        raise ParseError(
+            f"byte 0x{data[exc.start]:02x} is not UTF-8 text", line=line
+        ) from None
+
+
 def read_graph6_file(path) -> list[Graph]:
     """Parse a one-graph-per-line file; blank lines and the optional
     ``>>graph6<<`` header that may open the file are skipped."""
     path = Path(path)
     graphs = []
-    lines = path.read_text().removeprefix(">>graph6<<").splitlines()
+    try:
+        text = read_text(path)
+    except ParseError as exc:
+        raise ParseError(f"{path.name}: {exc}") from None
+    lines = text.removeprefix(">>graph6<<").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

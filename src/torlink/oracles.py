@@ -3,8 +3,8 @@
 A graph is nIL (admits a linkless spatial embedding) exactly when it has no
 member of the Petersen family as a minor (Robertson, Seymour & Thomas,
 *Sachs' linkless embedding conjecture*, JCTB 1995); it is toroidal exactly
-when it has no toroidal obstruction as a minor. The Petersen family is
-generated here as the triangle/star exchange closure of K6. The order-8
+when it has no toroidal obstruction as a minor. The Petersen family,
+the triangle/star exchange closure of K6, is a fixed table here. The order-8
 obstructions are built from their known descriptions; obstruction lists for
 higher orders come from data files.
 
@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 
-from .canonical import automorphisms, canonical_form, canonical_graph, orbits_of_pairs
+from .canonical import automorphisms, canonical_form, orbits_of_pairs
 from .containment import contains_any_minor, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
-from .graph6 import read_graph6_file
+from .graph6 import decode_graph6, read_graph6_file
 from .graphs import MAX_ORDER, Graph, complete_graph
 from .planarity import apex_scan, planar_without
 
@@ -67,58 +66,19 @@ from .planarity import apex_scan, planar_without
 SMALLEST_OBSTRUCTION_ORDER = 8
 
 
-def delta_y(g: Graph, triangle: tuple[int, int, int]) -> Graph:
-    """Replace a triangle by a new degree-3 vertex joined to its corners."""
-    a, b, c = triangle
-    out = g.delete_edge((a, b)).delete_edge((a, c)).delete_edge((b, c))
-    new = g.n + 1
-    return Graph(new, list(out.edges) + [(a, new), (b, new), (c, new)])
-
-
-def y_delta(g: Graph, v: int) -> Graph:
-    """Replace a degree-3 vertex with pairwise non-adjacent neighbors by a
-    triangle on those neighbors."""
-    nbrs = g.neighbors(v)
-    if len(nbrs) != 3:
-        raise ValueError(f"vertex {v} does not have degree 3")
-    for x, y in combinations(nbrs, 2):
-        if g.has_edge(x, y):
-            raise ValueError("neighbors are not pairwise non-adjacent")
-    out = g
-    for x, y in combinations(nbrs, 2):
-        out = out.add_edge((x, y))
-    return out.delete_vertex(v)
+# The Petersen family as graph6: the closure of K6 under the triangle/star
+# exchange moves, each member the canonical representative of its class,
+# ordered by order and then canonical form. `tests/bruteforce.py` computes
+# the closure, and a test checks it against this table member by member.
+_PETERSEN_FAMILY = (
+    "E~~w", "Fs~v_", "Fs\\zw", "GIQ|to", "GYQ[p{", "HKN?Yeb", "I@OZCMgs?",
+)
 
 
 @lru_cache(maxsize=1)
 def petersen_family() -> tuple[Graph, ...]:
-    """The closure of K6 under both exchange moves: seven graphs.
-
-    Star moves that would need a parallel edge are skipped, keeping every
-    intermediate graph simple; the closure is still complete.
-    """
-    seed = canonical_graph(complete_graph(6))
-    found = {seed}
-    frontier = [seed]
-    while frontier:
-        g = frontier.pop()
-        candidates = []
-        for tri in combinations(range(1, g.n + 1), 3):
-            a, b, c = tri
-            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-                candidates.append(delta_y(g, tri))
-        for v in range(1, g.n + 1):
-            nbrs = g.neighbors(v)
-            if len(nbrs) == 3 and not any(
-                g.has_edge(x, y) for x, y in combinations(nbrs, 2)
-            ):
-                candidates.append(y_delta(g, v))
-        for cand in candidates:
-            rep = canonical_graph(cand)
-            if rep not in found:
-                found.add(rep)
-                frontier.append(rep)
-    return tuple(sorted(found, key=lambda g: (g.n, canonical_form(g))))
+    """The seven graphs of the Petersen family, decoded from a table."""
+    return tuple(decode_graph6(code) for code in _PETERSEN_FAMILY)
 
 
 # Keyed by canonical form and only ever asked about the fixed Petersen

@@ -577,14 +577,17 @@ def _top_children(g: Graph, packed: int):
     # heads: the first member of each twin class, as bits; twin[h] is the
     # bit of the second member of h's class, and that member's twin h's.
     # No N(v) equals an N[w]: w would lie in N(v), so v in N(w) = N(v) - w.
+    # A v whose class is found by N[w] = N[v] leaves N(v) filed, unread: no
+    # later x has N(x) = N(v), as w in N(x) puts x in N[w] - v = N(x).
     heads = 0
     twin = [0] * n
     first: dict[int, int] = {}
     for v, mask in enumerate(adj):
-        h = first.get(mask, first.get(mask | 1 << v))
-        if h is None:
+        h = first.setdefault(mask, v)
+        if h == v:
+            h = first.setdefault(mask | 1 << v, v)
+        if h == v:
             heads |= 1 << v
-            first[mask] = first[mask | 1 << v] = v
         elif not twin[h]:
             twin[h], twin[v] = 1 << v, 1 << h
     pairs = []
@@ -626,7 +629,7 @@ def _top_children(g: Graph, packed: int):
                 + ((0x10000 | dv + 1 << 8 | c2) << 20 * u)
                 + ((0x10000 | du + 1 << 8 | c2) << 20 * v)
             )
-            mine = _ends(carried, u, v)
+            mine = _ends(carried, u, v) if ties else 0
             if all(_ends(carried, a, b) <= mine for a, b in ties):
                 child = Graph._from_masks(masks)
                 child._size = size
@@ -644,20 +647,28 @@ def _ends(packed: int, a: int, b: int) -> int:
 
 def _ties(masks: list[int], deg: list[int], u: int, v: int):
     """The head of f, (larger endpoint degree, smaller endpoint degree,
-    common neighbours), for the edge (u, v) of the graph with these 0-based
-    adjacency masks and degrees, which `_top_children` passes as its
-    parent's with (u, v) patched in: None when some edge has a larger head,
-    else the edges (a, b), a of the maximum degree, whose head equals it,
-    (u, v) itself among them. An end of (u, v) has the maximum degree."""
+    common neighbours), for the edge (u, v), u < v, of the graph with these
+    0-based adjacency masks and degrees, which `_top_children` passes as
+    its parent's with (u, v) patched in: None when some edge has a larger
+    head, else the other edges (a, b), a of the maximum degree, whose head
+    equals it. An edge whose ends both have the maximum degree is listed
+    once, from its smaller end, as its head is the same from either end.
+    An end of (u, v) has the maximum degree."""
     hi = max(deg)
     # The head packed as lo << 4 | common (both < 16 for n <= 12); hi is
     # fixed.
     mine = min(deg[u], deg[v]) << 4 | (masks[u] & masks[v]).bit_count()
+    new = 1 << u | 1 << v
     ties = []
+    # done: the vertices of the maximum degree met so far.
+    done = 0
     for a, mask in enumerate(masks):
         if deg[a] != hi:
             continue
-        rest = mask
+        done |= 1 << a
+        rest = mask & ~done
+        if a == u or a == v:
+            rest &= ~new
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1

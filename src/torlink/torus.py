@@ -158,10 +158,23 @@ def cycle_slope(d: TorusDiagram, cycle: tuple[int, ...]) -> SlopeClass:
 
 
 def _essential_cycles(
-    d: TorusDiagram, min_len: int | None, max_len: int | None
+    d: TorusDiagram, min_len: int | None, max_len: int | None, linking: bool
 ) -> list[tuple[tuple[int, ...], SlopeClass, int]]:
-    """(cycle, slope, vertex mask) for each cycle of length min_len..max_len
-    (default 3..n-3) with a nonzero crossing sum, in enumeration order.
+    """(cycle, slope, vertex mask) for each relevant cycle of length
+    min_len..max_len (default 3..n-3) that a disjoint pair of relevant
+    cycles in that range can hold, in enumeration order. A cycle is
+    relevant when it is linking, if `linking`, and else when it is
+    essential.
+
+    Only such pairs matter to the callers, and the bound on them is exact.
+    The shorter cycle of a disjoint pair has at most n // 2 vertices, so
+    the walk goes one length at a time, up to that bound, until a
+    relevant cycle appears; if none does, no pair exists and the list is
+    empty. Let L be that length, the shortest of any relevant cycle.
+    Every cycle of a pair leaves its partner, of at least L vertices,
+    outside it, so it has at most n - L; the walk goes on from L + 1 up
+    to that bound only. The lengths walked come in order, so the list is
+    the first part of the unbounded one, and a pair keeps its indices.
 
     Cycles of one slope class share one SlopeClass object, built once per
     distinct crossing sum, so slopes compare by identity.
@@ -169,22 +182,34 @@ def _essential_cycles(
     for name, bound in (("minimum", min_len), ("maximum", max_len)):
         if bound is not None and bound < 3:
             raise ValueError(f"invalid {name} cycle length {bound}; must be >= 3")
-    n = d.graph.n
+    g, n = d.graph, d.graph.n
     lo = 3 if min_len is None else min_len
     hi = min(n - 3 if max_len is None else max_len, n)
-    if hi < lo:
-        return []
     slopes: dict[int, SlopeClass] = {}
     classes: dict[SlopeClass, SlopeClass] = {}
-    essential = []
-    for cycle, total, mask in cycle_walk(d.graph, lo, hi, d.weights):
-        if total:
-            slope = slopes.get(total)
-            if slope is None:
-                slope = SlopeClass.from_sums(*_unpack(total))
-                slope = slopes[total] = classes.setdefault(slope, slope)
-            essential.append((cycle, slope, mask))
-    return essential
+    relevant = []
+
+    def take(walk):
+        for cycle, total, mask in walk:
+            if total:
+                slope = slopes.get(total)
+                if slope is None:
+                    slope = SlopeClass.from_sums(*_unpack(total))
+                    slope = slopes[total] = classes.setdefault(slope, slope)
+                if not linking or slope.is_linking:
+                    relevant.append((cycle, slope, mask))
+
+    length = lo
+    while not relevant:
+        if length > min(hi, n // 2):
+            return []
+        take(cycle_walk(g, length, length, d.weights))
+        length += 1
+    # The list holds lengths lo..L, and L is length - 1.
+    top = min(hi, n - length + 1)
+    if length <= top:
+        take(cycle_walk(g, length, top, d.weights))
+    return relevant
 
 
 def find_links(
@@ -195,10 +220,13 @@ def find_links(
     Defaults cover lengths 3..n-3 (a disjoint partner needs 3 vertices).
     Only linking cycles, whose crossing sums have both components nonzero,
     are scanned; a link is a vertex-disjoint pair of them with the same
-    reduced slope. Output is sorted by the cycle representatives.
+    reduced slope. The walk stops at n - L vertices, L the length of the
+    shortest linking cycle in the range, or at n // 2 when no linking
+    cycle has that few: a longer cycle leaves no room outside it for a
+    linking partner (see `_essential_cycles`), so the links are those of
+    the whole range. Output is sorted by the cycle representatives.
     """
-    essential = _essential_cycles(d, min_len, max_len)
-    linking = [e for e in essential if e[1].is_linking]
+    linking = _essential_cycles(d, min_len, max_len, True)
     return _pair_scan(d.graph.n, linking)[1]
 
 
@@ -214,8 +242,13 @@ def verify_embedding(d: TorusDiagram) -> tuple[list[str], list[LinkWitness]]:
     vertex-disjoint cycles drawn without crossings on the torus must share
     one slope class, so a disjoint essential pair with different slopes
     means the crossing lists do not describe a real embedding.
+
+    Both come from disjoint essential pairs, so the walk stops at n - L
+    vertices, L the length of the shortest essential cycle, or at n // 2
+    when no essential cycle has that few (see `_essential_cycles`): a
+    longer cycle has no disjoint essential partner.
     """
-    essential = _essential_cycles(d, None, None)
+    essential = _essential_cycles(d, None, None, False)
     clashes, witnesses = _pair_scan(d.graph.n, essential)
     return _warning_texts(essential, clashes), witnesses
 

@@ -5,8 +5,9 @@ every leaf of the refinement tree for canonical keys, every edge-added
 child for isomorphism classes, injections for subgraph containment,
 unmemoized recursion (with networkx doing the bottom matching) for minors,
 a networkx walk over every deletion and contraction for reduction closures,
-all pairs of permutation-found cycles for torus link scans. Only usable at
-tiny orders.
+all pairs of permutation-found cycles for torus link scans, the
+triangle/star exchange closure of K6 for the Petersen family table. Only
+usable at tiny orders.
 """
 
 from itertools import combinations, permutations
@@ -14,7 +15,7 @@ from math import factorial, gcd
 
 import networkx as nx
 
-from torlink import Graph, canonical_form
+from torlink import Graph, canonical_form, canonical_graph, complete_graph
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -406,6 +407,61 @@ def brute_reduction_closure(g: Graph, min_order: int, min_size: int) -> set[byte
         for a, b in h.edges:
             todo.append(nx.contracted_nodes(h, a, b, self_loops=False))
     return found
+
+
+def delta_y(g: Graph, triangle: tuple[int, int, int]) -> Graph:
+    """Replace a triangle by a new degree-3 vertex joined to its corners."""
+    a, b, c = triangle
+    out = g.delete_edge((a, b)).delete_edge((a, c)).delete_edge((b, c))
+    new = g.n + 1
+    return Graph(new, list(out.edges) + [(a, new), (b, new), (c, new)])
+
+
+def y_delta(g: Graph, v: int) -> Graph:
+    """Replace a degree-3 vertex with pairwise non-adjacent neighbors by a
+    triangle on those neighbors."""
+    nbrs = g.neighbors(v)
+    if len(nbrs) != 3:
+        raise ValueError(f"vertex {v} does not have degree 3")
+    for x, y in combinations(nbrs, 2):
+        if g.has_edge(x, y):
+            raise ValueError("neighbors are not pairwise non-adjacent")
+    out = g
+    for x, y in combinations(nbrs, 2):
+        out = out.add_edge((x, y))
+    return out.delete_vertex(v)
+
+
+def brute_petersen_family() -> tuple[Graph, ...]:
+    """The Petersen family, computed as the closure of K6 under both
+    exchange moves: canonical representatives ordered by (order, canonical
+    form).
+
+    Star moves that would need a parallel edge are skipped, keeping every
+    intermediate graph simple; the closure is still complete.
+    """
+    seed = canonical_graph(complete_graph(6))
+    found = {seed}
+    frontier = [seed]
+    while frontier:
+        g = frontier.pop()
+        candidates = []
+        for tri in combinations(range(1, g.n + 1), 3):
+            a, b, c = tri
+            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+                candidates.append(delta_y(g, tri))
+        for v in range(1, g.n + 1):
+            nbrs = g.neighbors(v)
+            if len(nbrs) == 3 and not any(
+                g.has_edge(x, y) for x, y in combinations(nbrs, 2)
+            ):
+                candidates.append(y_delta(g, v))
+        for cand in candidates:
+            rep = canonical_graph(cand)
+            if rep not in found:
+                found.add(rep)
+                frontier.append(rep)
+    return tuple(sorted(found, key=lambda g: (g.n, canonical_form(g))))
 
 
 def brute_cycles(g: Graph, min_len: int, max_len: int) -> set[tuple[int, ...]]:

@@ -201,6 +201,29 @@ MUTANTS = (
         ("tests/test_torus.py::test_packed_sums_exact_at_the_order_bound",),
     ),
     Mutant(
+        "partner-bound-one-short",
+        "torus.py",
+        (("top = min(hi, n - length + 1)", "top = min(hi, n - length)"),),
+        (
+            "tests/test_torus.py::test_grid_links_are_those_of_every_cycle_length",
+            "tests/test_torus.py::test_link_scans_match_bruteforce_random",
+        ),
+    ),
+    Mutant(
+        "partner-probe-stops-below-half",
+        "torus.py",
+        (
+            (
+                "if length > min(hi, n // 2):",
+                "if length > min(hi, n // 2 - 1):",
+            ),
+        ),
+        (
+            "tests/test_torus.py::test_link_scans_match_bruteforce_random",
+            "tests/test_torus.py::test_partner_bound_drops_no_pair",
+        ),
+    ),
+    Mutant(
         "twin-chain-admits-equal-image",
         "containment.py",
         (("cand &= -2 << images[t]", "cand &= -1 << images[t]"),),
@@ -278,6 +301,15 @@ MUTANTS = (
         (
             "tests/test_planarity.py::test_examples",
             "tests/test_planarity.py::test_planarity_matches_networkx_on_all_classes",
+        ),
+    ),
+    Mutant(
+        "ties-skip-every-lower-end",
+        "search.py",
+        (("rest = mask & ~done", "rest = mask & -2 << a"),),
+        (
+            "tests/test_search.py::test_ties_list_each_other_tie_once",
+            "tests/test_search.py::test_top_children_match_reference",
         ),
     ),
     Mutant(

@@ -182,6 +182,17 @@ def test_check_graph6_file_without_graphs_is_usage_error(tmp_path, capsys, text)
     assert capsys.readouterr().err == "error: EMPTY.g6: no graphs\n"
 
 
+def test_check_undecodable_graph6_byte_names_file_and_line(tmp_path, capsys):
+    # The file is read as UTF-8 whatever the locale, and byte 0xff is none.
+    path = tmp_path / "g.g6"
+    path.write_bytes(b"E~~w\n\nE~\xffw\n")
+    status, out = invoke(["check", "--nil", str(path)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: g.g6: line 3: byte 0xff is not UTF-8 text\n"
+    )
+
+
 @pytest.mark.parametrize(
     "g6",
     ["K??F~z{~Fw^_", encode_graph6(complete_multipartite(4, 4, 4))],
@@ -352,6 +363,16 @@ def test_verify_embedding_error_names_line(tmp_path, capsys, text, line):
     status, _ = invoke(["verify-embedding", str(path)])
     assert status == 2
     assert capsys.readouterr().err.startswith(f"error: x.emb: line {line}: ")
+
+
+def test_verify_embedding_undecodable_byte_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "x.emb"
+    path.write_bytes(b"order 3\nedges 1-2 2-3\nup 1->2\nright \xc3(\n")
+    status, out = invoke(["verify-embedding", str(path)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: x.emb: line 4: byte 0xc3 is not UTF-8 text\n"
+    )
 
 
 def embedding_mutants(text: str, count: int, seed: int) -> list[str]:

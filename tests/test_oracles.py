@@ -30,15 +30,18 @@ from torlink import containment, oracles
 from torlink.canonical import canonical_form
 from torlink.containment import contains_any_minor
 from torlink.errors import DataValidationError, UnsupportedOrderError
-from torlink.oracles import carry_witness, delta_y, order8_obstructions, y_delta
+from torlink.oracles import carry_witness, order8_obstructions
 from torlink.search import _top_children, isomorphism_classes
 
 from bruteforce import (
     all_graphs_of_order,
+    brute_petersen_family,
     complete_multipartite,
+    delta_y,
     packed_entries,
     random_graph,
     to_nx,
+    y_delta,
 )
 
 # The one nIL class of order 8 that is not apex: a maxnIL graph of size 21.
@@ -79,6 +82,15 @@ def below_maders_bound(g: Graph) -> bool:
 
 def test_family_has_seven_members():
     assert len(petersen_family()) == 7
+
+
+def test_family_table_is_the_exchange_closure_of_k6():
+    # The same labeled graphs in the same order, not only the same classes.
+    closure = brute_petersen_family()
+    family = petersen_family()
+    assert len(closure) == len(family)
+    for computed, stored in zip(closure, family):
+        assert (computed.n, computed.edges) == (stored.n, stored.edges)
 
 
 def test_family_orders_and_sizes():

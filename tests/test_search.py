@@ -46,10 +46,12 @@ from torlink.search import (
     CertificationEntry,
     _levels,
     _one_per_orbit,
+    _ties,
     _top_children,
     isomorphism_classes,
 )
 
+from bruteforce import _ties as first_ties
 from bruteforce import (
     _entries,
     brute_automorphisms,
@@ -797,6 +799,38 @@ def test_top_children_match_reference():
     assert_children_match_reference(
         [g for n in range(8) for g in isomorphism_classes(n)], rng
     )
+
+
+def test_ties_list_each_other_tie_once():
+    # The verdict of `_ties` as first written, and its ties without the new
+    # edge and with each edge between two maximum-degree vertices once.
+    calls = Counter()
+    for n in range(8):
+        for g in isomorphism_classes(n):
+            deg = [m.bit_count() for m in g._adj]
+            for u, v in combinations(range(n), 2):
+                if g._adj[u] >> v & 1:
+                    continue
+                masks = list(g._adj)
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+                child_deg = deg.copy()
+                child_deg[u] += 1
+                child_deg[v] += 1
+                if max(child_deg[u], child_deg[v]) < max(child_deg):
+                    continue
+                ties = _ties(masks, child_deg, u, v)
+                expected = first_ties(masks, child_deg, u, v)
+                if expected is None:
+                    assert ties is None
+                    continue
+                edges = [frozenset(e) for e in ties]
+                assert len(set(edges)) == len(edges)
+                assert set(edges) == {frozenset(e) for e in expected} - {
+                    frozenset((u, v))
+                }
+                calls["both ends top" if len(expected) > len(ties) + 1 else "one"] += 1
+    assert calls["both ends top"] and calls["one"], calls
 
 
 @pytest.mark.slow

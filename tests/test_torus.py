@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -30,7 +31,7 @@ from torlink import (
 )
 from torlink.errors import ParseError
 from torlink.graphs import cycle_walk
-from torlink.torus import _disjoint_pairs
+from torlink.torus import _disjoint_pairs, _pair_scan, _unpack, _warning_texts
 
 from bruteforce import brute_crossing_sums, brute_cycles, brute_link_scan, random_graph
 from test_graph6 import graphs
@@ -395,6 +396,46 @@ def test_no_warnings_on_genuine_embeddings():
     assert verify_embedding(k7_diagram())[0] == []
 
 
+def two_squares(rng, n: int) -> TorusDiagram:
+    """Squares 1-2-3-4 and 5-6-7-8 with random bipartite edges between
+    them (odd vertices to even ones) and, for n = 9, vertex 9 joined to
+    two odd vertices. The graph has no triangle, so its shortest linking
+    and essential cycles have 4 vertices. Square 1-2-3-4 has slope 1/1,
+    and 5-6-7-8 has 1/1 or 1/-1, which link or clash."""
+    edges = [(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (7, 8), (5, 8)]
+    edges += [
+        (a, b) for a in (1, 3) for b in (6, 8) if rng.random() < 0.5
+    ] + [(a, b) for a in (2, 4) for b in (5, 7) if rng.random() < 0.5]
+    if n == 9:
+        edges += [(rng.choice((1, 3)), 9), (rng.choice((5, 7)), 9)]
+    g = Graph(n, edges)
+    crossing = random_crossings(rng, Graph(n, edges[8:]))
+    right = (7, 8) if rng.random() < 0.5 else (8, 7)
+    return TorusDiagram(
+        g,
+        [(1, 2), (5, 6), *crossing.up_list],
+        [(3, 4), right, *crossing.right_list],
+    )
+
+
+def split_octagon(rng) -> TorusDiagram:
+    """The cycle 1..8 with random chords inside {2, 3, 4, 5} and inside
+    {6, 7, 8, 1}, none joining 2 to 5 or 6 to 1. Only (1, 2) crosses the
+    top, so a linking cycle holds (1, 2), and then (5, 6), the only other
+    edge between the halves: it has at least 6 > 8 // 2 vertices. Chords
+    crossing the right side give short essential cycles."""
+    halves = ((2, 3, 4, 5), (6, 7, 8, 1))
+    chords = [
+        c
+        for half in halves
+        for c in combinations(half, 2)
+        if c not in ((2, 5), (6, 1)) and rng.random() < 0.6
+    ]
+    g = Graph(8, [(v, v % 8 + 1) for v in range(1, 9)] + chords)
+    right = [c if rng.random() < 0.5 else c[::-1] for c in chords if rng.random() < 0.5]
+    return TorusDiagram(g, [(1, 2)], [(5, 6), *right])
+
+
 def _link_scan_cases():
     """(kind, diagram, min_len, max_len); None means the default range."""
     rng = random.Random(113)
@@ -413,6 +454,17 @@ def _link_scan_cases():
     union = diagram_union(k4, random_crossings(rng, complete_graph(5)))
     yield "union", union, None, None
     yield "union", union, 4, 5
+    for n in (8, 8, 9, 9, 9):
+        d = two_squares(rng, n)
+        yield "squares", d, None, None
+        if n == 8:
+            yield "squares", d, 4, n
+    for _ in range(3):
+        d = split_octagon(rng)
+        yield "no-short-linking", d, None, None
+        yield "no-short-linking", d, None, 8
+    for n in (6, 7, 8):
+        yield "above-half", random_diagram(rng, n), n // 2 + 1, n
 
 
 def test_link_scans_match_bruteforce_random():
@@ -433,7 +485,57 @@ def test_link_scans_match_bruteforce_random():
         counts[0] += len(links)
         counts[1] += len(clashes)
     assert totals.pop("grid")[1] == 0
+    # No disjoint pair fits in these ranges, or has a linking cycle.
+    assert totals.pop("above-half") == totals.pop("no-short-linking") == [0, 0]
     assert all(all(counts) for counts in totals.values()), totals
+
+
+def unbounded_link_scan(d: TorusDiagram, lo: int, hi: int, linking: bool):
+    """(warnings, links) from every linking (if linking) or essential cycle
+    of length lo..hi, walked without the partner bound."""
+    classes: dict[SlopeClass, SlopeClass] = {}
+    relevant = []
+    for cycle, total, mask in cycle_walk(d.graph, lo, hi, d.weights):
+        p, q = _unpack(total)
+        if (p and q) if linking else total:
+            slope = SlopeClass.from_sums(p, q)
+            relevant.append((cycle, classes.setdefault(slope, slope), mask))
+    clashes, links = _pair_scan(d.graph.n, relevant)
+    return _warning_texts(relevant, clashes), links
+
+
+def test_partner_bound_drops_no_pair():
+    # A cycle longer than n - L, L the shortest relevant length, has no
+    # disjoint relevant partner, and without a relevant cycle of at most
+    # n // 2 vertices there is no pair at all.
+    rng = random.Random(347)
+    walked = Counter()
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        g = random_graph(rng, n, rng.uniform(0.25, 0.5))
+        edges = list(g.edges)
+        k = rng.randint(1, max(1, len(edges) // 3))
+        up = [e if rng.random() < 0.5 else e[::-1] for e in rng.sample(edges, k)]
+        right = [e if rng.random() < 0.5 else e[::-1] for e in rng.sample(edges, k)]
+        d = TorusDiagram(g, up, right)
+        assert verify_embedding(d) == unbounded_link_scan(d, 3, max(n - 3, 3), False)
+        lo = rng.randint(3, n)
+        hi = rng.randint(lo, n)
+        links = find_links(d, lo, hi)
+        assert links == unbounded_link_scan(d, lo, hi, True)[1]
+        walked[bool(links)] += 1
+    assert walked[True] and walked[False]
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 4), (4, 3)])
+def test_grid_links_are_those_of_every_cycle_length(rows, cols):
+    # All pairs of the brute force take about 130 s on these grids. The
+    # shortest linking cycle has 4 vertices, so the scan stops at 8.
+    d = grid_diagram(rows, cols)
+    links = find_links(d)
+    assert len(links) == 3045
+    assert find_links(d, None, 12) == links
+    assert unbounded_link_scan(d, 3, 12, True)[1] == links
 
 
 def crossing_tables(d: TorusDiagram) -> list[list[list[int]]]:
