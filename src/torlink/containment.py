@@ -9,14 +9,38 @@ edges than every pattern of at most k vertices, so a collection that mixes
 orders, as the toroidality obstructions do, is not bounded by its
 smallest pattern at every order. One engine answers every minor query: it
 tests a whole pattern collection at once and memoizes results by host
-canonical form in a memo the caller owns. The memo is the only deduplication of
-states: a repeated child is a memo hit, since its first copy was answered
-False and memoized before the next child was made. A caller that keeps its
-memo for a fixed collection, as the nIL and toroidality oracles do, turns
-repeated queries into a shared DAG traversal; ``has_minor`` uses a fresh
-memo per call. A collection with exact certificates, as the Petersen family
-has, may pass them as a settling rule that answers states before they are
-canonized.
+canonical form in a memo the caller owns. A repeated state is a memo hit,
+since its first copy was answered False and memoized before the next was
+made. A caller that keeps its memo for a fixed collection, as the nIL and
+toroidality oracles do, turns repeated queries into a shared DAG
+traversal; ``has_minor`` uses a fresh memo per call. A collection with
+exact certificates, as the Petersen family has, may pass them as a
+settling rule that answers states before they are canonized.
+
+When every pattern has minimum degree 3 or more, as every Petersen-family
+graph and the order-8 toroidal obstructions do, the search runs on cores.
+The core of a graph is what `graphs.reduce_to_core`, the reduction the
+planarity test also runs, leaves of it: vertices of degree at most 1 are
+deleted and vertices of degree 2 smoothed until none is left, and a
+smoothed vertex whose neighbours are already adjacent is deleted. A graph
+has such a pattern as a minor iff its core has; Duffin, *Topology of
+series-parallel networks* (J. Math. Anal. Appl. 1965), reduces
+series-parallel graphs the same way. The core is a minor of the graph.
+Conversely, take a minor model of the pattern, one connected branch set
+per pattern vertex, and a vertex x of degree at most 2. x is not a branch
+set on its own, since a pattern vertex has degree 3 or more. If x has
+degree at most 1, it lies in no branch set, or is a leaf of a larger one
+whose edges to other branch sets all start elsewhere, so G - x keeps the
+model. If x has neighbours a and b, it lies in no branch set, or shares
+one with a neighbour, say a, and G / xa keeps the model. Both
+contractions at x give the same graph, G - x + ab (G - x when a and b are
+adjacent), which is the step the reduction takes.
+The input is bounded and settled as given, so a settling rule sees the
+graph it was asked about; if it stays open, its core is searched, and not
+settled again. Every state below it is reduced to its core first, then
+bounded, settled, canonized and looked up in the memo, so the memo holds
+only cores, and children that differ only in their degree-2 paths meet in
+one entry.
 
 Subgraph embedding is a backtracking search over pattern vertices in a
 fixed order, each placed on a host vertex of large enough degree that is
@@ -79,7 +103,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .canonical import automorphisms, canonical_form
-from .graphs import Graph
+from .graphs import Graph, reduce_to_core
 
 
 def is_subgraph_iso(
@@ -289,6 +313,8 @@ def has_minor(g: Graph, h: Graph) -> bool:
     """True iff h is obtainable from g by deletions and contractions.
 
     Containment is up to isomorphism. Exact; practical for orders <= 12.
+    One call of `contains_any_minor` with a fresh memo, so when h has
+    minimum degree 3 or more the search runs on cores.
     """
     return contains_any_minor(g, (h,), {})
 
@@ -311,6 +337,20 @@ def _reductions(g: Graph, edge: tuple[int, int] | None = None):
             yield g.contract_edge(e)
 
 
+def _core(g: Graph) -> Graph:
+    """g reduced by `reduce_to_core`, its remaining vertices in their
+    order; g itself when no vertex has degree <= 2."""
+    adj = g._adj
+    if min(map(int.bit_count, adj), default=3) > 2:
+        return g
+    masks = list(adj)
+    alive = reduce_to_core(masks, (1 << g.n) - 1)
+    keep = [v for v in range(g.n) if alive >> v & 1]
+    return Graph._from_masks(
+        sum(1 << i for i, w in enumerate(keep) if masks[v] >> w & 1) for v in keep
+    )
+
+
 def contains_any_minor(
     g: Graph,
     patterns: tuple[Graph, ...],
@@ -324,13 +364,22 @@ def contains_any_minor(
     for the whole collection, with a caller-owned memo keyed by canonical
     form. The collection backing a memo must never change.
 
+    When every pattern has minimum degree 3 or more, the search runs on
+    cores; see the module docstring. g is bounded and settled as given;
+    if it stays open, its core, not settled again, is searched. Every
+    state below it is reduced to its core first, then bounded, settled,
+    canonized and looked up in the memo, so the memo holds only cores.
+
     ``settle`` is the collection's settling rule, if it has one. It is
-    called on every state that passes the size bound, before the
-    state is canonized, and returns the exact verdict for that state (True
-    iff it has a pattern minor) or None when it cannot tell. A settled
-    state is answered by the rule alone: it is never canonized, tested or
-    memoized. The rule must be exact on every graph, since a wrong verdict
-    would reach the memo through the states above it.
+    called on g and on every state below it that passes the size bound,
+    before the state is canonized, and returns the exact verdict for that
+    state (True iff it has a pattern minor) or None when it cannot tell.
+    A settled state is answered by the rule alone: it is never canonized,
+    tested or memoized. The rule must be exact on every graph, since a
+    wrong verdict would reach the memo through the states above it. It is
+    not called on g's core, which has g's verdict: a rule that holds for a
+    graph iff it holds for its core, as the apex certificate does, would
+    only repeat its work there.
 
     ``edge`` = (u, v), an edge of g by its 0-based ends, tells the engine
     that g - uv has none of the patterns as a minor and that none is a
@@ -341,27 +390,44 @@ def contains_any_minor(
     merges uv into the old edge xv or xu (g / ux = (g - uv) / ux). Those
     minors hold no pattern, so skipping them changes no answer. g / uv is
     searched, as it need not be a minor of g - uv, and so is every state
-    below the input.
+    below the input. g itself is searched as given, not as its core, since
+    the claim names its edge.
     """
     # fewest[k]: the fewest edges of any pattern with at most k vertices, or
     # more edges than g has when no pattern is that small. A minor has no
     # more vertices or edges than its host, so a state with k vertices and
-    # fewer than fewest[k] edges holds no pattern.
+    # fewer than fewest[k] edges holds no pattern. smooth: every pattern
+    # has minimum degree 3 or more, so a state and its core hold the same
+    # patterns as minors.
     fewest = [g.size + 1] * (g.n + 1)
+    smooth = True
     for p in patterns:
+        smooth = smooth and all(m.bit_count() >= 3 for m in p._adj)
         for k in range(p.n, g.n + 1):
             if p.size < fewest[k]:
                 fewest[k] = p.size
-    return _contains_any(g, patterns, memo, fewest, settle, edge)
+    verdict = _settled(g, fewest, settle)
+    if verdict is None and smooth and edge is None:
+        g = _core(g)
+        verdict = _settled(g, fewest, None)
+    if verdict is not None:
+        return verdict
+    return _contains_any(g, patterns, memo, fewest, settle, smooth, edge)
 
 
-def _contains_any(g, patterns, memo, fewest, settle, edge=None) -> bool:
+def _settled(g: Graph, fewest: list[int], settle) -> bool | None:
+    """g's verdict without a search: False below the size bound, else the
+    settling rule's, or None when g stays open."""
     if g.size < fewest[g.n]:
         return False
-    if settle is not None:
-        verdict = settle(g)
-        if verdict is not None:
-            return verdict
+    if settle is None:
+        return None
+    return settle(g)
+
+
+def _contains_any(g, patterns, memo, fewest, settle, smooth, edge=None) -> bool:
+    """The search from the open state g, whose children are reduced to
+    their cores when `smooth`, then bounded and settled."""
     key = canonical_form(g)
     cached = memo.get(key)
     if cached is not None:
@@ -375,7 +441,12 @@ def _contains_any(g, patterns, memo, fewest, settle, edge=None) -> bool:
     # Every reduction has one vertex fewer and no more edges.
     if not result and g.size >= fewest[g.n - 1]:
         for child in _reductions(g, edge):
-            if _contains_any(child, patterns, memo, fewest, settle):
+            if smooth:
+                child = _core(child)
+            verdict = _settled(child, fewest, settle)
+            if verdict is None:
+                verdict = _contains_any(child, patterns, memo, fewest, settle, smooth)
+            if verdict:
                 result = True
                 break
     memo[key] = result

@@ -196,6 +196,41 @@ class Graph:
         return f"Graph({self.n}, {list(self.edges)!r})"
 
 
+def reduce_to_core(adj: list[int], alive: int) -> int:
+    """Delete vertices of degree <= 1 and smooth vertices of degree 2 until
+    none is left, in the graph on the vertex set `alive` where adj[v] is
+    the neighbour mask of v (a subset of alive) for every v in alive;
+    returns the remaining vertex set, the core. A smoothed vertex whose
+    neighbours are already adjacent is deleted, as the edge it would leave
+    is there. The list is modified: adj[v] is the core's neighbour mask of
+    each v in the core, and stale for every other v.
+
+    Neither planarity nor the minors of minimum degree 3 or more change;
+    `planarity` and `containment` both reduce by this one function."""
+    stack = [v for v in range(len(adj)) if alive >> v & 1]
+    while stack:
+        v = stack.pop()
+        nbrs = adj[v]
+        if not alive >> v & 1 or nbrs.bit_count() > 2:
+            continue
+        bit = 1 << v
+        alive ^= bit
+        if nbrs.bit_count() == 2:
+            a = (nbrs & -nbrs).bit_length() - 1
+            b = nbrs.bit_length() - 1
+            if not adj[a] >> b & 1:
+                adj[a] ^= bit | 1 << b
+                adj[b] ^= bit | 1 << a
+                continue
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            u = low.bit_length() - 1
+            adj[u] &= ~bit
+            stack.append(u)
+    return alive
+
+
 def _drop_slot(masks: list[int], slot: int, n: int) -> list[int]:
     """Remove one vertex slot from a mask list, shifting higher bits down."""
     low = (1 << slot) - 1

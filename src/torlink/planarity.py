@@ -16,15 +16,17 @@ face.
 The path addition is only sound when every fragment has at least two
 attachments, so a fragment that meets H in at most one vertex, a separate
 block or component, is tested on its own and removed. Before any of this
-the graph is reduced without changing its planarity: vertices of degree at
-most 1 are deleted, vertices of degree 2 smoothed, and Euler's bound
-m <= 3n - 6 rejects dense graphs. Myrvold and Kocay, *Errors in graph
-embedding algorithms* (JCSS 2011), list the pitfalls of such tests.
+the graph is reduced to its core without changing its planarity
+(`graphs.reduce_to_core`): vertices of degree at most 1 are deleted,
+vertices of degree 2 smoothed (a parallel edge never changes planarity,
+so one is dropped), and Euler's bound m <= 3n - 6 rejects dense graphs.
+Myrvold and Kocay, *Errors in graph embedding algorithms* (JCSS 2011),
+list the pitfalls of such tests.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, reduce_to_core
 
 
 def is_planar(g: Graph) -> bool:
@@ -62,7 +64,7 @@ def _planar(adj: list[int], alive: int) -> bool:
     """Planarity of the graph on the vertex set `alive`, where adj[v] is the
     neighbour mask of v (a subset of alive) for every v in alive. The list
     is modified."""
-    alive = _reduce(adj, alive)
+    alive = reduce_to_core(adj, alive)
     n = alive.bit_count()
     if n <= 4:
         return True
@@ -131,32 +133,6 @@ def _planar(adj: list[int], alive: int) -> bool:
         faces.append(back + inner)
         face_masks[i] = _mask(faces[i])
         face_masks.append(_mask(faces[-1]))
-
-
-def _reduce(adj: list[int], alive: int) -> int:
-    """Delete vertices of degree <= 1 and smooth vertices of degree 2 until
-    none is left; returns the remaining vertex set. A smoothed vertex whose
-    neighbours are already adjacent is deleted, since a parallel edge never
-    changes planarity."""
-    stack = list(_bits(alive))
-    while stack:
-        v = stack.pop()
-        nbrs = adj[v]
-        if not alive >> v & 1 or nbrs.bit_count() > 2:
-            continue
-        bit = 1 << v
-        alive ^= bit
-        if nbrs.bit_count() == 2:
-            a = (nbrs & -nbrs).bit_length() - 1
-            b = nbrs.bit_length() - 1
-            if not adj[a] >> b & 1:
-                adj[a] ^= bit | 1 << b
-                adj[b] ^= bit | 1 << a
-                continue
-        for u in _bits(nbrs):
-            adj[u] &= ~bit
-            stack.append(u)
-    return alive
 
 
 def _fragments(adj: list[int], alive: int, placed: int, tree: list[int]):

@@ -4,7 +4,8 @@ Everything here is deliberately naive: permutations for isomorphism,
 every leaf of the refinement tree for canonical keys, every edge-added
 child for isomorphism classes, injections for subgraph containment,
 unmemoized recursion (with networkx doing the bottom matching) for minors,
-a networkx walk over every deletion and contraction for reduction closures,
+networkx node removals for cores, a networkx walk over every deletion
+and contraction followed by a core for reduction closures,
 all pairs of permutation-found cycles for torus link scans, the
 triangle/star exchange closure of K6 for the Petersen family table. Only
 usable at tiny orders.
@@ -385,18 +386,48 @@ def brute_minor(g: Graph, h: Graph) -> bool:
     return False
 
 
+def from_nx(h: nx.Graph) -> Graph:
+    """h as a Graph, its nodes numbered 1.. in h's node order."""
+    pos = {v: i for i, v in enumerate(h, start=1)}
+    return Graph(len(pos), [(pos[a], pos[b]) for a, b in h.edges])
+
+
+def _nx_core(h: nx.Graph) -> nx.Graph:
+    """A copy of h less each node of degree <= 1, and with each node of
+    degree 2 replaced by an edge between its neighbours, until none is
+    left. networkx keeps one edge per pair, so a node whose neighbours are
+    adjacent is simply removed."""
+    h = h.copy()
+    while True:
+        low = [v for v, d in h.degree if d <= 2]
+        if not low:
+            return h
+        v = low[0]
+        ends = list(h[v])
+        h.remove_node(v)
+        if len(ends) == 2:
+            h.add_edge(*ends)
+
+
+def brute_core(g: Graph) -> Graph:
+    """g with vertices of degree <= 1 deleted and vertices of degree 2
+    smoothed until none is left, a smoothed vertex whose neighbours are
+    already adjacent deleted; networkx takes the steps."""
+    return from_nx(_nx_core(to_nx(g)))
+
+
 def brute_reduction_closure(g: Graph, min_order: int, min_size: int) -> set[bytes]:
-    """Canonical forms of g and of every graph with at least min_order
-    vertices and min_size edges that vertex deletions and edge
-    contractions reach from it; networkx takes the steps."""
+    """Canonical forms of the core of g and of every core with at least
+    min_order vertices and min_size edges that vertex deletions and edge
+    contractions, each followed by `brute_core`, reach from it; networkx
+    takes the steps."""
     found: set[bytes] = set()
     todo = [to_nx(g)]
     while todo:
-        h = todo.pop()
+        h = _nx_core(todo.pop())
         if h.number_of_nodes() < min_order or h.number_of_edges() < min_size:
             continue
-        pos = {v: i for i, v in enumerate(h, start=1)}
-        key = canonical_form(Graph(len(pos), [(pos[a], pos[b]) for a, b in h.edges]))
+        key = canonical_form(from_nx(h))
         if key in found:
             continue
         found.add(key)
@@ -543,6 +574,11 @@ def brute_link_scan(d, min_len: int = 3, max_len: int | None = None):
 def random_graph(rng, n: int, p: float) -> Graph:
     edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]
     return Graph(n, edges)
+
+
+def min_degree(g: Graph) -> int:
+    """The least vertex degree of g, 0 for the empty graph."""
+    return min((len(g.neighbors(v)) for v in range(1, g.n + 1)), default=0)
 
 
 def complete_multipartite(*parts: int) -> Graph:

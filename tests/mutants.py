@@ -526,6 +526,47 @@ MUTANTS = (
         ("tests/test_search.py::test_census_computes_each_child_key_once[7-1349]",),
     ),
     Mutant(
+        "core-smooths-degree-three",
+        "graphs.py",
+        (
+            (
+                "if not alive >> v & 1 or nbrs.bit_count() > 2:",
+                "if not alive >> v & 1 or nbrs.bit_count() > 3:",
+            ),
+        ),
+        (
+            "tests/test_containment.py::"
+            "test_cores_match_bruteforce_and_vanish_exactly_without_k4",
+            "tests/test_containment.py::"
+            "test_core_rule_matches_bruteforce_on_petersen_family",
+        ),
+    ),
+    Mutant(
+        "core-ignores-pattern-degree",
+        "containment.py",
+        (
+            (
+                "smooth = smooth and all(m.bit_count() >= 3 for m in p._adj)",
+                "smooth = smooth and all(m.bit_count() >= 2 for m in p._adj)",
+            ),
+        ),
+        (
+            "tests/test_containment.py::"
+            "test_core_rule_stays_off_for_patterns_with_low_degree",
+        ),
+    ),
+    Mutant(
+        "core-keeps-parallel-smoothing",
+        "graphs.py",
+        (("if not adj[a] >> b & 1:", "if True:"),),
+        (
+            "tests/test_containment.py::"
+            "test_cores_match_bruteforce_and_vanish_exactly_without_k4",
+            "tests/test_containment.py::"
+            "test_core_rule_matches_bruteforce_on_petersen_family",
+        ),
+    ),
+    Mutant(
         "orbit-helper-closes-over-one-permutation",
         "canonical.py",
         (("for p in perms:", "for p in perms[:1]:"),),

@@ -12,21 +12,25 @@ from torlink import (
     disjoint_union,
     has_minor,
     is_isomorphic,
+    is_nil,
     is_subgraph_iso,
     petersen_graph,
 )
 from torlink.canonical import canonical_form
-from torlink.containment import _reductions, contains_any_minor, subgraph_copy
+from torlink.containment import _core, _reductions, contains_any_minor, subgraph_copy
 from torlink.oracles import order8_obstructions, petersen_family
 
 from bruteforce import (
     all_graphs_of_order,
     brute_automorphisms,
     brute_copy_edges,
+    brute_core,
+    brute_isomorphism_classes,
     brute_minor,
     brute_reduction_closure,
     brute_subgraph_iso,
     complete_multipartite,
+    min_degree,
     random_graph,
 )
 from test_search import stacked_planar
@@ -349,6 +353,112 @@ def test_contains_any_minor_shared_memo_matches_bruteforce():
     assert verdicts == {True, False}
 
 
+def reducible_host(rng, base: Graph, n: int) -> Graph:
+    """base with vertices of degree <= 2 added until it has n vertices:
+    each new vertex subdivides an edge, hangs from an earlier vertex (so
+    pendant trees grow), or is an ear, joined to both ends of an edge that
+    stays."""
+    edges = set(base.edges)
+    for k in range(base.n + 1, n + 1):
+        step = rng.randrange(3) if edges else 1
+        if step == 1:
+            edges.add((rng.randint(1, k - 1), k))
+            continue
+        u, v = rng.choice(sorted(edges))
+        if step == 0:
+            edges.remove((u, v))
+        edges |= {(u, k), (v, k)}
+    return Graph(n, edges)
+
+
+def test_cores_match_bruteforce_and_vanish_exactly_without_k4():
+    # Duffin (1965): a graph has no K4 minor iff deleting vertices of
+    # degree <= 1 and smoothing vertices of degree 2 leaves nothing.
+    k4 = complete_graph(4)
+    for n in range(7):
+        for g in brute_isomorphism_classes(n):
+            core = _core(g)
+            assert is_isomorphic(core, brute_core(g)), g
+            assert (core.n == 0) == (not brute_minor(g, k4)), g
+            if min_degree(g) >= 3:
+                assert core is g
+    rng = random.Random(59)
+    for _ in range(100):
+        base = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
+        g = reducible_host(rng, base, min(base.n + rng.randint(1, 4), 10))
+        assert is_isomorphic(_core(g), brute_core(g)), g
+
+
+def test_core_rule_matches_bruteforce_on_petersen_family():
+    # Every family graph has minimum degree 3, so the search runs on cores.
+    family = petersen_family()
+    small = [p for p in family if p.n <= 7]
+    rng = random.Random(67)
+    memo: dict[bytes, bool] = {}
+    verdicts = set()
+    for _ in range(16):
+        base = rng.choice(small + [random_graph(rng, 6, 0.8)])
+        g = reducible_host(rng, base, rng.randint(base.n + 1, 8))
+        assert min_degree(g) <= 2
+        expected = any(brute_minor(g, p) for p in family)
+        assert contains_any_minor(g, family, {}) == expected, g
+        assert contains_any_minor(g, family, memo) == expected, g
+        assert is_nil(g) == (not expected), g
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def dense_pattern(rng) -> Graph:
+    """A random graph of order 4 to 6 with minimum degree 3 or more."""
+    while True:
+        p = random_graph(rng, rng.randint(4, 6), rng.uniform(0.6, 1.0))
+        if min_degree(p) >= 3:
+            return p
+
+
+def test_core_rule_matches_bruteforce_on_dense_patterns():
+    rng = random.Random(71)
+    verdicts = set()
+    for _ in range(40):
+        patterns = tuple(dense_pattern(rng) for _ in range(rng.randint(1, 2)))
+        base = rng.choice((*patterns, random_graph(rng, rng.randint(4, 6), 0.6)))
+        g = reducible_host(rng, base, min(base.n + rng.randint(1, 3), 8))
+        expected = [brute_minor(g, p) for p in patterns]
+        assert contains_any_minor(g, patterns, {}) == any(expected), g
+        assert [has_minor(g, p) for p in patterns] == expected, g
+        verdicts.add(any(expected))
+    assert verdicts == {True, False}
+
+
+# Each has a vertex of degree <= 2, which a host's core may have lost.
+LOW_DEGREE_PATTERNS = {
+    "C5": cycle_graph(5),
+    "K4-one-edge-subdivided": Graph(
+        5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    ),
+    "K33-pendant": Graph(7, [*complete_bipartite(3, 3).edges, (1, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_DEGREE_PATTERNS))
+def test_core_rule_stays_off_for_patterns_with_low_degree(name):
+    # The rule needs every pattern to have minimum degree 3, so it is off
+    # for such a pattern alone and in a collection with K5.
+    pattern = LOW_DEGREE_PATTERNS[name]
+    k5 = complete_graph(5)
+    rng = random.Random(73)
+    verdicts = set()
+    for _ in range(12):
+        base = rng.choice((pattern, random_graph(rng, rng.randint(4, 6), 0.5)))
+        g = reducible_host(rng, base, min(base.n + rng.randint(0, 2), 8))
+        expected = brute_minor(g, pattern)
+        assert has_minor(g, pattern) == expected, g
+        either = expected or brute_minor(g, k5)
+        assert contains_any_minor(g, (pattern, k5), {}) == either, g
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def _apex_host() -> Graph:
     planar = stacked_planar(9)
     return Graph(10, list(planar.edges) + [(10, v) for v in range(1, 10)])
@@ -363,8 +473,9 @@ def _apex_host() -> Graph:
     ids=["apex-petersen", "planar-k5"],
 )
 def test_negative_query_memoizes_every_reachable_state(host, patterns):
-    # The memo is the search's only deduplication: a negative query must
-    # visit, and memoize, each reachable state once, and nothing else.
+    # Every pattern has minimum degree >= 3, so the search runs on cores: a
+    # negative query must visit, and memoize, the core of each reachable
+    # state once, and nothing else.
     memo: dict[bytes, bool] = {}
     assert not contains_any_minor(host, patterns, memo)
     min_order = min(p.n for p in patterns)

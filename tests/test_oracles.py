@@ -31,13 +31,16 @@ from torlink.canonical import canonical_form
 from torlink.containment import contains_any_minor
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import carry_witness, order8_obstructions
+from torlink.planarity import apex_scan
 from torlink.search import _top_children, isomorphism_classes
 
 from bruteforce import (
     all_graphs_of_order,
+    brute_core,
     brute_petersen_family,
     complete_multipartite,
     delta_y,
+    min_degree,
     packed_entries,
     random_graph,
     to_nx,
@@ -332,9 +335,33 @@ def test_a_decided_route_is_not_run_again(monkeypatch):
     assert planar == [] and pinned == []
 
 
+def test_reducible_inputs_keep_their_own_apex_witness():
+    # is_nil settles an input as given before the search moves on to its
+    # core, so the witness left on the input is the apex scan of the input
+    # itself: a vertex for the apex graph, -1 for the IL and for the
+    # non-apex nIL graph.
+    rng = random.Random(3301)
+    inputs = [
+        (subdivided(complete_graph(6), 3, rng), False),
+        (subdivided(k6_minus_e(), 3, rng), True),
+        (subdivided(decode_graph6(NON_APEX_MAXNIL), 2, rng), True),
+    ]
+    witnesses = set()
+    for g, nil in inputs:
+        g = relabeled(g, rng)
+        assert min_degree(g) == 2 and g.size >= 15 and g._witness is None
+        assert is_nil(g) == nil
+        assert g._witness == apex_scan(g._adj, -1)
+        witnesses.add(g._witness >= 0)
+    assert witnesses == {True, False}
+
+
 def test_certificates_settle_every_minor_dag_state(monkeypatch):
     # Only states that neither Mader's bound nor the apex certificate
-    # decides are canonized: the input and every state below it.
+    # decides are canonized. The IL input has a degree-2 vertex: it is
+    # settled as given, which leaves the apex scan's -1 on it, and its
+    # core is canonized without being settled again. Every other state
+    # canonized is the nIL input, a core, or a core below either.
     seen = []
 
     def recording(g):
@@ -347,12 +374,18 @@ def test_certificates_settle_every_minor_dag_state(monkeypatch):
     k6 = subdivided(complete_graph(6), 5, rng)
     il = with_edges(k6, 8, rng)
     nil = relabeled(decode_graph6(NON_APEX_MAXNIL), rng)
-    assert (il.n, il.size) == (11, 28) and not is_apex(il)
-    assert not is_nil(il)
+    assert (il.n, il.size) == (11, 28) and min_degree(il) == 2
+    assert il._witness is None
+    assert min_degree(nil) >= 3
+    assert not is_nil(il) and il._witness == -1
     assert is_nil(nil)
-    assert il in seen and nil in seen
-    for g in seen:
+    core = canonical_form(brute_core(il))
+    others = [g for g in seen if canonical_form(g) != core]
+    assert il not in seen and len(others) == len(seen) - 1
+    assert nil in others
+    for g in others:
         assert below_maders_bound(g) and not is_apex(g), g
+        assert min_degree(g) >= 3, g
 
 
 def census_children(parents, rng):
