@@ -85,37 +85,37 @@ def automorphisms(g: Graph) -> list[list[int]]:
     return out
 
 
-def orbits_of_pairs(
+def orbit_firsts(
     pairs: list[tuple[int, int]], perms: list[list[int]]
-) -> list[list[tuple[int, int]]]:
-    """The given 0-based vertex pairs (u, v), u < v, split by their orbits
-    under the group that perms generate: a list per orbit, in the order of
-    its first pair, holding its pairs in the given order.
+) -> list[tuple[int, int]]:
+    """The first of the given 0-based vertex pairs (u, v), u <= v, in each
+    of their orbits under the group that perms generate, in the given
+    order.
 
     Each orbit is closed over every pair the perms reach, listed or not.
     With perms that generate only part of the group the orbits are finer,
-    never wrong: two pairs share a list only when some automorphism maps
-    one to the other. So with perms from `automorphisms(g)`, g + e and
-    g + e' (or g - e and g - e') are isomorphic for any two pairs e, e' of
-    one list, and a caller that tries only the first pair of each list
-    still tries a child of every class that the listed pairs give.
+    never wrong: two pairs share an orbit only when some automorphism maps
+    one to the other, so a partial group only adds firsts. So with perms
+    from `automorphisms(g)`, g + e and g + e' (or g - e and g - e') are
+    isomorphic when e' is in the orbit of a first e, and a caller that
+    tries only the firsts still tries a child of every class that the
+    listed pairs give.
     """
-    orbit_of: dict[tuple[int, int], int] = {}
-    out: list[list[tuple[int, int]]] = []
+    seen: set[tuple[int, int]] = set()
+    out: list[tuple[int, int]] = []
     for pair in pairs:
-        k = orbit_of.get(pair)
-        if k is None:
-            k = orbit_of[pair] = len(out)
-            out.append([])
-            todo = [pair]
-            for a, b in todo:
-                for p in perms:
-                    x, y = p[a], p[b]
-                    e = (x, y) if x < y else (y, x)
-                    if e not in orbit_of:
-                        orbit_of[e] = k
-                        todo.append(e)
-        out[k].append(pair)
+        if pair in seen:
+            continue
+        out.append(pair)
+        seen.add(pair)
+        todo = [pair]
+        for a, b in todo:
+            for p in perms:
+                x, y = p[a], p[b]
+                e = (x, y) if x < y else (y, x)
+                if e not in seen:
+                    seen.add(e)
+                    todo.append(e)
     return out
 
 

@@ -251,10 +251,9 @@ def _cmd_validate_data(args, out) -> int:
         db = ctx.db
     else:
         db = ObstructionDB.from_dir(d)
-    loaded = sorted(k for k in db.by_order if db.by_order[k])
     out.write(
         "obstruction orders: "
-        + " ".join(f"{k}({len(db.by_order[k])})" for k in loaded)
+        + " ".join(f"{k}({len(graphs)})" for k, graphs in db.by_order.items())
         + "\n"
     )
     out.write(f"max_supported_order: {db.max_supported_order}\n")

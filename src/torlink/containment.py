@@ -71,7 +71,11 @@ leaves vertex 0 in the same class, on its head (the class's first
 position in search order), since 0 is the least host vertex. So with the
 twin chains on, vertex 0 is tried only on the head of one class per orbit
 of `canonical.automorphisms(pattern)` on the twin classes, kept in the
-plan once first needed; every other position is denied it. As with arcs,
+plan once first needed; every other position is denied it. The heads
+come from `canonical.orbit_firsts`, the one orbit helper, which the
+census siblings, the search children, maximality and the pinned arcs
+also use: a class is the pair (h, h) of its head h, and an automorphism
+moves it to the pair of its image class's head. As with arcs,
 automorphisms that generate only part of the group split the orbits and
 only add heads to try. C9 is one orbit of nine classes, so a failing
 Hamiltonicity test runs one search from a fixed start instead of nine.
@@ -88,21 +92,26 @@ A pinned test asks only for copies through one host edge ab: some pattern
 edge xy goes to ab, as (x, y) -> (a, b) or (b, a). Composing a copy with
 a pattern automorphism sigma gives a copy that maps sigma^-1(x, y) onto
 (a, b), so one arc per orbit of the pattern's automorphisms on its arcs
-(ordered adjacent pairs) is enough; the orbits come from the canonical
-search of the pattern (`canonical.automorphisms`) and are kept in its
-plan once first needed. Any set of automorphisms is sound here: one that
-misses part of the group splits orbits and only adds arcs to try. With
-x on a and y on b, every neighbour of x may go only to a neighbour of a,
-and likewise for y and b, and the search runs in the plan's order with
-those candidate sets. The twin chains are off in a pinned search: sorting
-a copy's twins may move its pinned arc off the orbit's representative.
+(ordered adjacent pairs) is enough; the automorphisms come from the
+canonical search of the pattern (`canonical.automorphisms`), and the
+arcs, kept in its plan once first needed, from `canonical.orbit_firsts`,
+the orbit helper that the census siblings, the search children,
+maximality and the spanning heads share. An arc (x, y) of positions is
+the pair (x, n + y), and each position move q is doubled onto 2n points
+as q + [n + t for t in q], so the pairs' orbits are the arcs'. Any set
+of automorphisms is sound here: one that misses part of the group splits
+orbits and only adds arcs to try. With x on a and y on b, every
+neighbour of x may go only to a neighbour of a, and likewise for y and
+b, and the search runs in the plan's order with those candidate sets.
+The twin chains are off in a pinned search: sorting a copy's twins may
+move its pinned arc off the orbit's representative.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .canonical import automorphisms, canonical_form
+from .canonical import automorphisms, canonical_form, orbit_firsts
 from .graphs import Graph, reduce_to_core
 
 
@@ -218,7 +227,9 @@ def _plan(n: int, adj: tuple[int, ...]) -> list:
     previous twin's position (-1 for none) and the vertex at each position;
     then the part only a pinned test reads and the part only a spanning
     test reads, each None until `_pinned_plan` or `_spanning_heads` fills
-    it."""
+    it. Both take their orbits from `canonical.orbit_firsts`, the one
+    orbit helper, which the census siblings, the search children and
+    maximality also call."""
     degs = [m.bit_count() for m in adj]
     # Greedy max-connectivity order: keeps the backtrack tree narrow.
     order: list[int] = []
@@ -262,25 +273,16 @@ def _pinned_plan(pattern: Graph, order: list[int]):
     `canonical.automorphisms` finds, each the first of its orbit in
     position order, so that the pinned positions come early."""
     adj = pattern._adj
+    n = pattern.n
     pos = {v: i for i, v in enumerate(order)}
     nbrs = [[pos[w] for w in order if adj[v] >> w & 1] for v in order]
-    moves = [[pos[p[v]] for v in order] for p in automorphisms(pattern)]
-    arcs = []
-    seen: set[tuple[int, int]] = set()
-    for x, nb in enumerate(nbrs):
-        for y in nb:
-            if (x, y) in seen:
-                continue
-            arcs.append((x, y))
-            seen.add((x, y))
-            todo = [(x, y)]
-            for s, t in todo:
-                for q in moves:
-                    arc = (q[s], q[t])
-                    if arc not in seen:
-                        seen.add(arc)
-                        todo.append(arc)
-    return nbrs, arcs
+    # The arc (x, y) is the pair (x, n + y); see the module docstring.
+    moves = []
+    for p in automorphisms(pattern):
+        q = [pos[p[v]] for v in order]
+        moves.append(q + [n + t for t in q])
+    pairs = [(x, n + y) for x, nb in enumerate(nbrs) for y in nb]
+    return nbrs, [(x, y - n) for x, y in orbit_firsts(pairs, moves)]
 
 
 def _spanning_heads(pattern: Graph, twin_prev: list[int], order: list[int]):
@@ -292,21 +294,10 @@ def _spanning_heads(pattern: Graph, twin_prev: list[int], order: list[int]):
     head = []
     for t in twin_prev:
         head.append(len(head) if t < 0 else head[t])
+    # A class is the pair (h, h) of its head h, listed at each of its
+    # positions; a move sends it to its image class's head.
     moves = [[head[pos[p[v]]] for v in order] for p in automorphisms(pattern)]
-    heads = []
-    seen: set[int] = set()
-    for i, h in enumerate(head):
-        if h != i or i in seen:
-            continue
-        heads.append(i)
-        seen.add(i)
-        todo = [i]
-        for c in todo:
-            for q in moves:
-                if q[c] not in seen:
-                    seen.add(q[c])
-                    todo.append(q[c])
-    return heads
+    return [h for h, _ in orbit_firsts([(h, h) for h in head], moves)]
 
 
 def has_minor(g: Graph, h: Graph) -> bool:

@@ -55,7 +55,7 @@ from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
 
-from .canonical import automorphisms, canonical_form, orbits_of_pairs
+from .canonical import automorphisms, canonical_form, orbit_firsts
 from .containment import contains_any_minor, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import decode_graph6, read_graph6_file
@@ -218,8 +218,8 @@ def is_maximal(g: Graph, has) -> bool:
 
     if extended_has(*pairs[0]):
         return False
-    orbits = orbits_of_pairs(pairs, automorphisms(g))
-    return not any(extended_has(u, v) for (u, v), *_ in orbits[1:])
+    firsts = orbit_firsts(pairs, automorphisms(g))
+    return not any(extended_has(u, v) for u, v in firsts[1:])
 
 
 def order8_obstructions() -> tuple[Graph, Graph, Graph]:
@@ -284,8 +284,9 @@ class ObstructionDB:
     def from_dir(cls, data_dir) -> "ObstructionDB":
         """Built-in order-8 set plus any obstruction files found in data_dir.
 
-        A provided order-8 file must agree with the built-in trio; a
-        data_dir that is not a directory is an error.
+        A provided order-8 file must agree with the built-in trio; a file
+        that holds no graph, and a data_dir that is not a directory, are
+        errors.
         """
         data_dir = Path(data_dir)
         if not data_dir.is_dir():
@@ -298,6 +299,8 @@ class ObstructionDB:
                 continue
             order = int(m.group(1))
             graphs = read_graph6_file(path)
+            if not graphs:
+                raise DataValidationError(f"{path.name}: no graphs")
             if order == 8:
                 if sorted(map(canonical_form, graphs)) != sorted(
                     map(canonical_form, by_order[8])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
-from .canonical import automorphisms, canonical_form, canonical_graph, orbits_of_pairs
+from .canonical import automorphisms, canonical_form, canonical_graph, orbit_firsts
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import encode_graph6, read_graph6_file
 from .graphs import Graph
@@ -191,7 +191,7 @@ def _search(
                 witness = next((w for w in copies if w is not None), None)
             edges = [(u - 1, v - 1) for u, v in g.edges]
             found = []
-            for (u, v), *_ in orbits_of_pairs(edges, perms):
+            for u, v in orbit_firsts(edges, perms):
                 inherited = witness is not None and not witness[u] >> v & 1
                 if inherited and g.size - 1 == ctx.size_floor + 1:
                     seen[label ^ _label_bit(u, v) ^ _label_bit(v, u)] = _NONE
@@ -476,11 +476,14 @@ def _next_level(
             mine.setdefault(shared, []).append((edge, (child, carried)))
         perms = None
         for key, pairs in mine.items():
+            kept = groups.setdefault(key, [])
             if len(pairs) > 1:
                 if perms is None:
                     perms = automorphisms(g)
-                pairs = _one_per_orbit(perms, pairs)
-            groups.setdefault(key, []).extend(member for _, member in pairs)
+                firsts = set(orbit_firsts([e for e, _ in pairs], perms))
+                pairs = [pair for pair in pairs if pair[0] in firsts]
+            for _, member in pairs:
+                kept.append(member)
     nxt = []
     nxt_packs = []
     for group in groups.values():
@@ -493,14 +496,6 @@ def _next_level(
                 nxt.append(rep)
                 nxt_packs.append(packed)
     return nxt, nxt_packs
-
-
-def _one_per_orbit(perms: list[list[int]], pairs: list) -> list:
-    """Of a parent's children, given as (new edge, member) pairs, those
-    whose new edge is the first of its orbit under the group that perms,
-    automorphisms of the parent, generate; in the given order."""
-    firsts = {orbit[0] for orbit in orbits_of_pairs([e for e, _ in pairs], perms)}
-    return [pair for pair in pairs if pair[0] in firsts]
 
 
 @lru_cache(maxsize=None)

@@ -330,44 +330,60 @@ def brute_automorphisms(g: Graph) -> list[list[int]]:
     ]
 
 
-def pair_orbits(n: int, perms) -> set[frozenset[tuple[int, int]]]:
-    """The orbits of the group the permutations generate on the vertex
-    pairs (a, b), a < b, of 0..n-1: edges and non-edges alike."""
+def _orbits(points, image, perms) -> set[frozenset]:
+    """The orbits of the group the permutations generate on points, by
+    plain closure; image(p, x) is the point that p maps x to."""
     orbits = set()
     seen = set()
-    for pair in combinations(range(n), 2):
-        if pair in seen:
+    for x in points:
+        if x in seen:
             continue
-        orbit = {pair}
-        todo = [pair]
-        for a, b in todo:
+        orbit = {x}
+        todo = [x]
+        for y in todo:
             for p in perms:
-                image = tuple(sorted((p[a], p[b])))
-                if image not in orbit:
-                    orbit.add(image)
-                    todo.append(image)
+                z = image(p, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    todo.append(z)
         seen |= orbit
         orbits.add(frozenset(orbit))
     return orbits
+
+
+def pair_orbits(n: int, perms) -> set[frozenset[tuple[int, int]]]:
+    """The orbits of the group the permutations generate on the vertex
+    pairs (a, b), a < b, of 0..n-1: edges and non-edges alike."""
+    return _orbits(
+        combinations(range(n), 2),
+        lambda p, e: tuple(sorted((p[e[0]], p[e[1]]))),
+        perms,
+    )
+
+
+def arc_orbits(g: Graph, perms) -> set[frozenset[tuple[int, int]]]:
+    """The orbits of the group the permutations, automorphisms of g,
+    generate on g's arcs: the ordered pairs (a, b) of 0-based ends of an
+    edge, each edge in both directions."""
+    arcs = [(a, b) for a in range(g.n) for b in range(g.n) if g._adj[a] >> b & 1]
+    return _orbits(arcs, lambda p, arc: (p[arc[0]], p[arc[1]]), perms)
+
+
+def twin_class_orbits(g: Graph, perms) -> set[frozenset[frozenset[int]]]:
+    """The orbits of the group the permutations, automorphisms of g,
+    generate on g's twin classes: sets of 0-based vertices whose
+    neighbourhoods agree apart from each other."""
+    adj = g._adj
+    classes = {
+        frozenset(w for w in range(g.n) if adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
+        for v in range(g.n)
+    }
+    return _orbits(classes, lambda p, c: frozenset(p[v] for v in c), perms)
 
 
 def vertex_orbits(n: int, perms) -> set[frozenset[int]]:
     """The orbits of the group the permutations generate on 0..n-1."""
-    orbits = set()
-    seen = set()
-    for v in range(n):
-        if v in seen:
-            continue
-        orbit = {v}
-        todo = [v]
-        for x in todo:
-            for p in perms:
-                if p[x] not in orbit:
-                    orbit.add(p[x])
-                    todo.append(p[x])
-        seen |= orbit
-        orbits.add(frozenset(orbit))
-    return orbits
+    return _orbits(range(n), lambda p, v: p[v], perms)
 
 
 def brute_minor(g: Graph, h: Graph) -> bool:

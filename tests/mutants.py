@@ -55,6 +55,9 @@ TOROIDAL_ROW = '("--toroidal", "toroidal", None, lambda g, db: is_toroidal(g, db
 TN_ROW = '("--tn", "TN", "toroidal and nIL", lambda g, db: is_tn(g, db), True),'
 ROUTE = "tests/test_oracles.py::test_is_nil_decides_census_children_through_the_new_edge"
 TIE_BREAK = "if all(_ends(carried, a, b) <= mine for a, b in ties):"
+PLAN_ORBITS = (
+    "tests/test_containment.py::test_plans_keep_the_first_of_each_orbit_exactly"
+)
 WINDOW = "& (ge[low - 1] & ~ge[dx] | (ge[dx] ^ ge[dx + 1]) & -2 << x)"
 
 MUTANTS = (
@@ -350,7 +353,12 @@ MUTANTS = (
     Mutant(
         "pinned-test-one-orientation",
         "containment.py",
-        (("for y in nb:", "for y in [y for y in nb if y > x]:"),),
+        (
+            (
+                "pairs = [(x, n + y) for x, nb in enumerate(nbrs) for y in nb]",
+                "pairs = [(x, n + y) for x, nb in enumerate(nbrs) for y in nb if y > x]",
+            ),
+        ),
         (
             "tests/test_containment.py::test_pinned_subgraph_matches_bruteforce",
             "tests/test_containment.py::test_pinned_family_subgraphs_match_bruteforce",
@@ -429,8 +437,8 @@ MUTANTS = (
         "oracles.py",
         (
             (
-                "return not any(extended_has(u, v) for (u, v), *_ in orbits[1:])",
-                "return not any(extended_has(u, v) for (u, v), *_ in orbits[2:])",
+                "return not any(extended_has(u, v) for u, v in firsts[1:])",
+                "return not any(extended_has(u, v) for u, v in firsts[2:])",
             ),
         ),
         (
@@ -444,8 +452,8 @@ MUTANTS = (
         "search.py",
         (
             (
-                "for (u, v), *_ in orbits_of_pairs(edges, perms):",
-                "for (u, v), *_ in orbits_of_pairs(edges, perms)[:1]:",
+                "for u, v in orbit_firsts(edges, perms):",
+                "for u, v in orbit_firsts(edges, perms)[:1]:",
             ),
         ),
         (
@@ -510,8 +518,9 @@ MUTANTS = (
         "containment.py",
         (
             (
-                "heads.append(i)",
-                "heads.append(max(j for j, h in enumerate(head) if h == i))",
+                "return [h for h, _ in orbit_firsts([(h, h) for h in head], moves)]",
+                "return [max(j for j, c in enumerate(head) if c == h)"
+                " for h, _ in orbit_firsts([(h, h) for h in head], moves)]",
             ),
         ),
         (
@@ -576,6 +585,24 @@ MUTANTS = (
             "tests/test_search.py::"
             "test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms",
         ),
+    ),
+    Mutant(
+        "arc-moves-not-doubled",
+        "containment.py",
+        (("moves.append(q + [n + t for t in q])", "moves.append(q + q)"),),
+        (PLAN_ORBITS,),
+    ),
+    Mutant(
+        "twin-class-pair-off-the-head",
+        "containment.py",
+        (
+            (
+                "return [h for h, _ in orbit_firsts([(h, h) for h in head], moves)]",
+                "return [h for h, _ in orbit_firsts("
+                "[(h, i) for i, h in enumerate(head)], moves)]",
+            ),
+        ),
+        (PLAN_ORBITS,),
     ),
 )
 

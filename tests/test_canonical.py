@@ -19,7 +19,7 @@ from torlink import (
     path_graph,
     petersen_graph,
 )
-from torlink.canonical import _refine, automorphisms, orbits_of_pairs
+from torlink.canonical import _refine, automorphisms, orbit_firsts
 from torlink.oracles import order8_obstructions
 from torlink.search import isomorphism_classes
 
@@ -374,12 +374,12 @@ def test_automorphisms_give_the_groups_orbits_on_symmetric_graphs(name):
 
 
 def test_orbits_of_pairs_split_the_given_pairs_by_the_groups_orbits():
-    # With the automorphisms the canonical search meets, the lists are the
-    # whole group's pair orbits cut down to the given pairs: all pairs, the
-    # edges, or a shuffled half of the pairs, whose orbits are closed over
-    # pairs that are not listed. Each list keeps the given order, and the
-    # lists come in the order of their first pairs. A single permutation
-    # gives lists that are finer, never a merge of two of the group's orbits.
+    # With the automorphisms the canonical search meets, the firsts are the
+    # first given pair of each of the whole group's pair orbits that meets
+    # the given pairs, in the given order: for all pairs, the edges, or a
+    # shuffled half of the pairs, whose orbits are closed over pairs that
+    # are not listed. A single permutation gives finer orbits, never a
+    # merge of two of the group's: each whole orbit still keeps its first.
     rng = random.Random(2601)
     graphs = [g for n in range(2, 7) for g in isomorphism_classes(n)]
     graphs += [shuffled(SYMMETRIC[name], rng) for name in ("C4+C8", "petersen", "cube", "K4,4")]
@@ -389,13 +389,10 @@ def test_orbits_of_pairs_split_the_given_pairs_by_the_groups_orbits():
         every = list(combinations(range(g.n), 2))
         edges = [(a - 1, b - 1) for a, b in g.edges]
         for pairs in (every, edges, rng.sample(every, len(every) // 2)):
-            out = orbits_of_pairs(pairs, perms)
             place = {pair: i for i, pair in enumerate(pairs)}
-            assert sorted(p for orbit in out for p in orbit) == sorted(pairs)
-            assert all(orbit == sorted(orbit, key=place.get) for orbit in out)
-            firsts = [place[orbit[0]] for orbit in out]
-            assert firsts == sorted(firsts)
-            expected = {orbit & set(pairs) for orbit in group} - {frozenset()}
-            assert {frozenset(orbit) for orbit in out} == expected, g
-            for orbit in orbits_of_pairs(pairs, perms[:1]):
-                assert any(set(orbit) <= whole for whole in group)
+            met = [orbit & place.keys() for orbit in group]
+            expected = sorted((min(m, key=place.get) for m in met if m), key=place.get)
+            assert orbit_firsts(pairs, perms) == expected, g
+            few = orbit_firsts(pairs, perms[:1])
+            assert few == sorted(few, key=place.get) and set(few) <= place.keys()
+            assert set(expected) <= set(few)

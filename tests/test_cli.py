@@ -708,6 +708,24 @@ def test_data_dir_without_order9_obstructions_names_the_file(
         assert capsys.readouterr().err == f"error: missing data file {missing}\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", ">>graph6<<\n"], ids=["empty", "blank", "header"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate-data"], ["mtn-census"], ["check", "--toroidal", K6_MINUS_E_G6]],
+    ids=["validate-data", "mtn-census", "check"],
+)
+def test_obstruction_file_without_graphs_names_the_file(
+    tmp_path, monkeypatch, capsys, text, argv
+):
+    # A file that holds no graph would make its order supported with no
+    # obstruction of that order.
+    monkeypatch.delenv("TORLINK_DATA_DIR", raising=False)
+    (tmp_path / "maxnil_order9.g6").write_text("\n".join(MAXNIL_ORDER9) + "\n")
+    (tmp_path / "obstructions_order9.g6").write_text(text)
+    assert invoke(argv + ["--data-dir", str(tmp_path)]) == (2, "")
+    assert capsys.readouterr().err == "error: obstructions_order9.g6: no graphs\n"
+
+
 def test_readme_cli_block_lists_every_subcommand_and_option():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = {

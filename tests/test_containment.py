@@ -10,18 +10,28 @@ from torlink import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    encode_graph6,
     has_minor,
     is_isomorphic,
     is_nil,
     is_subgraph_iso,
     petersen_graph,
 )
-from torlink.canonical import canonical_form
-from torlink.containment import _core, _reductions, contains_any_minor, subgraph_copy
+from torlink.canonical import automorphisms, canonical_form
+from torlink.containment import (
+    _core,
+    _pinned_plan,
+    _plan,
+    _reductions,
+    _spanning_heads,
+    contains_any_minor,
+    subgraph_copy,
+)
 from torlink.oracles import order8_obstructions, petersen_family
 
 from bruteforce import (
     all_graphs_of_order,
+    arc_orbits,
     brute_automorphisms,
     brute_copy_edges,
     brute_core,
@@ -32,6 +42,7 @@ from bruteforce import (
     complete_multipartite,
     min_degree,
     random_graph,
+    twin_class_orbits,
 )
 from test_search import stacked_planar
 
@@ -133,21 +144,6 @@ def test_twin_pruning_matches_bruteforce(name):
     assert verdicts == ({True} if name == "3K1" else {True, False})
 
 
-def twin_class_orbits(pattern: Graph) -> int:
-    """How many orbits the full automorphism group has on the twin classes
-    (neighbourhoods equal apart from each other)."""
-    adj = pattern._adj
-    classes = {
-        frozenset(w for w in range(pattern.n) if adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
-        for v in range(pattern.n)
-    }
-    orbits = {
-        frozenset(frozenset(p[v] for v in c) for p in brute_automorphisms(pattern))
-        for c in classes
-    }
-    return len(orbits)
-
-
 def spanning_host(rng, pattern: Graph) -> Graph:
     """A host of the pattern's order: a relabeled copy of the pattern with
     random edges added and up to two removed, or a random graph."""
@@ -189,8 +185,9 @@ def test_spanning_subgraph_matches_bruteforce():
                 assert (copy is not None) == expected, (pattern, h)
                 assert copy is None or all(m & ~a == 0 for m, a in zip(copy, h._adj))
                 verdicts[expected] += 1
-        if seen == {True, False} and pattern.n <= 7 and twin_class_orbits(pattern) > 1:
-            split.add(canonical_form(pattern))
+        if seen == {True, False} and pattern.n <= 7:
+            if len(twin_class_orbits(pattern, brute_automorphisms(pattern))) > 1:
+                split.add(canonical_form(pattern))
     assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
     assert split
 
@@ -233,6 +230,56 @@ def test_pinned_family_subgraphs_match_bruteforce():
             host = random_graph(rng, 7, rng.uniform(0.6, 0.9))
             verdicts |= assert_pinned_matches_bruteforce(pattern, host)
     assert verdicts == {True, False}
+
+
+# (arcs, heads) of each plan: the Petersen family, the order-8 trio, C9
+# and K4,4, by graph6.
+PLAN_ORBIT_COUNTS = {
+    "E~~w": (1, 1),
+    "Fs~v_": (3, 2),
+    "Fs\\zw": (5, 3),
+    "GIQ|to": (3, 2),
+    "GYQ[p{": (9, 4),
+    "HKN?Yeb": (4, 2),
+    "I@OZCMgs?": (1, 1),
+    "GF~~~{": (3, 2),
+    "G]~vv{": (12, 4),
+    "G`N~~{": (7, 3),
+    "HhCGGE@": (1, 1),
+    "G?~vf_": (1, 1),
+}
+
+
+def test_plans_keep_the_first_of_each_orbit_exactly():
+    # The pinned arcs and the spanning heads are the first, in position
+    # order, of each orbit of the group that automorphisms(pattern)
+    # generates on the arcs and on the twin classes, closed here by brute
+    # force. Finer orbits are still sound, so no verdict test sees them;
+    # this test catches an arc or class encoding that splits or merges
+    # orbits.
+    rng = random.Random(3601)
+    patterns = list(petersen_family() + order8_obstructions())
+    patterns += [cycle_graph(9), complete_bipartite(4, 4)]
+    for n in range(3, 10):
+        patterns += [random_graph(rng, n, rng.uniform(0.2, 0.9)) for _ in range(8)]
+    counts = {}
+    for pattern in patterns:
+        plan = _plan(pattern.n, pattern._adj)
+        twin_prev, order = plan[3], plan[4]
+        pos = {v: i for i, v in enumerate(order)}
+        perms = automorphisms(pattern)
+        _, arcs = _pinned_plan(pattern, order)
+        assert arcs == sorted(
+            min((pos[a], pos[b]) for a, b in orbit)
+            for orbit in arc_orbits(pattern, perms)
+        ), pattern
+        heads = _spanning_heads(pattern, twin_prev, order)
+        assert heads == sorted(
+            min(pos[v] for c in orbit for v in c)
+            for orbit in twin_class_orbits(pattern, perms)
+        ), pattern
+        counts[encode_graph6(pattern)] = (len(arcs), len(heads))
+    assert {k: counts[k] for k in PLAN_ORBIT_COUNTS} == PLAN_ORBIT_COUNTS
 
 
 def test_reductions_for_a_new_edge_skip_exactly_the_parents_minors():

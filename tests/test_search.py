@@ -39,13 +39,18 @@ from torlink import (
     petersen_family,
     verify_size19_exclusion,
 )
-from torlink.canonical import automorphisms, canonical_form, canonical_graph
+from torlink.canonical import (
+    automorphisms,
+    canonical_form,
+    canonical_graph,
+    orbit_firsts,
+)
 from torlink.errors import DataValidationError, UnsupportedOrderError
 from torlink.oracles import order8_obstructions
 from torlink.search import (
     CertificationEntry,
     _levels,
-    _one_per_orbit,
+    _next_level,
     _ties,
     _top_children,
     isomorphism_classes,
@@ -277,7 +282,7 @@ def test_witness_search_matches_bruteforce(monkeypatch, root, floor, db, copyles
     assert expected
     routes = Counter()
     search, copy, bit = torlink.search._search, torlink.search.subgraph_copy, torlink.search._label_bit
-    test, orbits = torlink.search.is_subgraph_iso, torlink.search.orbits_of_pairs
+    test, firsts = torlink.search.is_subgraph_iso, torlink.search.orbit_firsts
     copies: dict[tuple[int, ...], bool] = {}
     expanded: set[tuple[int, ...]] = set()
 
@@ -286,14 +291,14 @@ def test_witness_search_matches_bruteforce(monkeypatch, root, floor, db, copyles
         routes["leaf copies"] += found and host.size == floor + 1
         return found
 
-    def recorded_orbits(edges, perms):
-        # Only an expanded state splits its edges into orbits.
+    def recorded_firsts(edges, perms):
+        # Only an expanded state asks for the firsts of its edges' orbits.
         adj = [0] * 9
         for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         expanded.add(tuple(adj))
-        return orbits(edges, perms)
+        return firsts(edges, perms)
 
     def counted_search(g, ctx, seen, witness=None):
         routes["inherited"] += witness is not None
@@ -312,7 +317,7 @@ def test_witness_search_matches_bruteforce(monkeypatch, root, floor, db, copyles
     monkeypatch.setattr(torlink.search, "subgraph_copy", counted_copy)
     monkeypatch.setattr(torlink.search, "_label_bit", counted_bit)
     monkeypatch.setattr(torlink.search, "is_subgraph_iso", counted_test)
-    monkeypatch.setattr(torlink.search, "orbits_of_pairs", recorded_orbits)
+    monkeypatch.setattr(torlink.search, "orbit_firsts", recorded_firsts)
     rng = random.Random(2903)
     for _ in range(2):
         h = relabeled(root, rng)
@@ -739,29 +744,44 @@ def test_isomorphism_classes_order7_canonization_count(monkeypatch):
     assert len(calls) <= 175
 
 
-def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms():
-    # Of a parent's children in one group, _one_per_orbit keeps the first
-    # of each orbit of the automorphism group on their new edges,
-    # whole-group orbits taken by brute force.
+def test_siblings_are_kept_one_per_orbit_of_the_parents_automorphisms(monkeypatch):
+    # Of a parent's children with one key, the orbit firsts are the first
+    # of each orbit of the automorphism group on their new edges, whole-
+    # group orbits taken by brute force, and _next_level canonizes exactly
+    # those children of each key that keeps two or more.
+    canonized = []
+
+    def recorded(g):
+        canonized.append(g._adj)
+        return canonical_form(g)
+
+    monkeypatch.setattr(torlink.search, "canonical_form", recorded)
     rng = random.Random(2519)
     merged = 0
     for g in [g for n in range(3, 8) for g in isomorphism_classes(n)]:
         h = g.relabel(dict(zip(range(1, g.n + 1), rng.sample(range(1, g.n + 1), g.n))))
+        packed = packed_entries(h)
         by_key = {}
-        for key, child, edge, packed in _top_children(h, packed_entries(h)):
-            by_key.setdefault(key, []).append((edge, (child, packed)))
+        for key, child, edge, _ in _top_children(h, packed):
+            by_key.setdefault(key, []).append((edge, child._adj))
         orbits = pair_orbits(h.n, brute_automorphisms(h))
         orbit_of = {pair: orbit for orbit in orbits for pair in orbit}
-
+        expected = []
         for pairs in by_key.values():
-            kept = _one_per_orbit(automorphisms(h), pairs)
-            assert len(kept) == len({orbit_of[e] for e, _ in pairs})
-            assert {orbit_of[e] for e, _ in kept} == {orbit_of[e] for e, _ in pairs}
             first = {}
-            for pair in pairs:
-                first.setdefault(orbit_of[pair[0]], pair)
-            assert kept == list(first.values())
+            for edge, adj in pairs:
+                first.setdefault(orbit_of[edge], (edge, adj))
+            kept = list(first.values())
+            if len(pairs) > 1:
+                assert orbit_firsts([e for e, _ in pairs], automorphisms(h)) == [
+                    e for e, _ in kept
+                ]
+            if len(kept) > 1:
+                expected += [adj for _, adj in kept]
             merged += len(pairs) - len(kept)
+        canonized.clear()
+        _next_level([h], [packed], None)
+        assert canonized == expected
     assert merged > 50
 
 
