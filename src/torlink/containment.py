@@ -310,13 +310,13 @@ def has_minor(g: Graph, h: Graph) -> bool:
     return contains_any_minor(g, (h,), {})
 
 
-def _reductions(g: Graph, edge: tuple[int, int] | None = None):
+def _reductions(g: Graph, edge: tuple[int, ...] | None = None):
     """Every order-reducing single step: each vertex deletion, then each
     edge contraction; with `edge`, less those that `contains_any_minor`
     skips for it."""
     gone: tuple[int, ...] = ()
     merged: set = set()
-    if edge is not None:
+    if edge:
         common = g._adj[edge[0]] & g._adj[edge[1]]
         gone = (edge[0] + 1, edge[1] + 1)
         merged = {tuple(sorted((w, x + 1))) for w in gone for x in range(g.n) if common >> x & 1}
@@ -328,7 +328,7 @@ def _reductions(g: Graph, edge: tuple[int, int] | None = None):
             yield g.contract_edge(e)
 
 
-def _core(g: Graph) -> Graph:
+def core(g: Graph) -> Graph:
     """g reduced by `reduce_to_core`, its remaining vertices in their
     order; g itself when no vertex has degree <= 2."""
     adj = g._adj
@@ -347,7 +347,7 @@ def contains_any_minor(
     patterns: tuple[Graph, ...],
     memo: dict[bytes, bool],
     settle: Callable[[Graph], bool | None] | None = None,
-    edge: tuple[int, int] | None = None,
+    edge: tuple[int, ...] | None = None,
 ) -> bool:
     """Does g contain any of the given graphs as a minor?
 
@@ -382,7 +382,8 @@ def contains_any_minor(
     minors hold no pattern, so skipping them changes no answer. g / uv is
     searched, as it need not be a minor of g - uv, and so is every state
     below the input. g itself is searched as given, not as its core, since
-    the claim names its edge.
+    the claim names its edge. ``edge`` = () says only that no pattern, all of
+    minimum degree >= 3, is a subgraph of g's core, which skips its test.
     """
     # fewest[k]: the fewest edges of any pattern with at most k vertices, or
     # more edges than g has when no pattern is that small. A minor has no
@@ -393,13 +394,16 @@ def contains_any_minor(
     fewest = [g.size + 1] * (g.n + 1)
     smooth = True
     for p in patterns:
-        smooth = smooth and all(m.bit_count() >= 3 for m in p._adj)
+        if p._plan is None:
+            p._plan = _plan(p.n, p._adj)
+        degrees = p._plan[0]  # sorted, the minimum last
+        smooth = smooth and (not degrees or degrees[-1] >= 3)
         for k in range(p.n, g.n + 1):
             if p.size < fewest[k]:
                 fewest[k] = p.size
     verdict = _settled(g, fewest, settle)
-    if verdict is None and smooth and edge is None:
-        g = _core(g)
+    if verdict is None and smooth and not edge:
+        g = core(g)
         verdict = _settled(g, fewest, None)
     if verdict is not None:
         return verdict
@@ -433,7 +437,7 @@ def _contains_any(g, patterns, memo, fewest, settle, smooth, edge=None) -> bool:
     if not result and g.size >= fewest[g.n - 1]:
         for child in _reductions(g, edge):
             if smooth:
-                child = _core(child)
+                child = core(child)
             verdict = _settled(child, fewest, settle)
             if verdict is None:
                 verdict = _contains_any(child, patterns, memo, fewest, settle, smooth)

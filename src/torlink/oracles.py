@@ -24,6 +24,18 @@ and memoized; the DAG stays the one decision procedure for them. Before
 the DAG, `is_nil` answers an input that carries an apex witness naming a
 vertex, or that has fewer edges than every Petersen-family graph, as nIL.
 
+Every other input with no decided witness takes one route, each step
+exact, cheapest settling first: Mader's bound; one planarity test at a
+candidate apex vertex w, skipped past Euler's bound, where planar means
+apex, so nIL; a Petersen-family subgraph test, where a copy means IL; the
+rest of the apex scan, skipping w; then the DAG. An input with no witness
+takes for w the first vertex of `planarity.apex_scan`'s order and tests
+its core (`containment.core`), which settles most IL inputs before
+anything is canonized; the DAG starts from that core without testing it
+again. The input is left the witness `apex_scan(adj, -1)` (-1 when IL:
+no IL graph is apex), or none past Mader's bound. An input that already
+holds -1 goes straight to the DAG.
+
 This module alone reads and writes `Graph._witness`, the apex witness
 (see `Graph`), which `is_apex`, `is_nil` and `carry_witness` fill.
 `carry_witness` fills every one-edge extension C = P + uv from P's
@@ -31,17 +43,16 @@ witness: the census children of `search.isomorphism_classes`, and the
 extensions of `is_maximal`, the maximality test of `is_maxnil`, `is_mtn`
 and `search.verify_size19_exclusion`. A C whose P is apex through a
 vertex w other than u and v gets a pending claim of w and uv, and
-`is_nil` decides it from what P proved, before it is canonized. First C
-is apex through w when C - w = (P - w) + uv is planar: one planarity
-test, which almost every such nIL child passes. Otherwise, since P is
+`is_nil` decides it from what P proved, by the route above with that w
+and without Mader's bound. C is apex through w when C - w = (P - w) + uv
+is planar, which almost every such nIL child is. Otherwise, since P is
 nIL, every Petersen-family minor of C uses uv, so the subgraph test is
 pinned to that edge (`is_subgraph_iso` with ``pin``); a copy found means
-IL, and the claim stays. If none is found, the rest of the apex scan
-runs, skipping w, and a graph that is not apex goes to the minor DAG
+IL, and the claim stays. A graph that is not apex goes to the minor DAG
 with ``edge`` = uv, which skips C's own subgraph test and the reductions
 of C that are minors of P. Each step is exact on its own, so the verdict
-and the witness that replaces the claim are those of the plain route,
-up to which apex vertex is named.
+and the witness that replaces the claim are those of a plain input, up to
+which apex vertex is named.
 
 `is_toroidal` answers for the database it is given, with no shortcut: a
 database may hold stand-in obstructions, for which neither "planar implies
@@ -56,7 +67,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .canonical import automorphisms, canonical_form, orbit_firsts
-from .containment import contains_any_minor, is_subgraph_iso
+from .containment import contains_any_minor, core, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import decode_graph6, read_graph6_file
 from .graphs import MAX_ORDER, Graph, complete_graph
@@ -103,12 +114,18 @@ def is_apex(g: Graph) -> bool:
     return g._witness >= 0
 
 
+def _past_maders_bound(g: Graph) -> bool:
+    """Whether g has n >= 6 vertices and at least 4n - 9 edges, and so a
+    K6 minor (Mader 1968): IL."""
+    return g.n >= 6 and g.size >= 4 * g.n - 9
+
+
 def _settle_nil(g: Graph) -> bool | None:
     """Whether g has a Petersen-family minor, when a certificate says so.
 
     True past Mader's bound, False for an apex graph, None otherwise.
     """
-    if g.n >= 6 and g.size >= 4 * g.n - 9:
+    if _past_maders_bound(g):
         return True
     if is_apex(g):
         return False
@@ -128,30 +145,40 @@ def is_nil(g: Graph) -> bool:
 
     Two answers need no minor search: g is nIL when its apex witness
     (`Graph._witness`) names a vertex, since apex graphs are nIL, and
-    when it has fewer edges than every Petersen-family graph. A one-edge
-    extension g = P + uv with a pending claim from `carry_witness` is
-    decided through its new edge, which replaces the claim with g's
-    witness unless a pinned copy shows g IL; see the module docstring.
-    Every other graph goes to the minor DAG, with Mader's bound and the
-    apex certificate settling its states.
+    when it has fewer edges than every Petersen-family graph. A graph
+    with no witness, or with a pending claim from `carry_witness`, takes
+    the route of the module docstring, which leaves the decided witness
+    on it. A graph that is not apex goes to the minor DAG, with Mader's
+    bound and the apex certificate settling its states.
     """
-    if g._witness is not None and g._witness >= 0:
+    w = g._witness
+    if w is not None and w >= 0:
         return True
     if g.size < _petersen_fewest_edges():
         return True
     family = petersen_family()
     edge = None
-    if g._witness is not None and g._witness < -1:
-        w, u, v = ~g._witness >> 8, ~g._witness >> 4 & 15, ~g._witness & 15
-        if planar_without(g._adj, w):
+    if w is None:
+        if _past_maders_bound(g):
+            return False
+        w = max(range(g.n), key=lambda v: g._adj[v].bit_count())
+    elif w < -1:
+        w, edge = ~w >> 8, (~w >> 4 & 15, ~w & 15)
+    if w >= 0:
+        # The route; see the module docstring.
+        adj = g._adj
+        if g.size - adj[w].bit_count() <= 3 * g.n - 9 and planar_without(adj, w):
             g._witness = w
             return True
-        edge = (u, v)
-        if any(is_subgraph_iso(p, g, edge) for p in family):
+        host = g if edge else core(g)
+        if any(is_subgraph_iso(p, host, edge) for p in family):
+            if edge is None:
+                g._witness = -1
             return False
-        g._witness = apex_scan(g._adj, w)
+        g._witness = apex_scan(adj, w)
         if g._witness >= 0:
             return True
+        edge = edge or ()  # no copy in g's core; see `contains_any_minor`
     return not contains_any_minor(g, family, _nil_memo, _settle_nil, edge)
 
 

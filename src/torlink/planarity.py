@@ -11,7 +11,9 @@ the fragment's attachment vertices, and embed a path of the fragment
 between two attachments there, splitting the face in two. A fragment with
 only one such face must go there; if none is forced, any fragment and any
 of its faces will do. G is planar iff no fragment is ever left without a
-face.
+face. Each step lists the fragments in one pass over the masks and takes
+the first forced one at once: a forced embedding is right whatever the
+others are, and a fragment with no face keeps none. Faces are vertex cycles.
 
 The path addition is only sound when every fragment has at least two
 attachments, so a fragment that meets H in at most one vertex, a separate
@@ -20,6 +22,10 @@ the graph is reduced to its core without changing its planarity
 (`graphs.reduce_to_core`): vertices of degree at most 1 are deleted,
 vertices of degree 2 smoothed (a parallel edge never changes planarity,
 so one is dropped), and Euler's bound m <= 3n - 6 rejects dense graphs.
+A core with no triangle is rejected from m > 2n - 4: each face of a
+planar drawing of a triangle-free graph with a cycle has at least four
+sides, so 4f <= 2m, and Euler's formula n - m + f = 2 (one component;
+more only lower the bound) gives m <= 2n - 4.
 Myrvold and Kocay, *Errors in graph embedding algorithms* (JCSS 2011),
 list the pitfalls of such tests.
 """
@@ -68,10 +74,18 @@ def _planar(adj: list[int], alive: int) -> bool:
     n = alive.bit_count()
     if n <= 4:
         return True
-    if sum(adj[v].bit_count() for v in _bits(alive)) > 2 * (3 * n - 6):
+    degrees = 0  # twice the edge count
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        degrees += adj[low.bit_length() - 1].bit_count()
+    if degrees > 2 * (3 * n - 6):
         return False
     if n == 5:
         return True  # only K5, which the bound excluded, is non-planar here
+    if degrees > 2 * (2 * n - 4) and not _has_triangle(adj, alive):
+        return False
     # Every vertex now has degree >= 3, so a walk that never turns back
     # closes a cycle.
     v = prev = (alive & -alive).bit_length() - 1
@@ -94,26 +108,51 @@ def _planar(adj: list[int], alive: int) -> bool:
     faces = [cycle, cycle[:]]
     face_masks = [placed, placed]
     while True:
-        forced = free = None
-        for attach, comp in _fragments(adj, alive, placed, tree):
+        # The fragments, as (attachments, inner vertices): each chord, then
+        # each component of the unplaced vertices with its edges to H.
+        fragments = []
+        rest = placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            ends = adj[u] & placed & ~tree[u] & -(low << 1)
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                fragments.append((low | end, 0))
+        rest = alive & ~placed
+        while rest:
+            comp = frontier = rest & -rest
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+                if not frontier:
+                    frontier = reach & rest & ~comp
+                    comp |= frontier
+            rest &= ~comp
+            fragments.append((reach & placed, comp))
+        pick = None
+        for attach, comp in fragments:
             if attach & (attach - 1) == 0:
                 # A separate block or component: test it alone, then drop it.
-                # The generator has already left comp behind, so this is safe.
                 sub = comp | attach
                 if not _planar([a & sub for a in adj], sub):
                     return False
                 alive &= ~comp
-                for u in _bits(attach):
-                    adj[u] &= ~comp
+                if attach:
+                    adj[attach.bit_length() - 1] &= ~comp
                 continue
-            room = [i for i, fm in enumerate(face_masks) if attach & ~fm == 0]
+            room = [i for i, fm in enumerate(face_masks) if not attach & ~fm]
             if not room:
                 return False
             if len(room) == 1:
-                forced = (attach, comp, room[0])
-            elif free is None:
-                free = (attach, comp, room[0])
-        pick = forced or free
+                pick = attach, comp, room[0]
+                break
+            if pick is None:
+                pick = attach, comp, room[0]
         if pick is None:
             return True
         attach, comp, i = pick
@@ -135,27 +174,20 @@ def _planar(adj: list[int], alive: int) -> bool:
         face_masks.append(_mask(faces[-1]))
 
 
-def _fragments(adj: list[int], alive: int, placed: int, tree: list[int]):
-    """(attachments, inner vertices) of each fragment relative to the
-    embedded subgraph: chords first (no inner vertices), then the
-    components of the unplaced vertices."""
-    for u in _bits(placed):
-        for w in _bits(adj[u] & placed & ~tree[u] & ~((2 << u) - 1)):
-            yield 1 << u | 1 << w, 0
-    rest = alive & ~placed
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for c in _bits(frontier):
-                reach |= adj[c]
-            frontier = reach & rest & ~comp
-            comp |= frontier
-        rest &= ~comp
-        attach = 0
-        for c in _bits(comp):
-            attach |= adj[c]
-        yield attach & placed, comp
+def _has_triangle(adj: list[int], alive: int) -> bool:
+    """Whether the graph on `alive` has a triangle u < v < w, sought from
+    each u as two adjacent neighbours v and w above it."""
+    todo = alive
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        higher = adj[low.bit_length() - 1] & -(low << 1)
+        while higher:
+            b = higher & -higher
+            higher ^= b
+            if adj[b.bit_length() - 1] & higher:
+                return True
+    return False
 
 
 def _fragment_path(adj: list[int], attach: int, comp: int) -> list[int]:
@@ -170,6 +202,7 @@ def _fragment_path(adj: list[int], attach: int, comp: int) -> list[int]:
     first = adj[a] & comp
     s = (first & -first).bit_length() - 1
     parent = {s: a}
+    seen = first & -first
     queue = [s]
     for c in queue:
         hit = adj[c] & others
@@ -180,19 +213,15 @@ def _fragment_path(adj: list[int], attach: int, comp: int) -> list[int]:
                 c = parent[c]
             path.append(a)
             return path
-        for w in _bits(adj[c] & comp):
-            if w not in parent:
-                parent[w] = c
-                queue.append(w)
+        new = adj[c] & comp & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            new ^= low
+            w = low.bit_length() - 1
+            parent[w] = c
+            queue.append(w)
     raise AssertionError("a fragment with two attachments has a path")
-
-
-def _bits(mask: int):
-    """The set bit positions of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _mask(vertices: list[int]) -> int:

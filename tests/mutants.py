@@ -55,6 +55,11 @@ TOROIDAL_ROW = '("--toroidal", "toroidal", None, lambda g, db: is_toroidal(g, db
 TN_ROW = '("--tn", "TN", "toroidal and nIL", lambda g, db: is_tn(g, db), True),'
 ROUTE = "tests/test_oracles.py::test_is_nil_decides_census_children_through_the_new_edge"
 TIE_BREAK = "if all(_ends(carried, a, b) <= mine for a, b in ties):"
+PLAIN = (
+    "tests/test_oracles.py::"
+    "test_plain_inputs_match_the_minor_dag_and_keep_the_apex_scans_witness"
+)
+PLANAR_RANDOM = "tests/test_planarity.py::test_planarity_matches_networkx_on_random_orders_9_to_12"
 PLAN_ORBITS = (
     "tests/test_containment.py::test_plans_keep_the_first_of_each_orbit_exactly"
 )
@@ -179,8 +184,8 @@ MUTANTS = (
         "oracles.py",
         (
             (
-                "if g.n >= 6 and g.size >= 4 * g.n - 9:",
-                "if g.n >= 6 and g.size >= 4 * g.n - 10:",
+                "return g.n >= 6 and g.size >= 4 * g.n - 9",
+                "return g.n >= 6 and g.size >= 4 * g.n - 10",
             ),
         ),
         (
@@ -195,6 +200,7 @@ MUTANTS = (
         (
             "tests/test_oracles.py::test_is_nil_examples",
             "tests/test_oracles.py::test_bipartite_k44_minus_e_is_il",
+            PLAIN,
         ),
     ),
     Mutant(
@@ -326,8 +332,8 @@ MUTANTS = (
         "oracles.py",
         (
             (
-                "if g._witness is not None and g._witness >= 0:",
-                "if g._witness is not None and g._witness >= -1:",
+                "if w is not None and w >= 0:",
+                "if w is not None and w >= -1:",
             ),
         ),
         (
@@ -403,7 +409,7 @@ MUTANTS = (
     Mutant(
         "relative-witness-kept-after-failure",
         "oracles.py",
-        (("g._witness = apex_scan(g._adj, w)", "g._witness = w"),),
+        (("g._witness = apex_scan(adj, w)", "g._witness = w"),),
         (ROUTE,),
     ),
     Mutant(
@@ -555,8 +561,8 @@ MUTANTS = (
         "containment.py",
         (
             (
-                "smooth = smooth and all(m.bit_count() >= 3 for m in p._adj)",
-                "smooth = smooth and all(m.bit_count() >= 2 for m in p._adj)",
+                "smooth = smooth and (not degrees or degrees[-1] >= 3)",
+                "smooth = smooth and (not degrees or degrees[-1] >= 2)",
             ),
         ),
         (
@@ -603,6 +609,58 @@ MUTANTS = (
             ),
         ),
         (PLAN_ORBITS,),
+    ),
+    Mutant(
+        "triangle-free-bound-at-the-bound",
+        "planarity.py",
+        (
+            (
+                "if degrees > 2 * (2 * n - 4) and not _has_triangle(adj, alive):",
+                "if degrees >= 2 * (2 * n - 4) and not _has_triangle(adj, alive):",
+            ),
+        ),
+        ("tests/test_planarity.py::test_examples", PLANAR_RANDOM),
+    ),
+    Mutant(
+        "triangle-scan-misses-a-vertex",
+        "planarity.py",
+        (("todo = alive", "todo = alive & (alive - 1)"),),
+        ("tests/test_planarity.py::test_wheels_are_planar_wherever_the_hub_is",),
+    ),
+    Mutant(
+        "plain-route-skips-rest-of-scan",
+        "oracles.py",
+        (("g._witness = apex_scan(adj, w)", "g._witness = -1"),),
+        (PLAIN,),
+    ),
+    Mutant(
+        "plain-copy-test-on-the-input",
+        "oracles.py",
+        (("host = g if edge else core(g)", "host = g if edge else g"),),
+        (PLAIN,),
+    ),
+    Mutant(
+        "plain-dag-tests-the-core-again",
+        "oracles.py",
+        (
+            (
+                "edge = edge or ()  # no copy in g's core; see `contains_any_minor`",
+                "edge = edge  # no copy in g's core; see `contains_any_minor`",
+            ),
+        ),
+        (
+            "tests/test_oracles.py::"
+            "test_the_minor_dag_does_not_test_the_routes_core_again",
+        ),
+    ),
+    Mutant(
+        "plain-copy-leaves-no-witness",
+        "oracles.py",
+        (("g._witness = -1", "pass"),),
+        (
+            PLAIN,
+            "tests/test_oracles.py::test_certificates_settle_every_minor_dag_state",
+        ),
     ),
 )
 

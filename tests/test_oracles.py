@@ -263,9 +263,11 @@ def test_is_nil_answers_witnessed_and_sparse_graphs_without_the_dag(monkeypatch)
     assert len(sparse) > 4
     assert is_nil(witnessed) and all(is_nil(g) for g in sparse)
     assert calls == []
-    # The same graph without its witness goes to the minor DAG.
+    # The same graph without its witness is answered by one planarity
+    # test at its first vertex by degree, the hub, and not by the DAG.
     fresh = Graph(witnessed.n, witnessed.edges)
-    assert is_nil(fresh) and calls == [fresh]
+    assert is_nil(fresh) and calls == []
+    assert fresh._witness == apex_scan(fresh._adj, -1) == 0
 
 
 def test_is_nil_trusts_only_a_witness_that_names_a_vertex():
@@ -358,10 +360,11 @@ def test_reducible_inputs_keep_their_own_apex_witness():
 
 def test_certificates_settle_every_minor_dag_state(monkeypatch):
     # Only states that neither Mader's bound nor the apex certificate
-    # decides are canonized. The IL input has a degree-2 vertex: it is
-    # settled as given, which leaves the apex scan's -1 on it, and its
-    # core is canonized without being settled again. Every other state
-    # canonized is the nIL input, a core, or a core below either.
+    # decides are canonized. The IL input has a degree-2 vertex and a
+    # Petersen-family copy in its core: is_nil finds it before the rest
+    # of the apex scan and before any canonization, and leaves -1 on it,
+    # the apex scan's answer for an IL graph. Every state canonized is the
+    # nIL input or a core below it.
     seen = []
 
     def recording(g):
@@ -376,14 +379,13 @@ def test_certificates_settle_every_minor_dag_state(monkeypatch):
     nil = relabeled(decode_graph6(NON_APEX_MAXNIL), rng)
     assert (il.n, il.size) == (11, 28) and min_degree(il) == 2
     assert il._witness is None
+    assert any(is_subgraph_iso(p, brute_core(il)) for p in petersen_family())
     assert min_degree(nil) >= 3
-    assert not is_nil(il) and il._witness == -1
+    assert not is_nil(il) and il._witness == -1 == apex_scan(il._adj, -1)
+    assert seen == []
     assert is_nil(nil)
-    core = canonical_form(brute_core(il))
-    others = [g for g in seen if canonical_form(g) != core]
-    assert il not in seen and len(others) == len(seen) - 1
-    assert nil in others
-    for g in others:
+    assert nil in seen
+    for g in seen:
         assert below_maders_bound(g) and not is_apex(g), g
         assert min_degree(g) >= 3, g
 
@@ -478,6 +480,129 @@ def test_is_nil_matches_minor_dag_at_orders_9_to_11():
         if below_maders_bound(g) and not is_apex(g)
     }
     assert kinds == {(n, v) for n in (9, 10, 11) for v in (True, False)}
+
+
+def planar_plus_apex(rng, n: int, degree: int) -> Graph:
+    """A stacked triangulation on 1..n-1 less a few edges, plus vertex n
+    joined to `degree` of its vertices: an apex graph."""
+    edges = [(1, 2), (1, 3), (2, 3)]
+    faces = [(1, 2, 3), (1, 2, 3)]
+    for v in range(4, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    edges = rng.sample(edges, len(edges) - rng.randint(0, 4))
+    return Graph(n, edges + [(v, n) for v in rng.sample(range(1, n), degree)])
+
+
+def check_like_inputs(rng):
+    """Inputs like those of `check --nil`: subdivided Petersen-family
+    graphs plus random edges, apex graphs, and the non-apex maxnIL graph,
+    each relabeled."""
+    family = petersen_family()
+    for n in (9, 10):
+        for i in range(14):
+            p = [p for p in family if p.n <= n][i % 6]
+            g = with_edges(subdivided(p, n - p.n, rng), rng.randint(0, 7), rng)
+            yield relabeled(g, rng)
+        for _ in range(16):
+            yield relabeled(planar_plus_apex(rng, n, rng.randint(3, n - 1)), rng)
+    for _ in range(3):
+        yield relabeled(decode_graph6(NON_APEX_MAXNIL), rng)
+
+
+def test_plain_inputs_match_the_minor_dag_and_keep_the_apex_scans_witness():
+    # An input with no witness is decided by one planarity test at its
+    # first vertex by degree, a family subgraph test on its core, the rest
+    # of the apex scan, and then the minor DAG. The verdict must be the
+    # settle-free DAG's, and the witness left the apex scan's: a vertex,
+    # or -1 when the input is IL or not apex.
+    rng = random.Random(3701)
+    memo = {}
+    kinds = Counter()
+    for g in check_like_inputs(rng):
+        fresh = Graph._from_masks(g._adj)
+        expected = not contains_any_minor(fresh, petersen_family(), memo)
+        apex = apex_scan(fresh._adj, -1)
+        first = max(range(g.n), key=lambda v: (g._adj[v].bit_count(), -v))
+        assert g._witness is None and below_maders_bound(g)
+        assert is_nil(g) == expected, g
+        assert g._witness == apex, g
+        if not expected:
+            core = brute_core(fresh)
+            copy = any(is_subgraph_iso(p, core) for p in petersen_family())
+            kinds["IL, copy in core" if copy else "IL, no copy in core"] += 1
+        elif apex >= 0:
+            kinds["apex first" if apex == first else "apex later"] += 1
+        else:
+            kinds["nIL, not apex"] += 1
+    assert kinds["IL, copy in core"] > 10 and kinds["IL, no copy in core"] > 0, kinds
+    assert kinds["apex first"] > 10 and kinds["apex later"] > 0, kinds
+    assert kinds["nIL, not apex"] == 3, kinds
+
+
+def test_the_minor_dag_does_not_test_the_routes_core_again(monkeypatch):
+    # An input whose core holds no family copy reaches the minor DAG, which
+    # starts from that core without testing it for a copy a second time:
+    # on a cold memo, no (pattern, host) subgraph test repeats in one call.
+    rng = random.Random(3703)
+    tests, dag = Counter(), []
+
+    def counting(module):
+        test = module.is_subgraph_iso
+
+        def spy(p, host, pin=None):
+            tests[canonical_form(p), canonical_form(host), pin] += 1
+            return test(p, host, pin)
+
+        return spy
+
+    def in_dag(g, *rest):
+        dag.append(g)
+        return contains_any_minor(g, *rest)
+
+    monkeypatch.setattr(oracles, "_nil_memo", {})
+    monkeypatch.setattr(oracles, "is_subgraph_iso", counting(oracles))
+    monkeypatch.setattr(containment, "is_subgraph_iso", counting(containment))
+    monkeypatch.setattr(oracles, "contains_any_minor", in_dag)
+    for g in check_like_inputs(rng):
+        tests.clear()
+        is_nil(g)
+        assert max(tests.values(), default=1) == 1, g
+    assert len(dag) > 5
+
+
+def test_the_route_publishes_no_witness_before_it_decides(monkeypatch):
+    # Another thread may read an input's witness while is_nil is testing
+    # it; until the route has decided one it must find none there. The
+    # minor DAG, whose states run their own apex scans, starts only after
+    # the route has left -1 on the input.
+    rng = random.Random(3702)
+    current, seen, dag, entered = [], [], [], []
+
+    def spying(f):
+        def spy(*args):
+            if not dag:
+                seen.append(current[0]._witness)
+            return f(*args)
+        return spy
+
+    def in_dag(g, *rest):
+        dag.append(g)
+        entered.append(g._witness)
+        return contains_any_minor(g, *rest)
+
+    for name in ("planar_without", "is_subgraph_iso", "apex_scan"):
+        monkeypatch.setattr(oracles, name, spying(getattr(oracles, name)))
+    monkeypatch.setattr(oracles, "contains_any_minor", in_dag)
+    for g in check_like_inputs(rng):
+        current[:] = [g]
+        is_nil(g)
+        assert g._witness is not None
+        seen.append("decided")
+        dag.clear()
+    assert len(seen) > 200 and set(seen) == {None, "decided"}
+    assert len(entered) > 5 and set(entered) == {-1}
 
 
 # -- obstructions and toroidality ---------------------------------------------
