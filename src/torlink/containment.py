@@ -312,11 +312,11 @@ def has_minor(g: Graph, h: Graph) -> bool:
 
 def _reductions(g: Graph, edge: tuple[int, ...] | None = None):
     """Every order-reducing single step: each vertex deletion, then each
-    edge contraction; with `edge`, less those that `contains_any_minor`
-    skips for it."""
+    edge contraction; with an `edge` uv, less those that
+    `contains_any_minor` skips for it."""
     gone: tuple[int, ...] = ()
     merged: set = set()
-    if edge:
+    if edge:  # None, or () naming no edge, skips nothing
         common = g._adj[edge[0]] & g._adj[edge[1]]
         gone = (edge[0] + 1, edge[1] + 1)
         merged = {tuple(sorted((w, x + 1))) for w in gone for x in range(g.n) if common >> x & 1}
@@ -372,18 +372,18 @@ def contains_any_minor(
     graph iff it holds for its core, as the apex certificate does, would
     only repeat its work there.
 
-    ``edge`` = (u, v), an edge of g by its 0-based ends, tells the engine
-    that g - uv has none of the patterns as a minor and that none is a
-    subgraph of g through uv (`is_subgraph_iso` with ``pin``), so none is a
-    subgraph of g at all. The input then skips its subgraph test, and the
-    reductions whose results are minors of g - uv: deleting u or v, and
+    ``edge``, when given, tells the engine that none of the patterns is a
+    subgraph of g, so g skips its subgraph test and is searched as given,
+    not as its core. ``edge`` = () names no edge and says no more.
+    ``edge`` = (u, v), an edge of g by its 0-based ends, says also that
+    g - uv has none of the patterns as a minor; then none is a subgraph of
+    g once none is one through uv (`is_subgraph_iso` with ``pin``). The
+    input then skips the reductions whose results are minors of g - uv: deleting u or v, and
     contracting an edge from u or v to a common neighbour x of both, which
     merges uv into the old edge xv or xu (g / ux = (g - uv) / ux). Those
     minors hold no pattern, so skipping them changes no answer. g / uv is
     searched, as it need not be a minor of g - uv, and so is every state
-    below the input. g itself is searched as given, not as its core, since
-    the claim names its edge. ``edge`` = () says only that no pattern, all of
-    minimum degree >= 3, is a subgraph of g's core, which skips its test.
+    below the input.
     """
     # fewest[k]: the fewest edges of any pattern with at most k vertices, or
     # more edges than g has when no pattern is that small. A minor has no
@@ -402,7 +402,7 @@ def contains_any_minor(
             if p.size < fewest[k]:
                 fewest[k] = p.size
     verdict = _settled(g, fewest, settle)
-    if verdict is None and smooth and not edge:
+    if verdict is None and smooth and edge is None:
         g = core(g)
         verdict = _settled(g, fewest, None)
     if verdict is not None:

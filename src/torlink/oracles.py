@@ -29,12 +29,12 @@ exact, cheapest settling first: Mader's bound; one planarity test at a
 candidate apex vertex w, skipped past Euler's bound, where planar means
 apex, so nIL; a Petersen-family subgraph test, where a copy means IL; the
 rest of the apex scan, skipping w; then the DAG. An input with no witness
-takes for w the first vertex of `planarity.apex_scan`'s order and tests
-its core (`containment.core`), which settles most IL inputs before
-anything is canonized; the DAG starts from that core without testing it
-again. The input is left the witness `apex_scan(adj, -1)` (-1 when IL:
-no IL graph is apex), or none past Mader's bound. An input that already
-holds -1 goes straight to the DAG.
+takes for w the first vertex of `planarity.apex_order`, the order of
+`apex_scan`, and tests its core (`containment.core`), which settles most
+IL inputs before anything is canonized; the DAG starts from that core
+without testing it again. The input is left the witness
+`apex_scan(adj, -1)` (-1 when IL: no IL graph is apex), or none past
+Mader's bound. An input that already holds -1 goes straight to the DAG.
 
 This module alone reads and writes `Graph._witness`, the apex witness
 (see `Graph`), which `is_apex`, `is_nil` and `carry_witness` fill.
@@ -71,7 +71,7 @@ from .containment import contains_any_minor, core, is_subgraph_iso
 from .errors import DataValidationError, UnsupportedOrderError
 from .graph6 import decode_graph6, read_graph6_file
 from .graphs import MAX_ORDER, Graph, complete_graph
-from .planarity import apex_scan, planar_without
+from .planarity import apex_order, apex_scan, planar_without
 
 # No toroidal obstruction has fewer than 8 vertices.
 SMALLEST_OBSTRUCTION_ORDER = 8
@@ -157,29 +157,36 @@ def is_nil(g: Graph) -> bool:
     if g.size < _petersen_fewest_edges():
         return True
     family = petersen_family()
-    edge = None
+    adj = g._adj
     if w is None:
         if _past_maders_bound(g):
             return False
-        w = max(range(g.n), key=lambda v: g._adj[v].bit_count())
+        edge = None
     elif w < -1:
         w, edge = ~w >> 8, (~w >> 4 & 15, ~w & 15)
-    if w >= 0:
-        # The route; see the module docstring.
-        adj = g._adj
-        if g.size - adj[w].bit_count() <= 3 * g.n - 9 and planar_without(adj, w):
-            g._witness = w
-            return True
-        host = g if edge else core(g)
-        if any(is_subgraph_iso(p, host, edge) for p in family):
-            if edge is None:
-                g._witness = -1
-            return False
-        g._witness = apex_scan(adj, w)
-        if g._witness >= 0:
-            return True
-        edge = edge or ()  # no copy in g's core; see `contains_any_minor`
-    return not contains_any_minor(g, family, _nil_memo, _settle_nil, edge)
+    else:
+        return not contains_any_minor(g, family, _nil_memo, _settle_nil)
+    # The route; see the module docstring. `apex_order` leaves out every
+    # vertex past Euler's bound.
+    order = apex_order(adj)
+    if edge is None:
+        w = order[0] if order else -1
+    if w in order and planar_without(adj, w):
+        g._witness = w
+        return True
+    host = core(g) if edge is None else g
+    if any(is_subgraph_iso(p, host, edge) for p in family):
+        if edge is None:
+            g._witness = -1
+        return False
+    g._witness = apex_scan(adj, w)
+    if g._witness >= 0:
+        return True
+    host._witness = -1  # g's core is apex iff g is
+    # No family copy in host, so the DAG skips that test: ``edge`` = ()
+    # says so of a plain input's core; see `contains_any_minor`.
+    edge = () if edge is None else edge
+    return not contains_any_minor(host, family, _nil_memo, _settle_nil, edge)
 
 
 def is_maxnil(g: Graph) -> bool:

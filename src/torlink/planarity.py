@@ -22,10 +22,6 @@ the graph is reduced to its core without changing its planarity
 (`graphs.reduce_to_core`): vertices of degree at most 1 are deleted,
 vertices of degree 2 smoothed (a parallel edge never changes planarity,
 so one is dropped), and Euler's bound m <= 3n - 6 rejects dense graphs.
-A core with no triangle is rejected from m > 2n - 4: each face of a
-planar drawing of a triangle-free graph with a cycle has at least four
-sides, so 4f <= 2m, and Euler's formula n - m + f = 2 (one component;
-more only lower the bound) gives m <= 2n - 4.
 Myrvold and Kocay, *Errors in graph embedding algorithms* (JCSS 2011),
 list the pitfalls of such tests.
 """
@@ -41,22 +37,31 @@ def is_planar(g: Graph) -> bool:
 
 
 def apex_scan(adj: tuple[int, ...], tried: int) -> int:
-    """The first vertex, by decreasing degree, whose deletion leaves the
-    graph with these 0-based adjacency masks planar, or -1 for none.
+    """The first vertex of `apex_order` whose deletion leaves the graph
+    with these 0-based adjacency masks planar, or -1 for none.
 
-    The scan stops at the first vertex whose deletion leaves more edges
-    than Euler's bound allows, since every later deletion leaves at least
-    as many. `tried` is a vertex whose deletion the caller already found
-    to leave a non-planar graph, or -1; it is not tried again.
+    `tried` is a vertex whose deletion the caller already found to leave
+    a non-planar graph, or -1; it is not tried again.
     """
-    n = len(adj)
-    m = sum(a.bit_count() for a in adj) // 2
-    for v in sorted(range(n), key=lambda v: -adj[v].bit_count()):
-        if n > 3 and m - adj[v].bit_count() > 3 * (n - 1) - 6:
-            break
+    for v in apex_order(adj):
         if v != tried and planar_without(adj, v):
             return v
     return -1
+
+
+def apex_order(adj: tuple[int, ...]) -> list[int]:
+    """The vertices that `apex_scan` tries, in its order: by decreasing
+    degree, the lowest first among equals, up to the first whose deletion
+    leaves more edges than Euler's bound allows, since every later
+    deletion leaves at least as many."""
+    n = len(adj)
+    m = sum(a.bit_count() for a in adj) // 2
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    if n > 3:
+        for i, v in enumerate(order):
+            if m - adj[v].bit_count() > 3 * (n - 1) - 6:
+                return order[:i]
+    return order
 
 
 def planar_without(adj: tuple[int, ...], v: int) -> bool:
@@ -84,8 +89,6 @@ def _planar(adj: list[int], alive: int) -> bool:
         return False
     if n == 5:
         return True  # only K5, which the bound excluded, is non-planar here
-    if degrees > 2 * (2 * n - 4) and not _has_triangle(adj, alive):
-        return False
     # Every vertex now has degree >= 3, so a walk that never turns back
     # closes a cycle.
     v = prev = (alive & -alive).bit_length() - 1
@@ -172,22 +175,6 @@ def _planar(adj: list[int], alive: int) -> bool:
         faces.append(back + inner)
         face_masks[i] = _mask(faces[i])
         face_masks.append(_mask(faces[-1]))
-
-
-def _has_triangle(adj: list[int], alive: int) -> bool:
-    """Whether the graph on `alive` has a triangle u < v < w, sought from
-    each u as two adjacent neighbours v and w above it."""
-    todo = alive
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        higher = adj[low.bit_length() - 1] & -(low << 1)
-        while higher:
-            b = higher & -higher
-            higher ^= b
-            if adj[b.bit_length() - 1] & higher:
-                return True
-    return False
 
 
 def _fragment_path(adj: list[int], attach: int, comp: int) -> list[int]:

@@ -541,6 +541,27 @@ def test_plain_inputs_match_the_minor_dag_and_keep_the_apex_scans_witness():
     assert kinds["nIL, not apex"] == 3, kinds
 
 
+def test_a_copy_in_the_core_answers_before_the_minor_dag(monkeypatch):
+    # A Petersen-family graph with one edge subdivided holds no family
+    # subgraph: every family graph has 15 edges and minimum degree 3, so a
+    # copy could keep neither the degree-2 vertex nor both of its edges.
+    # Its core is the family graph itself, where the route finds a copy,
+    # so the input is answered IL with no minor DAG.
+    dag = []
+
+    def in_dag(g, *rest):
+        dag.append(g)
+        return contains_any_minor(g, *rest)
+
+    monkeypatch.setattr(oracles, "contains_any_minor", in_dag)
+    rng = random.Random(3704)
+    for p in petersen_family():
+        g = relabeled(subdivided(p, 1, rng), rng)
+        assert not any(is_subgraph_iso(q, g) for q in petersen_family()), g
+        assert not is_nil(g) and g._witness == -1 == apex_scan(g._adj, -1), g
+    assert dag == []
+
+
 def test_the_minor_dag_does_not_test_the_routes_core_again(monkeypatch):
     # An input whose core holds no family copy reaches the minor DAG, which
     # starts from that core without testing it for a copy a second time:
